@@ -69,8 +69,8 @@ inline double BenchSampleRate() {
 
 // Runs jobs 0..count-1 (each `fn(job)` returning a result) on
 // BenchThreads() workers, each job in its own shard environment
-// (sim::ShardEnv: private metrics registry, trace ring, context
-// tree). Returns results in job order, after folding each job's
+// (sim::ShardEnv: private metrics registry, context tree, symbol
+// table). Returns results in job order, after folding each job's
 // metrics into the process registry in that same order.
 template <typename Fn>
 auto RunJobs(size_t count, Fn&& fn) {

@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 
 #include "src/obs/export.h"
 #include "src/profiler/deployment.h"
@@ -49,7 +50,12 @@ StageProfiler::Options Opts(std::string name) {
 
 int main(int argc, char** argv) {
   const std::filesystem::path dir = argc > 1 ? argv[1] : "whodunit_profiles";
-  std::filesystem::create_directories(dir);
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "cannot create output directory %s\n", dir.c_str());
+    return 1;
+  }
 
   // ---- Step 1: a profiled run (three stages, two request types) ----
   profiler::Deployment dep;
@@ -121,13 +127,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   obs::MetricsSnapshot snapshot;
-  std::vector<obs::SpanRecord> spans;
-  if (!obs::ParseJson(ReadFile(metrics_path), &snapshot, &spans)) {
+  if (!obs::ParseJson(ReadFile(metrics_path), &snapshot)) {
     std::fprintf(stderr, "failed to re-read %s\n", metrics_path.c_str());
     return 1;
   }
   std::printf("\n===== profiler self-observability (re-read from %s) =====\n",
               metrics_path.c_str());
-  std::printf("%s", obs::RenderText(snapshot, &spans).c_str());
+  std::printf("%s", obs::RenderText(snapshot).c_str());
   return 0;
 }

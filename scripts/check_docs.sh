@@ -1,6 +1,7 @@
 #!/bin/sh
 # Docs drift check: every src/<subsystem>/ directory must have a section in
-# docs/ARCHITECTURE.md, and the files docs link to must exist. Run from
+# docs/ARCHITECTURE.md, the files docs link to must exist, and the
+# docs/METRICS.md catalog must match the metrics src/ exports. Run from
 # anywhere; registered with ctest as `check_docs`.
 set -u
 
@@ -47,6 +48,17 @@ exported=$(grep -rhoE 'Get(Counter|Gauge|Histogram)\("[^"]+"' "$repo_root/src" \
 for metric in $exported; do
   if ! grep -qF "$metric" "$metrics_doc"; then
     echo "check_docs: metric \"$metric\" is exported in src/ but not documented in docs/METRICS.md" >&2
+    status=1
+  fi
+done
+
+# And the reverse: every name in the first column of a METRICS.md catalog
+# row must still occur as a string literal under src/, so a deleted
+# metric cannot leave its row behind.
+documented=$(sed -n 's/^| `\([^`]*\)` |.*/\1/p' "$metrics_doc" | sort -u)
+for metric in $documented; do
+  if ! grep -rqF "\"$metric\"" "$repo_root/src"; then
+    echo "check_docs: metric \"$metric\" is documented in docs/METRICS.md but not found in src/" >&2
     status=1
   fi
 done

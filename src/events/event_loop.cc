@@ -74,10 +74,6 @@ sim::Process EventLoop::Run() {
     co_await handler_fns_[ev->handler](hc);
     const sim::SimTime elapsed = sched_.now() - start;
     obs_handler_ns_->Observe(static_cast<uint64_t>(elapsed));
-    obs::Tracer().Record(obs::SpanRecord{"events.handler", handlers_.NameOf(ev->handler),
-                                         tracking_ ? context::GlobalContextTree().HashOf(curr_node_) : 0,
-                                         static_cast<int64_t>(start),
-                                         static_cast<int64_t>(elapsed)});
   }
 }
 

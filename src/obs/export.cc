@@ -1,6 +1,7 @@
 #include "src/obs/export.h"
 
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -130,6 +131,29 @@ bool ParseStringToken(Cursor& c, std::string* out) {
   return false;  // unterminated
 }
 
+// Parses a run of decimal digits; fails on no digits or on a value
+// above UINT64_MAX.
+bool ParseDigits(Cursor& c, uint64_t* out) {
+  uint64_t value = 0;
+  bool any = false;
+  while (c.pos < c.text.size() && c.text[c.pos] >= '0' && c.text[c.pos] <= '9') {
+    const uint64_t digit = static_cast<uint64_t>(c.text[c.pos] - '0');
+    if (value > (UINT64_MAX - digit) / 10) {
+      return false;
+    }
+    value = value * 10 + digit;
+    ++c.pos;
+    any = true;
+  }
+  *out = value;
+  return any;
+}
+
+bool ParseUint(Cursor& c, uint64_t* out) {
+  c.SkipWs();
+  return ParseDigits(c, out);
+}
+
 bool ParseInt(Cursor& c, int64_t* out) {
   c.SkipWs();
   const bool neg = c.pos < c.text.size() && c.text[c.pos] == '-';
@@ -137,30 +161,12 @@ bool ParseInt(Cursor& c, int64_t* out) {
     ++c.pos;
   }
   uint64_t value = 0;
-  bool any = false;
-  while (c.pos < c.text.size() && c.text[c.pos] >= '0' && c.text[c.pos] <= '9') {
-    value = value * 10 + static_cast<uint64_t>(c.text[c.pos] - '0');
-    ++c.pos;
-    any = true;
-  }
-  if (!any) {
+  const uint64_t limit = neg ? uint64_t{1} << 63 : INT64_MAX;
+  if (!ParseDigits(c, &value) || value > limit) {
     return false;
   }
-  *out = neg ? -static_cast<int64_t>(value) : static_cast<int64_t>(value);
+  *out = neg ? static_cast<int64_t>(0 - value) : static_cast<int64_t>(value);
   return true;
-}
-
-bool ParseUint(Cursor& c, uint64_t* out) {
-  c.SkipWs();
-  uint64_t value = 0;
-  bool any = false;
-  while (c.pos < c.text.size() && c.text[c.pos] >= '0' && c.text[c.pos] <= '9') {
-    value = value * 10 + static_cast<uint64_t>(c.text[c.pos] - '0');
-    ++c.pos;
-    any = true;
-  }
-  *out = value;
-  return any;
 }
 
 bool ParseUintArray(Cursor& c, std::vector<uint64_t>* out) {
@@ -271,57 +277,6 @@ bool ParseHistogramMap(Cursor& c, std::map<std::string, HistogramSnapshot>* out)
   return c.Consume('}');
 }
 
-bool ParseSpanArray(Cursor& c, std::vector<SpanRecord>* out) {
-  if (!c.Consume('[')) {
-    return false;
-  }
-  if (c.Consume(']')) {
-    return true;
-  }
-  do {
-    if (!c.Consume('{')) {
-      return false;
-    }
-    SpanRecord span;
-    if (!c.Peek('}')) {
-      do {
-        std::string key;
-        if (!ParseStringToken(c, &key) || !c.Consume(':')) {
-          return false;
-        }
-        if (key == "name") {
-          if (!ParseStringToken(c, &span.name)) {
-            return false;
-          }
-        } else if (key == "detail") {
-          if (!ParseStringToken(c, &span.detail)) {
-            return false;
-          }
-        } else if (key == "ctxt_hash") {
-          if (!ParseUint(c, &span.ctxt_hash)) {
-            return false;
-          }
-        } else if (key == "start_ns") {
-          if (!ParseInt(c, &span.start_ns)) {
-            return false;
-          }
-        } else if (key == "duration_ns") {
-          if (!ParseInt(c, &span.duration_ns)) {
-            return false;
-          }
-        } else {
-          return false;
-        }
-      } while (c.Consume(','));
-    }
-    if (!c.Consume('}')) {
-      return false;
-    }
-    out->push_back(std::move(span));
-  } while (c.Consume(','));
-  return c.Consume(']');
-}
-
 std::string FormatNs(double ns) {
   char buf[32];
   if (ns >= 1e6) {
@@ -354,9 +309,9 @@ double Quantile(const HistogramSnapshot& h, double q) {
 
 }  // namespace
 
-std::string ToJson(const MetricsSnapshot& snapshot, const std::vector<SpanRecord>& spans) {
+std::string ToJson(const MetricsSnapshot& snapshot) {
   std::string out;
-  out += "{\n  \"schema\": \"whodunit-metrics\",\n  \"version\": 1,\n  \"counters\": {";
+  out += "{\n  \"schema\": \"whodunit-metrics\",\n  \"version\": 2,\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, value] : snapshot.counters) {
     out += first ? "\n" : ",\n";
@@ -390,25 +345,11 @@ std::string ToJson(const MetricsSnapshot& snapshot, const std::vector<SpanRecord
     out += ", \"count\": " + std::to_string(h.count);
     out += ", \"sum\": " + std::to_string(h.sum) + "}";
   }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"spans\": [";
-  first = true;
-  for (const SpanRecord& span : spans) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"name\": ";
-    AppendEscaped(out, span.name);
-    out += ", \"detail\": ";
-    AppendEscaped(out, span.detail);
-    out += ", \"ctxt_hash\": " + std::to_string(span.ctxt_hash);
-    out += ", \"start_ns\": " + std::to_string(span.start_ns);
-    out += ", \"duration_ns\": " + std::to_string(span.duration_ns) + "}";
-  }
-  out += first ? "]\n}\n" : "\n  ]\n}\n";
+  out += first ? "}\n}\n" : "\n  }\n}\n";
   return out;
 }
 
-bool ParseJson(std::string_view json, MetricsSnapshot* out, std::vector<SpanRecord>* spans) {
+bool ParseJson(std::string_view json, MetricsSnapshot* out) {
   Cursor c{json};
   if (!c.Consume('{')) {
     return false;
@@ -427,7 +368,7 @@ bool ParseJson(std::string_view json, MetricsSnapshot* out, std::vector<SpanReco
         }
       } else if (key == "version") {
         uint64_t version = 0;
-        if (!ParseUint(c, &version) || version != 1) {
+        if (!ParseUint(c, &version) || version != 2) {
           return false;
         }
         version_ok = true;
@@ -443,14 +384,6 @@ bool ParseJson(std::string_view json, MetricsSnapshot* out, std::vector<SpanReco
         if (!ParseHistogramMap(c, &out->histograms)) {
           return false;
         }
-      } else if (key == "spans") {
-        std::vector<SpanRecord> decoded;
-        if (!ParseSpanArray(c, &decoded)) {
-          return false;
-        }
-        if (spans != nullptr) {
-          *spans = std::move(decoded);
-        }
       } else {
         return false;
       }
@@ -459,7 +392,7 @@ bool ParseJson(std::string_view json, MetricsSnapshot* out, std::vector<SpanReco
   return c.Consume('}') && version_ok;
 }
 
-std::string RenderText(const MetricsSnapshot& snapshot, const std::vector<SpanRecord>* spans) {
+std::string RenderText(const MetricsSnapshot& snapshot) {
   std::ostringstream out;
   out << "--- counters ---\n";
   for (const auto& [name, value] : snapshot.counters) {
@@ -486,28 +419,15 @@ std::string RenderText(const MetricsSnapshot& snapshot, const std::vector<SpanRe
     out << "  " << name << ": count=" << h.count << " mean=" << fmt(mean)
         << " p50=" << fmt(Quantile(h, 0.5)) << " p99=" << fmt(Quantile(h, 0.99)) << "\n";
   }
-  if (spans != nullptr && !spans->empty()) {
-    out << "--- spans (" << spans->size() << " buffered, newest last) ---\n";
-    const size_t show = spans->size() > 10 ? 10 : spans->size();
-    for (size_t i = spans->size() - show; i < spans->size(); ++i) {
-      const SpanRecord& span = (*spans)[i];
-      out << "  t+" << span.start_ns << "ns " << span.name << " '" << span.detail << "' ctxt="
-          << span.ctxt_hash << " dur=" << FormatNs(static_cast<double>(span.duration_ns))
-          << "\n";
-    }
-  }
   return out.str();
 }
 
 bool DumpGlobalMetrics(const std::string& path) {
-  MetricsSnapshot snapshot = Registry().Snapshot();
-  snapshot.counters["obs.spans_recorded"] = Tracer().recorded();
-  snapshot.counters["obs.spans_dropped"] = Tracer().dropped();
   std::ofstream out(path);
   if (!out) {
     return false;
   }
-  out << ToJson(snapshot, Tracer().Snapshot());
+  out << ToJson(Registry().Snapshot());
   return static_cast<bool>(out);
 }
 

@@ -1,41 +1,36 @@
-// Self-observability: JSON export of metrics and trace spans.
+// Self-observability: JSON export of metrics.
 //
 // The export is what crosses the process boundary: benches dump
 // `BENCH_<name>.metrics.json` at exit so result trajectories carry
 // the profiler's internal counters next to the wall-clock numbers,
 // and `examples/offline_report` re-reads a dump and renders it. The
 // schema (docs/METRICS.md) is deliberately small — flat maps of
-// counters and gauges, explicit-bucket histograms, a span array — and
-// ParseJson understands exactly that subset, so the round trip needs
-// no external JSON dependency.
+// counters and gauges and explicit-bucket histograms — and ParseJson
+// understands exactly that subset, so the round trip needs no
+// external JSON dependency.
 #ifndef SRC_OBS_EXPORT_H_
 #define SRC_OBS_EXPORT_H_
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace whodunit::obs {
 
-// Serializes a snapshot (and optional spans) as schema-version-1 JSON.
-std::string ToJson(const MetricsSnapshot& snapshot,
-                   const std::vector<SpanRecord>& spans = {});
+// Serializes a snapshot as schema-version-2 JSON.
+std::string ToJson(const MetricsSnapshot& snapshot);
 
-// Parses JSON produced by ToJson. Returns false on malformed input or
-// wrong schema version. `spans` may be null to skip span decoding.
-bool ParseJson(std::string_view json, MetricsSnapshot* out,
-               std::vector<SpanRecord>* spans = nullptr);
+// Parses JSON produced by ToJson. Returns false on malformed input
+// (including out-of-range numbers) or on a wrong schema or version.
+bool ParseJson(std::string_view json, MetricsSnapshot* out);
 
 // Human-readable rendering of a snapshot (one instrument per line,
 // histograms with percentile estimates) for reports and examples.
-std::string RenderText(const MetricsSnapshot& snapshot,
-                       const std::vector<SpanRecord>* spans = nullptr);
+std::string RenderText(const MetricsSnapshot& snapshot);
 
-// Snapshots the global Registry() and Tracer() and writes the JSON
-// dump to `path`. Returns false if the file could not be written.
+// Snapshots the global Registry() and writes the JSON dump to `path`.
+// Returns false if the file could not be written.
 bool DumpGlobalMetrics(const std::string& path);
 
 }  // namespace whodunit::obs

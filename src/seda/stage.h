@@ -18,7 +18,6 @@
 #include "src/context/context_tree.h"
 #include "src/context/transaction_context.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/sim/channel.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/task.h"

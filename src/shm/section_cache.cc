@@ -1,12 +1,9 @@
 #include "src/shm/section_cache.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <utility>
-
-#include "src/obs/trace.h"
 
 namespace whodunit::shm {
 
@@ -64,7 +61,6 @@ vm::ExecResult SectionCache::RunMiss(vm::Interpreter& interp, const vm::Program&
 vm::ExecResult SectionCache::RecordCold(vm::Interpreter& interp, const vm::Program& program,
                                         vm::ThreadId t, vm::CpuState& cpu, vm::Memory& mem,
                                         FlowDetector* det) {
-  const auto start = std::chrono::steady_clock::now();
   if (det != nullptr) {
     det->BeginSectionRecording(&scratch_rec_, t);
   }
@@ -75,11 +71,6 @@ vm::ExecResult SectionCache::RecordCold(vm::Interpreter& interp, const vm::Progr
   if (det != nullptr) {
     dict = det->EndSectionRecording();
   }
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-  obs::Tracer().Record(obs::SpanRecord{"shm.section_cache.record", program.name, 0,
-                                       /*start_ns=*/0, /*duration_ns=*/ns});
 
   const bool cacheable = arch.cacheable && (det == nullptr || dict.cacheable);
   ProgramEntry& pe = table_.GetOrInsert(program.id);

@@ -6,7 +6,6 @@ namespace whodunit::sim {
 
 ShardEnv::ShardEnv()
     : metrics_(std::make_unique<obs::MetricsRegistry>()),
-      trace_(std::make_unique<obs::TraceLog>()),
       syms_(std::make_unique<obs::live::SymbolTable>()) {
   // The ContextTree constructor registers its gauges with the current
   // metrics registry, so build it with this shard's registry installed
@@ -18,7 +17,6 @@ ShardEnv::ShardEnv()
 ShardEnv::Scope::Scope(ShardEnv& env)
     : saved_counters_(util::SaveShardCounters()),
       metrics_scope_(env.metrics()),
-      trace_scope_(env.trace()),
       tree_scope_(env.context_tree()),
       syms_scope_(env.symbols()) {
   util::ResetShardCounters();

@@ -4,10 +4,10 @@
 // count sweep points, a fixed partition of a client population — can
 // run each job as its own fully self-contained deployment: a private
 // Scheduler, ContextTree arena, flow dictionaries, metrics registry,
-// trace ring, and (optionally) live daemon. Nothing is shared between
-// shards while they run, so shards are embarrassingly parallel; the
-// only cross-shard step is the merge, and the merge runs serially on
-// the caller's thread in canonical shard order.
+// and (optionally) live daemon. Nothing is shared between shards while
+// they run, so shards are embarrassingly parallel; the only cross-shard
+// step is the merge, and the merge runs serially on the caller's
+// thread in canonical shard order.
 //
 // Determinism contract: the *logical* decomposition (how many jobs,
 // what each simulates, each job's seed) is part of the workload
@@ -28,7 +28,6 @@
 #include "src/context/context_tree.h"
 #include "src/obs/live/symbol_table.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/util/thread_pool.h"
 
 namespace whodunit::sim {
@@ -43,14 +42,13 @@ class ShardEnv {
 
   obs::MetricsRegistry& metrics() { return *metrics_; }
   const obs::MetricsRegistry& metrics() const { return *metrics_; }
-  obs::TraceLog& trace() { return *trace_; }
   context::ContextTree& context_tree() { return *tree_; }
   const context::ContextTree& context_tree() const { return *tree_; }
   obs::live::SymbolTable& symbols() { return *syms_; }
   const obs::live::SymbolTable& symbols() const { return *syms_; }
 
   // Installs this env as the calling thread's current metrics
-  // registry, trace log, and context tree, and restarts the shard-
+  // registry, context tree, and symbol table, and restarts the shard-
   // registered thread-local id allocators (lock ids, program ids)
   // from their fresh seeds. Restores everything on destruction.
   class Scope {
@@ -63,7 +61,6 @@ class ShardEnv {
    private:
     std::vector<uint64_t> saved_counters_;
     obs::ScopedMetricsRegistry metrics_scope_;
-    obs::ScopedTraceLog trace_scope_;
     context::ScopedContextTree tree_scope_;
     obs::live::ScopedSymbolTable syms_scope_;
   };
@@ -75,7 +72,6 @@ class ShardEnv {
 
  private:
   std::unique_ptr<obs::MetricsRegistry> metrics_;
-  std::unique_ptr<obs::TraceLog> trace_;
   std::unique_ptr<context::ContextTree> tree_;
   // Per-shard symbol table: each shard interns its own SymIds; the
   // merge remaps them through SymbolTable::MergeFrom.

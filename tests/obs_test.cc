@@ -1,7 +1,9 @@
 // Tests for the self-observability layer (src/obs): instrument
 // correctness under concurrent writers, snapshot merging across
-// thread shards, and the JSON export round trip.
+// thread shards, and the JSON export round trip and its parser's
+// rejection of malformed dumps.
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -9,7 +11,6 @@
 
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace whodunit::obs {
 namespace {
@@ -142,60 +143,76 @@ TEST(SnapshotTest, ConcurrentWithWriters) {
   EXPECT_EQ(c.Value(), 100'000u);
 }
 
-TEST(TraceTest, RecordsAndDropsAtCapacity) {
-  TraceLog log(4);
-  for (int i = 0; i < 6; ++i) {
-    log.Record(SpanRecord{"span", "detail", 0, i, 1});
-  }
-  EXPECT_EQ(log.recorded(), 6u);
-  EXPECT_EQ(log.dropped(), 2u);
-  const std::vector<SpanRecord> spans = log.Snapshot();
-  ASSERT_EQ(spans.size(), 4u);
-  // Oldest survivors first: spans 2..5.
-  EXPECT_EQ(spans.front().start_ns, 2);
-  EXPECT_EQ(spans.back().start_ns, 5);
+// Replaces the one occurrence of `from` in `s` with `to`.
+std::string ReplaceOnce(std::string s, const std::string& from, const std::string& to) {
+  const size_t at = s.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return at == std::string::npos ? s : s.replace(at, from.size(), to);
 }
 
 TEST(ExportTest, JsonRoundTrip) {
   MetricsRegistry reg;
   reg.GetCounter("shm.flows_detected").Add(12);
   reg.GetCounter("sampler.samples_taken").Add(34);
+  reg.GetCounter("name \"quoted\"\n\x01").Add(UINT64_MAX);
   reg.GetGauge("shm.dict_size").Set(-1);
+  reg.GetGauge("g.min").Set(INT64_MIN);
   Histogram& h = reg.GetHistogram("events.handler_ns", {10, 100});
   h.Observe(5);
   h.Observe(50);
   h.Observe(500);
-
-  std::vector<SpanRecord> spans = {
-      {"events.handler", "read \"quoted\"\nname", 0xdeadbeefull, 100, 42},
-      {"seda.element", "WriteStage", 7, 200, 0},
-  };
-
-  const std::string json = ToJson(reg.Snapshot(), spans);
+  const std::string json = ToJson(reg.Snapshot());
 
   MetricsSnapshot parsed;
-  std::vector<SpanRecord> parsed_spans;
-  ASSERT_TRUE(ParseJson(json, &parsed, &parsed_spans));
-
+  ASSERT_TRUE(ParseJson(json, &parsed));
   EXPECT_EQ(parsed.counters.at("shm.flows_detected"), 12u);
   EXPECT_EQ(parsed.counters.at("sampler.samples_taken"), 34u);
+  EXPECT_EQ(parsed.counters.at("name \"quoted\"\n\x01"), UINT64_MAX);
   EXPECT_EQ(parsed.gauges.at("shm.dict_size"), -1);
+  EXPECT_EQ(parsed.gauges.at("g.min"), INT64_MIN);
   const HistogramSnapshot& ph = parsed.histograms.at("events.handler_ns");
   EXPECT_EQ(ph.bounds, (std::vector<uint64_t>{10, 100}));
   EXPECT_EQ(ph.counts, (std::vector<uint64_t>{1, 1, 1}));
   EXPECT_EQ(ph.count, 3u);
   EXPECT_EQ(ph.sum, 555u);
+  // Re-serializing the parsed snapshot reproduces the same bytes.
+  EXPECT_EQ(ToJson(parsed), json);
 
-  ASSERT_EQ(parsed_spans.size(), 2u);
-  EXPECT_EQ(parsed_spans[0].name, "events.handler");
-  EXPECT_EQ(parsed_spans[0].detail, "read \"quoted\"\nname");
-  EXPECT_EQ(parsed_spans[0].ctxt_hash, 0xdeadbeefull);
-  EXPECT_EQ(parsed_spans[0].start_ns, 100);
-  EXPECT_EQ(parsed_spans[0].duration_ns, 42);
-  EXPECT_EQ(parsed_spans[1].detail, "WriteStage");
-
-  // Re-serializing the parsed snapshot reproduces the same JSON.
-  EXPECT_EQ(ToJson(parsed, parsed_spans), json);
+  const std::string tail = "\n  }\n}\n";  // closes "histograms" and the document
+  struct Case {
+    const char* what;
+    std::string input;
+  };
+  std::vector<Case> malformed = {
+      {"v1 dump with spans",
+       ReplaceOnce(ReplaceOnce(json, "\"version\": 2", "\"version\": 1"), tail,
+                   "\n  },\n  \"spans\": [\n    {\"name\": \"events.handler\", \"detail\": "
+                   "\"h\", \"ctxt_hash\": 7, \"start_ns\": 100, \"duration_ns\": 42}\n  ]\n}\n")},
+      {"v2 dump with spans", ReplaceOnce(json, tail, "\n  },\n  \"spans\": []\n}\n")},
+      {"wrong schema", ReplaceOnce(json, "whodunit-metrics", "whodunit-bench")},
+      {"unknown key", ReplaceOnce(json, "\"counters\"", "\"extra\": {},\n  \"counters\"")},
+      {"unknown histogram key", ReplaceOnce(json, "\"sum\"", "\"mean\": 1, \"sum\"")},
+      {"unterminated string", "{\"schema\": \"whodunit-metrics"},
+      {"unterminated escape", "{\"schema\": \"whodunit-metrics\\u00"},
+      {"counter above UINT64_MAX",
+       ReplaceOnce(json, "18446744073709551615", "18446744073709551616")},
+      {"counter far above UINT64_MAX",
+       ReplaceOnce(json, "18446744073709551615", "99999999999999999999999")},
+      {"gauge below INT64_MIN",
+       ReplaceOnce(json, "-9223372036854775808", "-9223372036854775809")},
+      {"gauge above INT64_MAX", ReplaceOnce(json, "\": -1", "\": 9223372036854775808")},
+      {"bucket bound above UINT64_MAX",
+       ReplaceOnce(json, "[10,100]", "[10,100000000000000000000]")},
+  };
+  // Every prefix that cuts into the document (everything but the
+  // trailing newline) is a truncated dump.
+  for (size_t n = 0; n < json.size() - 1; ++n) {
+    malformed.push_back({"truncated", json.substr(0, n)});
+  }
+  for (const Case& c : malformed) {
+    MetricsSnapshot out;
+    EXPECT_FALSE(ParseJson(c.input, &out)) << c.what << ":\n" << c.input;
+  }
 }
 
 TEST(ExportTest, EmptySnapshotRoundTrip) {
@@ -212,10 +229,11 @@ TEST(ExportTest, RejectsMalformedInput) {
   MetricsSnapshot out;
   EXPECT_FALSE(ParseJson("", &out));
   EXPECT_FALSE(ParseJson("{}", &out));  // missing version
-  EXPECT_FALSE(ParseJson("{\"schema\": \"other\", \"version\": 1}", &out));
-  EXPECT_FALSE(ParseJson("{\"schema\": \"whodunit-metrics\", \"version\": 2}", &out));
+  EXPECT_FALSE(ParseJson("{\"schema\": \"other\", \"version\": 2}", &out));
+  EXPECT_FALSE(ParseJson("{\"schema\": \"whodunit-metrics\", \"version\": 1}", &out));
+  EXPECT_FALSE(ParseJson("{\"schema\": \"whodunit-metrics\", \"version\": 3}", &out));
   EXPECT_FALSE(
-      ParseJson("{\"schema\": \"whodunit-metrics\", \"version\": 1, \"counters\": {\"x\": }}",
+      ParseJson("{\"schema\": \"whodunit-metrics\", \"version\": 2, \"counters\": {\"x\": }}",
                 &out));
 }
 
@@ -234,7 +252,6 @@ TEST(ExportTest, RenderTextMentionsEveryInstrument) {
 // registry the moment the instrumented classes are constructed.
 TEST(GlobalRegistryTest, IsSingleton) {
   EXPECT_EQ(&Registry(), &Registry());
-  EXPECT_EQ(&Tracer(), &Tracer());
 }
 
 }  // namespace
