@@ -44,7 +44,7 @@ int main() {
       prod.regs[0] = kQueue;
       prod.regs[1] = 42;
       prod.regs[2] = 43;
-      interp.Execute(shm::ApQueuePush(kLock), 1, prod, mem, &detector);
+      interp.ExecuteWith(shm::ApQueuePush(kLock), 1, prod, mem, &detector);
 
       // Consumer pops, does `gap` instructions of unrelated work, then
       // uses the value.
@@ -65,7 +65,7 @@ int main() {
       b.CmpRI(1, 0).Halt();
       vm::CpuState cons;
       cons.regs[0] = kQueue;
-      interp.Execute(b.Build(), 2, cons, mem, &detector);
+      interp.ExecuteWith(b.Build(), 2, cons, mem, &detector);
 
       std::printf(" %-8s", detector.flows_detected() > 0 ? "FLOW" : "miss");
     }

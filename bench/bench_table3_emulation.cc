@@ -126,12 +126,8 @@ void BM_EmulationFromCache(benchmark::State& state) {
 BENCHMARK(BM_EmulationFromCache);
 
 // Cached emulation with the flow detector attached — the full
-// Whodunit observation cost. The devirtualized variant binds the hook
-// calls to the concrete (final) FlowDetector at compile time via
-// ExecuteWith; the virtual variant goes through the
-// InstructionObserver vtable, the pre-optimization dispatch path.
-template <bool kDevirtualized>
-void EmulationWithDetector(benchmark::State& state) {
+// Whodunit observation cost, every hook delivered per instruction.
+void BM_EmulationWithDetector(benchmark::State& state) {
   vm::Program push = shm::ApQueuePush(kLockId);
   vm::Program pop = shm::ApQueuePop(kLockId);
   vm::Memory mem;
@@ -144,27 +140,13 @@ void EmulationWithDetector(benchmark::State& state) {
   for (auto _ : state) {
     cpu.regs[1] = 42;
     cpu.regs[2] = 43;
-    if constexpr (kDevirtualized) {
-      interp.ExecuteWith(push, 0, cpu, mem, &detector);
-      interp.ExecuteWith(pop, 0, cpu, mem, &detector);
-    } else {
-      interp.Execute(push, 0, cpu, mem, &detector);
-      interp.Execute(pop, 0, cpu, mem, &detector);
-    }
+    interp.ExecuteWith(push, 0, cpu, mem, &detector);
+    interp.ExecuteWith(pop, 0, cpu, mem, &detector);
     benchmark::DoNotOptimize(cpu.regs[7]);
   }
   benchmark::DoNotOptimize(detector.flows_detected());
 }
-
-void BM_EmulationWithDetector(benchmark::State& state) {
-  EmulationWithDetector<true>(state);
-}
 BENCHMARK(BM_EmulationWithDetector);
-
-void BM_EmulationWithDetectorVirtual(benchmark::State& state) {
-  EmulationWithDetector<false>(state);
-}
-BENCHMARK(BM_EmulationWithDetectorVirtual);
 
 // Full observation cost through the section cache: dictionary effects
 // replay symbolically (contexts resolved against the live dictionary)
@@ -225,7 +207,7 @@ void PrintGuestCycleTable() {
     vm::CpuState primer = cpu;
     vm::Interpreter direct_interp;
     direct_interp.Execute(shm::ApQueuePush(kLockId), 0, primer, fresh,
-                          nullptr, vm::Interpreter::Mode::kDirect);
+                          vm::Interpreter::Mode::kDirect);
 
     vm::Interpreter cold;
     vm::CpuState c1 = cpu;
@@ -233,8 +215,7 @@ void PrintGuestCycleTable() {
     vm::CpuState c2 = cpu;
     auto cached = cold.Execute(section.program, 0, c2, fresh);
     vm::CpuState c3 = cpu;
-    auto direct = cold.Execute(section.program, 0, c3, fresh, nullptr,
-                               vm::Interpreter::Mode::kDirect);
+    auto direct = cold.Execute(section.program, 0, c3, fresh, vm::Interpreter::Mode::kDirect);
     std::printf("%-15s | %10ld | %20ld | %15ld\n", section.name,
                 static_cast<long>(direct.guest_cycles),
                 static_cast<long>(translated.guest_cycles),

@@ -42,14 +42,14 @@ int main() {
     listener.regs[0] = kQueue;
     listener.regs[1] = 0xFD;    // the accepted socket
     listener.regs[2] = 0xB00;   // its pool
-    interp.Execute(shm::ApQueuePush(kLock), /*thread=*/1, listener, mem, &detector);
+    interp.ExecuteWith(shm::ApQueuePush(kLock), /*thread=*/1, listener, mem, &detector);
     std::printf("  listener pushed fd=0x%lx\n",
                 static_cast<unsigned long>(listener.regs[1]));
     vm::CpuState worker;
     worker.regs[0] = kQueue;
     worker.regs[5] = 0x2000;  // &out_sd
     worker.regs[6] = 0x2008;  // &out_p
-    interp.Execute(shm::ApQueuePop(kLock), /*thread=*/2, worker, mem, &detector);
+    interp.ExecuteWith(shm::ApQueuePop(kLock), /*thread=*/2, worker, mem, &detector);
     std::printf("  worker popped fd=0x%lx\n",
                 static_cast<unsigned long>(worker.regs[7]));
   }
@@ -61,7 +61,7 @@ int main() {
     for (vm::ThreadId t : {1u, 2u, 1u, 2u}) {
       vm::CpuState cpu;
       cpu.regs[0] = kCounter;
-      interp.Execute(inc, t, cpu, mem, &detector);
+      interp.ExecuteWith(inc, t, cpu, mem, &detector);
     }
     std::printf("  count=%lu after 4 increments; flows detected so far: %lu\n",
                 static_cast<unsigned long>(mem.Read(kCounter)),
@@ -74,8 +74,8 @@ int main() {
     vm::CpuState cpu;
     cpu.regs[0] = kHead;
     cpu.regs[1] = kBlock;
-    interp.Execute(shm::MemFree(kLock), 2, cpu, mem, &detector);
-    interp.Execute(shm::MemAlloc(kLock), 2, cpu, mem, &detector);
+    interp.ExecuteWith(shm::MemFree(kLock), 2, cpu, mem, &detector);
+    interp.ExecuteWith(shm::MemAlloc(kLock), 2, cpu, mem, &detector);
     std::printf("  allocator demoted: %s\n", detector.IsDemoted(kLock) ? "yes" : "no");
     std::printf("  Whodunit now runs lock %d's critical sections natively\n", 3);
   }

@@ -2,7 +2,8 @@
 # Docs drift check: every src/<subsystem>/ directory must have a section in
 # docs/ARCHITECTURE.md, the files docs link to must exist, and the
 # docs/METRICS.md catalog must match the metrics src/ exports. Run from
-# anywhere; registered with ctest as `check_docs`.
+# anywhere; registered with ctest as `check_docs`. Also checks that every
+# benchmark the docs name is registered in bench/.
 set -u
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -59,6 +60,18 @@ documented=$(sed -n 's/^| `\([^`]*\)` |.*/\1/p' "$metrics_doc" | sort -u)
 for metric in $documented; do
   if ! grep -rqF "\"$metric\"" "$repo_root/src"; then
     echo "check_docs: metric \"$metric\" is documented in docs/METRICS.md but not found in src/" >&2
+    status=1
+  fi
+done
+
+# Every backticked google-benchmark name (`BM_...`) in the docs must be
+# registered by a BENCHMARK(...) call under bench/, so a deleted or
+# renamed benchmark cannot leave its description behind.
+named=$(cat "$repo_root"/docs/*.md "$repo_root/README.md" \
+        | grep -oE '`BM_[A-Za-z0-9_]+`' | tr -d '`' | sort -u)
+for bm in $named; do
+  if ! grep -rqE "BENCHMARK\($bm\)" "$repo_root/bench"; then
+    echo "check_docs: benchmark $bm is named in the docs but not registered in bench/" >&2
     status=1
   fi
 done

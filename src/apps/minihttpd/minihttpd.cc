@@ -161,8 +161,7 @@ class Server {
     // replay them without re-entering the MiniVM dispatch loop.
     const vm::ExecResult res =
         emulate ? section_cache_.Run(interp_, prog, t, cpu_state, mem_, &detector_)
-                : interp_.Execute(prog, t, cpu_state, mem_, nullptr,
-                                  vm::Interpreter::Mode::kDirect);
+                : interp_.Execute(prog, t, cpu_state, mem_, vm::Interpreter::Mode::kDirect);
     if (emulate) {
       ++emulated_sections_;
     }
@@ -621,7 +620,7 @@ MysqlShmValidationResult RunMysqlShmValidation(int threads, int rounds, uint64_t
       cpu.regs[0] = kTableBase;
       cpu.regs[1] = row;
       if (detector.ShouldEmulate(table_lock.id())) {
-        interp.Execute(rd, t, cpu, mem, &detector);
+        interp.ExecuteWith(rd, t, cpu, mem, &detector);
         ++result.critical_sections_run;
       }
     } else {
@@ -629,13 +628,13 @@ MysqlShmValidationResult RunMysqlShmValidation(int threads, int rounds, uint64_t
       cpu.regs[1] = row;
       cpu.regs[2] = rng.NextU64() | 1;
       if (detector.ShouldEmulate(table_lock.id())) {
-        interp.Execute(wr, t, cpu, mem, &detector);
+        interp.ExecuteWith(wr, t, cpu, mem, &detector);
         ++result.critical_sections_run;
       }
     }
     cpu.regs[0] = kCounter;
     if (detector.ShouldEmulate(counter_lock.id())) {
-      interp.Execute(cnt, t, cpu, mem, &detector);
+      interp.ExecuteWith(cnt, t, cpu, mem, &detector);
       ++result.critical_sections_run;
     }
   }

@@ -34,6 +34,8 @@
 // deployments run on --threads workers (sim::ParallelRunner) and
 // prints the merged final snapshot; the periodic refresh is disabled
 // (the live table callback is not shard-safe).
+#include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -81,39 +83,84 @@ void Usage(const char* argv0) {
                argv0);
 }
 
+// Whole-string numeric parses: trailing garbage, an empty string or an
+// out-of-range value is an error, never a silent 0 or a partial read.
+bool ParseLong(const char* s, long* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s, &end, 10);
+  if (end == s || *end != '\0' || errno != 0) return false;
+  *out = v;
+  return true;
+}
+
+bool ParseInt(const char* s, int* out) {
+  long v = 0;
+  if (!ParseLong(s, &v) || v < INT_MIN || v > INT_MAX) return false;
+  *out = static_cast<int>(v);
+  return true;
+}
+
+bool ParseUnsigned(const char* s, uint64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  if (end == s || *end != '\0' || errno != 0 || std::strchr(s, '-') != nullptr) return false;
+  *out = v;
+  return true;
+}
+
+bool ParseDouble(const char* s, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || errno != 0) return false;
+  *out = v;
+  return true;
+}
+
 bool ParseFlags(int argc, char** argv, Flags* flags) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&](long* out) {
-      if (i + 1 >= argc) return false;
-      *out = std::strtol(argv[++i], nullptr, 10);
+    // Value of a numeric flag; a missing or malformed value fails the
+    // whole parse (reported below as a bad value).
+    bool bad_value = false;
+    const auto value = [&](auto parse, auto* out) {
+      if (i + 1 >= argc || !parse(argv[i + 1], out)) {
+        bad_value = true;
+        return false;
+      }
+      ++i;
       return true;
     };
     long v = 0;
-    if (arg == "--duration" && next(&v)) {
+    int n = 0;
+    uint64_t u = 0;
+    double d = 0;
+    if (arg == "--duration" && value(ParseLong, &v)) {
       flags->duration_s = v;
-    } else if (arg == "--warmup" && next(&v)) {
+    } else if (arg == "--warmup" && value(ParseLong, &v)) {
       flags->warmup_s = v;
-    } else if (arg == "--clients" && next(&v)) {
-      flags->clients = static_cast<int>(v);
-    } else if (arg == "--interval" && next(&v)) {
+    } else if (arg == "--clients" && value(ParseInt, &n)) {
+      flags->clients = n;
+    } else if (arg == "--interval" && value(ParseLong, &v)) {
       flags->interval_s = v;
-    } else if (arg == "--ring" && next(&v)) {
-      flags->ring = static_cast<size_t>(v);
-    } else if (arg == "--seed" && next(&v)) {
-      flags->seed = static_cast<uint64_t>(v);
-    } else if (arg == "--shards" && next(&v)) {
-      flags->shards = static_cast<int>(v);
-    } else if (arg == "--threads" && next(&v)) {
-      flags->threads = static_cast<int>(v);
-    } else if (arg == "--sample-rate" && i + 1 < argc) {
-      flags->sample_rate = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--sample-seed" && next(&v)) {
-      flags->sample_seed = static_cast<uint64_t>(v);
-    } else if (arg == "--history-bytes" && next(&v)) {
-      flags->history_bytes = static_cast<size_t>(v);
-    } else if (arg == "--publish-batch" && next(&v)) {
-      flags->publish_batch = static_cast<size_t>(v);
+    } else if (arg == "--ring" && value(ParseUnsigned, &u)) {
+      flags->ring = static_cast<size_t>(u);
+    } else if (arg == "--seed" && value(ParseUnsigned, &u)) {
+      flags->seed = u;
+    } else if (arg == "--shards" && value(ParseInt, &n)) {
+      flags->shards = n;
+    } else if (arg == "--threads" && value(ParseInt, &n)) {
+      flags->threads = n;
+    } else if (arg == "--sample-rate" && value(ParseDouble, &d)) {
+      flags->sample_rate = d;
+    } else if (arg == "--sample-seed" && value(ParseUnsigned, &u)) {
+      flags->sample_seed = u;
+    } else if (arg == "--history-bytes" && value(ParseUnsigned, &u)) {
+      flags->history_bytes = static_cast<size_t>(u);
+    } else if (arg == "--publish-batch" && value(ParseUnsigned, &u)) {
+      flags->publish_batch = static_cast<size_t>(u);
     } else if (arg == "--why-tail") {
       flags->why_tail = true;
     } else if (arg == "--attr-out" && i + 1 < argc) {
@@ -126,8 +173,8 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
         std::fprintf(stderr, "bad --arrivals value: %s\n", kind.c_str());
         return false;
       }
-    } else if (arg == "--offered-load" && i + 1 < argc) {
-      flags->arrivals.offered_load_tps = std::strtod(argv[++i], nullptr);
+    } else if (arg == "--offered-load" && value(ParseDouble, &d)) {
+      flags->arrivals.offered_load_tps = d;
     } else if (arg == "--span-out" && i + 1 < argc) {
       flags->span_out = argv[++i];
     } else if (arg == "--json-out" && i + 1 < argc) {
@@ -137,23 +184,54 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (arg == "--help" || arg == "-h") {
       Usage(argv[0]);
       std::exit(0);
+    } else if (bad_value) {
+      std::fprintf(stderr, "bad %s value: %s\n", arg.c_str(),
+                   i + 1 < argc ? argv[i + 1] : "(missing)");
+      return false;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       Usage(argv[0]);
       return false;
     }
   }
+  // Ranges: a run needs time, clients and a positive refresh interval
+  // (a zero interval would re-render forever at one virtual instant),
+  // and the warm-up must end before the run does.
+  const char* bad = nullptr;
+  if (flags->duration_s <= 0) {
+    bad = "--duration must be positive";
+  } else if (flags->interval_s <= 0) {
+    bad = "--interval must be positive";
+  } else if (flags->clients <= 0) {
+    bad = "--clients must be positive";
+  } else if (flags->shards <= 0) {
+    bad = "--shards must be positive";
+  } else if (flags->threads <= 0) {
+    bad = "--threads must be positive";
+  } else if (flags->warmup_s < 0 || flags->warmup_s >= flags->duration_s) {
+    bad = "--warmup must be in [0, --duration)";
+  }
+  if (bad != nullptr) {
+    std::fprintf(stderr, "%s\n", bad);
+    return false;
+  }
   return true;
 }
 
+// Writes `body` to `path`; false (with a message) if the file cannot be
+// opened or the bytes do not all reach it.
 bool WriteFile(const std::string& path, const std::string& body) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "whodunit_top: cannot open %s\n", path.c_str());
     return false;
   }
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
+  const bool wrote = std::fwrite(body.data(), 1, body.size(), f) == body.size();
+  const bool closed = std::fclose(f) == 0;
+  if (!wrote || !closed) {
+    std::fprintf(stderr, "whodunit_top: cannot write %s\n", path.c_str());
+    return false;
+  }
   return true;
 }
 

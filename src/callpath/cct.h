@@ -46,6 +46,7 @@ class CallingContextTree {
   void AddSample(NodeIndex node, uint64_t count = 1) { nodes_[node].samples += count; }
   void AddCpuTime(NodeIndex node, sim::SimTime t) { nodes_[node].cpu_time += t; }
   void AddCall(NodeIndex node) { ++nodes_[node].calls; }
+  void AddCalls(NodeIndex node, uint64_t count) { nodes_[node].calls += count; }
 
   const Node& node(NodeIndex i) const { return nodes_[i]; }
   size_t size() const { return nodes_.size(); }

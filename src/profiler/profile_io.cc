@@ -1,15 +1,21 @@
 #include "src/profiler/profile_io.h"
 
+#include <algorithm>
+#include <charconv>
 #include <sstream>
+#include <system_error>
 
 namespace whodunit::profiler {
 namespace {
+
+// Field separators of the line format (newlines end lines).
+constexpr std::string_view kSpace = " \t\r\f\v";
 
 // Replaces whitespace in names so the line format stays parseable.
 std::string Sanitize(std::string_view name) {
   std::string out(name);
   for (char& c : out) {
-    if (c == ' ' || c == '\t' || c == '\n') {
+    if (c == '\n' || kSpace.find(c) != std::string_view::npos) {
       c = '_';
     }
   }
@@ -38,33 +44,61 @@ std::string LabelToString(const context::Synopsis& label) {
   return label.ToString();
 }
 
+// Whole-token unsigned/signed integer parses: no sign on unsigned
+// values, no trailing characters, no wrap on overflow.
+template <typename T>
+bool ParseNumber(std::string_view tok, T* out) {
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, *out);
+  return !tok.empty() && ec == std::errc() && ptr == end;
+}
+
+// Splits off the next line of `*rest`. Every line, the final `end`
+// included, must be newline-terminated, so a truncated file never
+// parses.
+bool NextLine(std::string_view* rest, std::string_view* line) {
+  const size_t nl = rest->find('\n');
+  if (nl == std::string_view::npos) {
+    return false;
+  }
+  *line = rest->substr(0, nl);
+  rest->remove_prefix(nl + 1);
+  return true;
+}
+
+// The whitespace-separated fields of one line.
+std::vector<std::string_view> Fields(std::string_view line) {
+  std::vector<std::string_view> out;
+  size_t i = 0;
+  while (i < line.size()) {
+    const size_t start = line.find_first_not_of(kSpace, i);
+    if (start == std::string_view::npos) {
+      break;
+    }
+    const size_t stop = std::min(line.find_first_of(kSpace, start), line.size());
+    out.push_back(line.substr(start, stop - start));
+    i = stop;
+  }
+  return out;
+}
+
 bool ParseLabel(std::string_view text, context::Synopsis* out) {
   out->parts.clear();
   if (text == "-") {
     return true;
   }
-  uint32_t value = 0;
-  bool have_digit = false;
-  for (char c : text) {
-    if (c == '#') {
-      if (!have_digit) {
-        return false;
-      }
-      out->parts.push_back(value);
-      value = 0;
-      have_digit = false;
-    } else if (c >= '0' && c <= '9') {
-      value = value * 10 + static_cast<uint32_t>(c - '0');
-      have_digit = true;
-    } else {
+  for (;;) {
+    const size_t hash = text.find('#');
+    uint32_t part = 0;
+    if (!ParseNumber(text.substr(0, hash), &part)) {
       return false;
     }
+    out->parts.push_back(part);
+    if (hash == std::string_view::npos) {
+      return true;
+    }
+    text.remove_prefix(hash + 1);
   }
-  if (!have_digit) {
-    return false;
-  }
-  out->parts.push_back(value);
-  return true;
 }
 
 }  // namespace
@@ -96,84 +130,85 @@ std::string SerializeDictionary(const Deployment& deployment) {
 }
 
 bool ParseProfile(std::string_view text, LoadedProfile* out) {
-  std::istringstream in{std::string(text)};
-  std::string line;
-  if (!std::getline(in, line) || line != "whodunit-profile 1") {
+  std::string_view line;
+  if (!NextLine(&text, &line) || line != "whodunit-profile 1") {
     return false;
   }
   callpath::CallingContextTree* current = nullptr;
   // Serialized node index -> node in the rebuilt tree.
   std::map<callpath::NodeIndex, callpath::NodeIndex> node_map;
-  while (std::getline(in, line)) {
-    std::istringstream fields(line);
-    std::string kind;
-    fields >> kind;
-    if (kind == "stage") {
-      fields >> out->stage_name;
-    } else if (kind == "bytes") {
-      fields >> out->payload_bytes >> out->context_bytes;
-    } else if (kind == "cct") {
-      std::string label_text;
-      fields >> label_text;
+  while (NextLine(&text, &line)) {
+    const std::vector<std::string_view> f = Fields(line);
+    if (f.empty()) {
+      continue;
+    }
+    if (f[0] == "stage" && f.size() == 2) {
+      out->stage_name = std::string(f[1]);
+    } else if (f[0] == "bytes" && f.size() == 3) {
+      if (!ParseNumber(f[1], &out->payload_bytes) || !ParseNumber(f[2], &out->context_bytes)) {
+        return false;
+      }
+    } else if (f[0] == "cct" && f.size() == 2) {
       context::Synopsis label;
-      if (!ParseLabel(label_text, &label)) {
+      if (!ParseLabel(f[1], &label)) {
         return false;
       }
       out->ccts.emplace_back(label, callpath::CallingContextTree());
       current = &out->ccts.back().second;
       node_map.clear();
       node_map[0] = current->root();
-    } else if (kind == "node") {
-      if (current == nullptr) {
-        return false;
-      }
+    } else if (f[0] == "node" && f.size() == 7) {
       callpath::NodeIndex idx = 0, parent = 0;
-      std::string fn_name;
       uint64_t samples = 0, calls = 0;
       int64_t cpu = 0;
-      fields >> idx >> parent >> fn_name >> samples >> cpu >> calls;
-      if (fields.fail() || !node_map.contains(parent)) {
+      if (current == nullptr || !ParseNumber(f[1], &idx) || !ParseNumber(f[2], &parent) ||
+          !ParseNumber(f[4], &samples) || !ParseNumber(f[5], &cpu) ||
+          !ParseNumber(f[6], &calls) || node_map.contains(idx) || !node_map.contains(parent)) {
         return false;
       }
-      const auto fn = out->functions.Register(fn_name);
+      const auto fn = out->functions.Register(f[3]);
+      const size_t nodes_before = current->size();
       const callpath::NodeIndex node = current->Child(node_map[parent], fn);
+      if (current->size() == nodes_before) {
+        return false;  // a second line for the same call path
+      }
       node_map[idx] = node;
       current->AddSample(node, samples);
       current->AddCpuTime(node, cpu);
-      for (uint64_t c = 0; c < calls; ++c) {
-        current->AddCall(node);
-      }
-    } else if (kind == "end") {
+      current->AddCalls(node, calls);
+    } else if (f[0] == "end" && f.size() == 1) {
       return true;
-    } else if (!kind.empty()) {
+    } else {
       return false;
     }
   }
-  return false;  // missing "end"
+  return false;  // missing or unterminated "end"
 }
 
 bool ParseDictionary(std::string_view text, std::map<uint32_t, std::string>* out) {
-  std::istringstream in{std::string(text)};
-  std::string line;
-  if (!std::getline(in, line) || line != "whodunit-dictionary 1") {
+  std::string_view line;
+  if (!NextLine(&text, &line) || line != "whodunit-dictionary 1") {
     return false;
   }
-  while (std::getline(in, line)) {
-    std::istringstream fields(line);
-    std::string kind;
-    fields >> kind;
-    if (kind == "part") {
+  while (NextLine(&text, &line)) {
+    const std::vector<std::string_view> f = Fields(line);
+    if (f.empty()) {
+      continue;
+    }
+    if (f[0] == "part" && (f.size() == 2 || f.size() == 3)) {
+      // An empty description serializes as no third field.
       uint32_t id = 0;
-      std::string desc;
-      fields >> id >> desc;
-      (*out)[id] = desc;
-    } else if (kind == "end") {
+      if (!ParseNumber(f[1], &id)) {
+        return false;
+      }
+      (*out)[id] = f.size() == 3 ? std::string(f[2]) : std::string();
+    } else if (f[0] == "end" && f.size() == 1) {
       return true;
-    } else if (!kind.empty()) {
+    } else {
       return false;
     }
   }
-  return false;
+  return false;  // missing or unterminated "end"
 }
 
 std::string OfflineStitch(const std::vector<LoadedProfile>& profiles,

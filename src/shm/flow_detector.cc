@@ -1,6 +1,7 @@
 #include "src/shm/flow_detector.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 namespace whodunit::shm {
@@ -18,6 +19,64 @@ FlowDetector::FlowDetector(Config config, CtxtProvider ctxt_provider)
       obs_window_dedups_(&obs::Registry().GetCounter("shm.consume_window_dedups")),
       obs_dict_size_(&obs::Registry().GetGauge("shm.dict_size")) {}
 
+// --- Dictionary access -----------------------------------------------
+//
+// Declared inline so they inline into the hooks and into the replay
+// path (MatchSection, ApplySection); every caller is in this file.
+
+inline const FlowDetector::Entry* FlowDetector::FindEntry(const vm::Loc& loc) {
+  if (loc.is_mem()) {
+    return mem_dict_.Find(loc.addr);
+  }
+  ThreadState& ts = St(loc.thread);
+  const auto r = static_cast<uint32_t>(loc.addr);
+  return (ts.reg_valid >> r) & 1u ? &ts.regs[r] : nullptr;
+}
+
+inline const FlowDetector::Entry* FlowDetector::FindEntryConst(const vm::Loc& loc) const {
+  if (loc.is_mem()) {
+    return mem_dict_.Find(loc.addr);
+  }
+  if (loc.thread >= threads_.size()) {
+    return nullptr;
+  }
+  const ThreadState& ts = threads_[loc.thread];
+  const auto r = static_cast<uint32_t>(loc.addr);
+  return (ts.reg_valid >> r) & 1u ? &ts.regs[r] : nullptr;
+}
+
+inline void FlowDetector::SetEntry(const vm::Loc& loc, const Entry& entry) {
+  if (loc.is_mem()) {
+    mem_dict_.Upsert(loc.addr, entry);
+    return;
+  }
+  ThreadState& ts = St(loc.thread);
+  const auto r = static_cast<uint32_t>(loc.addr);
+  reg_entries_ += static_cast<size_t>(((ts.reg_valid >> r) & 1u) == 0);
+  ts.reg_valid |= 1u << r;
+  ts.regs[r] = entry;
+}
+
+inline bool FlowDetector::EraseEntry(const vm::Loc& loc) {
+  if (loc.is_mem()) {
+    return mem_dict_.Erase(loc.addr);
+  }
+  ThreadState& ts = St(loc.thread);
+  const auto r = static_cast<uint32_t>(loc.addr);
+  if (((ts.reg_valid >> r) & 1u) == 0) {
+    return false;
+  }
+  ts.reg_valid &= ~(1u << r);
+  --reg_entries_;
+  return true;
+}
+
+inline void FlowDetector::ClearThreadRegisters(vm::ThreadId t) {
+  ThreadState& ts = St(t);
+  reg_entries_ -= std::popcount(ts.reg_valid);
+  ts.reg_valid = 0;
+}
+
 void FlowDetector::FlushIfForeign(const vm::Loc& loc, uint64_t lock_id) {
   const Entry* e = FindEntry(loc);
   if (e != nullptr && e->lock_id != lock_id) {
@@ -29,111 +88,67 @@ void FlowDetector::FlushIfForeign(const vm::Loc& loc, uint64_t lock_id) {
   }
 }
 
-// --- Fast-path tails -------------------------------------------------
-
-// The consume-window read path past the single lock-stack/window test:
-// one folded dictionary probe, then role/demotion/dedup bookkeeping
-// for the (rare) hit.
-void FlowDetector::ConsumeInWindow(vm::ThreadId t, ThreadState& ts, const vm::Loc& src) {
-  Entry entry;
-  if (src.is_mem()) {
-    const Entry* e = mem_dict_.Find(src.addr);
-    if (e == nullptr || e->ctxt == kInvalidCtxt) {
-      return;
-    }
-    entry = *e;
-    mem_dict_.Erase(src.addr);
-  } else {
-    ThreadState& ss = St(src.thread);
-    const auto r = static_cast<uint32_t>(src.addr);
-    if (((ss.reg_valid >> r) & 1u) == 0 || ss.regs[r].ctxt == kInvalidCtxt) {
-      return;
-    }
-    entry = ss.regs[r];
-    ss.reg_valid &= ~(1u << r);
-    --reg_entries_;
-  }
-  // Consumption: the thread used, after leaving the critical section,
-  // a value that carries a transaction context.
-  LockRoles& roles = RolesOf(entry.lock_id);
-  if (roles.consumers.insert(t)) {
-    MaybeDemote(entry.lock_id, roles, roles.producers, t);
-  }
-  if (entry.producer != t && !roles.demoted) {
-    const auto key = std::make_pair(entry.lock_id, entry.ctxt);
-    for (const auto& seen : ts.window_flows) {
-      if (seen == key) {
-        ++tally_.window_dedups;
-        return;  // same logical flow, another word of the element
-      }
-    }
-    ts.window_flows.push_back(key);
-    ++flows_detected_;
-    obs_flows_->Add();
-    FlowEvent ev{entry.producer, t, entry.ctxt, entry.lock_id, src};
-    flow_log_.push_back(ev);
-    if (on_flow_) {
-      on_flow_(ev);
-    }
-  }
-}
-
-// Pop for the non-LIFO unlock order (legal, rare): release the
-// matching lock wherever it sits in the stack.
-void FlowDetector::PopLockSlow(ThreadState& ts, uint64_t lock_id) {
-  for (size_t i = ts.lock_stack.size(); i-- > 0;) {
-    if (ts.lock_stack[i] == lock_id) {
-      ts.lock_stack.erase(ts.lock_stack.begin() + static_cast<long>(i));
-      return;
-    }
-  }
-}
-
-// --- Recording variants ----------------------------------------------
+// --- Instruction hooks -----------------------------------------------
 //
-// Single-path bodies used during cold-run section recording: same
-// dictionary transitions and counter totals as the inline fast paths,
-// plus a Note* classification per event into rec_.
+// Each hook applies one §3 rule and, while a section recording is
+// active, reports its classification into rec_. Recording needs the
+// pre-flush state of a MOV's source, so a MOV flushes and looks up in
+// separate steps; ApplySection replays exactly these transitions.
 
-void FlowDetector::RecOnLock(vm::ThreadId t, uint64_t lock_id) {
+void FlowDetector::OnLock(vm::ThreadId t, uint64_t lock_id) {
   ThreadState& ts = St(t);
   if (ts.lock_stack.empty()) {
+    // Entering an outermost critical section: registers carry values
+    // computed in un-emulated code, so they have no associated context
+    // (§3.2, "live registers on entry"). A pending consume window is
+    // over. With the bitmask register file this is one mask reset.
     ClearThreadRegisters(t);
     ts.post_window_left = 0;
     ++tally_.critical_sections;
     if (--sections_until_flush_ == 0) {
       FlushObsTallies();
     }
-    rec_->NoteLockReset(lock_id);
+    if (rec_ != nullptr) {
+      rec_->NoteLockReset(lock_id);
+    }
   }
   ts.lock_stack.push_back(lock_id);
 }
 
-void FlowDetector::RecOnUnlock(vm::ThreadId t, uint64_t lock_id) {
+void FlowDetector::OnUnlock(vm::ThreadId t, uint64_t lock_id) {
   ThreadState& ts = St(t);
-  if (!ts.lock_stack.empty() && ts.lock_stack.back() == lock_id) {
-    ts.lock_stack.pop_back();
-  } else {
-    PopLockSlow(ts, lock_id);
+  // Release the matching lock wherever it sits in the stack: unlocks
+  // are usually LIFO, but any order is legal.
+  for (size_t i = ts.lock_stack.size(); i-- > 0;) {
+    if (ts.lock_stack[i] == lock_id) {
+      ts.lock_stack.erase(ts.lock_stack.begin() + static_cast<long>(i));
+      break;
+    }
   }
   if (ts.lock_stack.empty()) {
     // Keep emulating for MAX instructions watching for consumption.
     ts.post_window_left = config_.post_window;
     ts.window_flows.clear();
     obs_dict_size_->Set(static_cast<int64_t>(dictionary_size()));
-    rec_->NoteWindowStart();
+    if (rec_ != nullptr) {
+      rec_->NoteWindowStart();
+    }
   }
 }
 
-void FlowDetector::RecOnMov(vm::ThreadId t, const vm::Loc& dst, const vm::Loc& src) {
+void FlowDetector::OnMov(vm::ThreadId t, const vm::Loc& dst, const vm::Loc& src) {
   ThreadState& ts = St(t);
   if (!InCriticalSection(ts)) {
-    rec_->NoteOutsideErase(dst);
+    // Outside any critical section the algorithm does not propagate;
+    // a write still clobbers whatever context the destination held.
+    if (rec_ != nullptr) {
+      rec_->NoteOutsideErase(dst);
+    }
     EraseEntry(dst);
     return;
   }
   const uint64_t lock_id = OutermostLock(ts);
-  {
+  if (rec_ != nullptr) {
     // Fingerprint the source's raw pre-state before the foreign flush.
     const Entry* pre = FindEntry(src);
     rec_->NoteMovSrcAccess(src, pre != nullptr, pre != nullptr ? pre->ctxt : kInvalidCtxt,
@@ -148,7 +163,9 @@ void FlowDetector::RecOnMov(vm::ThreadId t, const vm::Loc& dst, const vm::Loc& s
     // along with the identity of the value's original producer.
     SetEntry(dst, Entry{e->ctxt, lock_id, e->producer});
     ++tally_.propagations;
-    rec_->NotePropagate(dst, src, lock_id);
+    if (rec_ != nullptr) {
+      rec_->NotePropagate(dst, src, lock_id);
+    }
     return;
   }
   // Source has no context: the executing thread is contributing a
@@ -158,44 +175,62 @@ void FlowDetector::RecOnMov(vm::ThreadId t, const vm::Loc& dst, const vm::Loc& s
   const CtxtId current = ctxt_provider_(t);
   SetEntry(dst, Entry{current, lock_id, t});
   ++tally_.associations;
-  rec_->NoteAssociate(dst, lock_id, current, dst.is_mem());
+  if (rec_ != nullptr) {
+    rec_->NoteAssociate(dst, lock_id, current, dst.is_mem());
+  }
   if (dst.is_mem()) {
     RecordProducer(lock_id, t);
   }
 }
 
-void FlowDetector::RecOnWriteValue(vm::ThreadId t, const vm::Loc& dst) {
+void FlowDetector::OnWriteValue(vm::ThreadId t, const vm::Loc& dst) {
   ThreadState& ts = St(t);
   if (!InCriticalSection(ts)) {
-    rec_->NoteOutsideErase(dst);
+    if (rec_ != nullptr) {
+      rec_->NoteOutsideErase(dst);
+    }
     EraseEntry(dst);
     return;
   }
+  // Non-MOV modification: immediate store, arithmetic result. The
+  // location's value no longer carries any transaction's data.
   const uint64_t lock_id = OutermostLock(ts);
   SetEntry(dst, Entry{kInvalidCtxt, lock_id, t});
   ++tally_.poisonings;
-  rec_->NotePoison(dst, lock_id);
+  if (rec_ != nullptr) {
+    rec_->NotePoison(dst, lock_id);
+  }
 }
 
-void FlowDetector::RecOnRead(vm::ThreadId t, const vm::Loc& src) {
+void FlowDetector::OnRead(vm::ThreadId t, const vm::Loc& src) {
   ThreadState& ts = St(t);
+  // Reads inside critical sections are handled by OnMov propagation;
+  // reads past the consume window are un-emulated in the real system.
   if (InCriticalSection(ts)) {
     return;
   }
-  rec_->NoteOutsideWindowUse();
+  if (rec_ != nullptr) {
+    rec_->NoteOutsideWindowUse();
+  }
   if (ts.post_window_left <= 0) {
     return;
   }
   const Entry* found = FindEntry(src);
-  rec_->NoteConsumeAccess(src, found != nullptr,
-                          found != nullptr ? found->ctxt : kInvalidCtxt,
-                          found != nullptr ? found->lock_id : 0,
-                          found != nullptr ? found->producer : 0);
+  if (rec_ != nullptr) {
+    rec_->NoteConsumeAccess(src, found != nullptr,
+                            found != nullptr ? found->ctxt : kInvalidCtxt,
+                            found != nullptr ? found->lock_id : 0,
+                            found != nullptr ? found->producer : 0);
+  }
   if (found == nullptr || found->ctxt == kInvalidCtxt) {
     return;
   }
+  // Consumption: the thread used, after leaving the critical section,
+  // a value that carries a transaction context.
   const Entry entry = *found;
-  rec_->NoteConsume(src, entry.lock_id, entry.producer);
+  if (rec_ != nullptr) {
+    rec_->NoteConsume(src, entry.lock_id, entry.producer);
+  }
   EraseEntry(src);
   RecordConsumer(entry.lock_id, t);
   if (entry.producer != t && !IsDemoted(entry.lock_id)) {
@@ -235,7 +270,7 @@ void FlowDetector::RecordConsumer(uint64_t lock_id, vm::ThreadId t) {
 
 void FlowDetector::MaybeDemote(uint64_t lock_id, LockRoles& roles,
                                const ThreadSet& other_role, vm::ThreadId t) {
-  if (!config_.detect_demotion || roles.demoted) {
+  if (roles.demoted) {
     return;
   }
   // A common member of the two lists => not transaction flow (the

@@ -35,8 +35,8 @@
 // each thread's registers are a fixed array plus a validity bitmask
 // (clearing all registers on critical-section entry is one mask
 // reset). Role lists are small bitsets, so the demotion check is a
-// word AND. The class is `final` so the interpreter's templated
-// execute loop can bind the hook calls statically.
+// word AND. The interpreter's templated execute loop binds the hook
+// calls statically (vm::Interpreter::ExecuteWith<FlowDetector>).
 #ifndef SRC_SHM_FLOW_DETECTOR_H_
 #define SRC_SHM_FLOW_DETECTOR_H_
 
@@ -157,14 +157,12 @@ class ThreadSet {
   std::vector<uint64_t> words_;  // bit (t - 64) set <=> id t present
 };
 
-class FlowDetector final : public vm::InstructionObserver {
+class FlowDetector {
  public:
   struct Config {
     // MAX in the paper (§7.2): instructions emulated past the exit
     // from a critical section while watching for consumption.
     int post_window = kDefaultPostWindow;
-    // Demote locks whose producer and consumer role lists intersect.
-    bool detect_demotion = true;
   };
   static constexpr int kDefaultPostWindow = 128;
 
@@ -177,40 +175,35 @@ class FlowDetector final : public vm::InstructionObserver {
   FlowDetector(Config config, CtxtProvider ctxt_provider);
   explicit FlowDetector(CtxtProvider ctxt_provider)
       : FlowDetector(Config{}, std::move(ctxt_provider)) {}
-  ~FlowDetector() override { FlushObsTallies(); }
+  ~FlowDetector() { FlushObsTallies(); }
   FlowDetector(const FlowDetector&) = default;
   FlowDetector& operator=(const FlowDetector&) = default;
 
   void set_flow_callback(FlowCallback cb) { on_flow_ = std::move(cb); }
   void set_demote_callback(DemoteCallback cb) { on_demote_ = std::move(cb); }
 
-  // vm::InstructionObserver. The hook bodies are split into inline
-  // fast paths (defined below the class; they pay one predicted-
-  // not-taken branch on the recording sink) and out-of-line Rec*
-  // variants in flow_detector.cc that additionally report every
-  // classification into the active SectionRecording. The fast paths
-  // fold each hook's probes — a MOV's foreign-lock flush, dictionary
-  // lookup, and destination write collapse from four hash probes to
-  // two — but their dictionary-state transitions and counter totals
-  // are exactly the recording variants' (shadow verification holds
-  // the two paths to the same observable behavior).
-  void OnMov(vm::ThreadId t, const vm::Loc& dst, const vm::Loc& src) override;
-  void OnWriteValue(vm::ThreadId t, const vm::Loc& dst) override;
+  // Instruction hooks (the vm::Interpreter::ExecuteWith observer
+  // interface). One body per hook: while a section recording is active
+  // (rec_ != nullptr) each also reports its classification into it.
+  void OnMov(vm::ThreadId t, const vm::Loc& dst, const vm::Loc& src);
+  void OnWriteValue(vm::ThreadId t, const vm::Loc& dst);
   // Affine writes (INC/DEC/ADD-immediate) are non-MOV modifications:
-  // same invlctxt poisoning as any arithmetic. Overridden explicitly
-  // so the templated execute loop binds it statically.
+  // same invlctxt poisoning as any arithmetic.
   void OnAffineWrite(vm::ThreadId t, const vm::Loc& dst, const vm::Loc& /*src*/,
-                     uint64_t /*delta*/) override {
+                     uint64_t /*delta*/) {
     OnWriteValue(t, dst);
   }
-  void OnRead(vm::ThreadId t, const vm::Loc& src) override;
-  void OnLock(vm::ThreadId t, uint64_t lock_id) override;
-  void OnUnlock(vm::ThreadId t, uint64_t lock_id) override;
-  void OnRetire(vm::ThreadId t) override { OnRetireBatch(t, 1); }
+  void OnRead(vm::ThreadId t, const vm::Loc& src);
+  // Compares and branches move no data.
+  void OnCompare(vm::ThreadId, const vm::Loc&, int64_t) {}
+  void OnCompareLocs(vm::ThreadId, const vm::Loc&, const vm::Loc&) {}
+  void OnBranch(vm::ThreadId) {}
+  void OnLock(vm::ThreadId t, uint64_t lock_id);
+  void OnUnlock(vm::ThreadId t, uint64_t lock_id);
   // Batched retire bookkeeping: the consume window only shrinks, and
   // only reads delivered *between* batches can consume, so decrementing
   // by the whole batch at once is exact.
-  void OnRetireBatch(vm::ThreadId t, int64_t n) override;
+  void OnRetireBatch(vm::ThreadId t, int64_t n);
 
   // Publishes the batched per-event counts (propagations, poisonings,
   // …) to the metrics registry. Hot hooks stage counts in plain
@@ -317,35 +310,10 @@ class FlowDetector final : public vm::InstructionObserver {
   uint64_t OutermostLock(const ThreadState& ts) const { return ts.lock_stack.front(); }
 
   // Dictionary access, dispatching on the location's namespace.
-  // Inline (defined below the class): the fast hook paths call these
-  // from other translation units and an out-of-line call per probe is
-  // measurable at this grain.
   const Entry* FindEntry(const vm::Loc& loc);
   const Entry* FindEntryConst(const vm::Loc& loc) const;
   void SetEntry(const vm::Loc& loc, const Entry& entry);
   bool EraseEntry(const vm::Loc& loc);
-
-  // Single probe of `loc` with the foreign-lock flush folded in: a
-  // same-lock entry is copied into *out (by value — a subsequent
-  // insert can displace robin-hood slots), a foreign entry is erased
-  // and counted, an absent entry is a miss. Returns whether *out holds
-  // an entry.
-  bool ProbeSourceEntry(const vm::Loc& loc, uint64_t lock_id, Entry* out);
-  // Overwrites `dst` with `entry`, folding the foreign-lock flush
-  // accounting into the single find-or-insert probe.
-  void WriteEntryFlushingForeign(const vm::Loc& dst, uint64_t lock_id, const Entry& entry);
-
-  // Out-of-line tails of the fast hook paths (flow_detector.cc).
-  void ConsumeInWindow(vm::ThreadId t, ThreadState& ts, const vm::Loc& src);
-  void PopLockSlow(ThreadState& ts, uint64_t lock_id);
-
-  // Recording variants of the hooks: the original single-path bodies,
-  // reporting every classification into rec_. Cold runs only.
-  void RecOnMov(vm::ThreadId t, const vm::Loc& dst, const vm::Loc& src);
-  void RecOnWriteValue(vm::ThreadId t, const vm::Loc& dst);
-  void RecOnRead(vm::ThreadId t, const vm::Loc& src);
-  void RecOnLock(vm::ThreadId t, uint64_t lock_id);
-  void RecOnUnlock(vm::ThreadId t, uint64_t lock_id);
 
   CtxtId ResolveCtxt(const CtxtProv& p, const ResolvedDictInputs& r) const {
     switch (p.kind) {
@@ -465,114 +433,7 @@ class FlowDetector final : public vm::InstructionObserver {
   obs::Gauge* obs_dict_size_;
 };
 
-// --- Inline hot path -------------------------------------------------
-//
-// One hook fires per emulated data movement; everything here is sized
-// to inline into the interpreter's templated execute loop. The rare
-// paths — an active section recording, the consume-window tail, a
-// non-LIFO unlock — branch out to flow_detector.cc.
-
-inline const FlowDetector::Entry* FlowDetector::FindEntry(const vm::Loc& loc) {
-  if (loc.is_mem()) {
-    return mem_dict_.Find(loc.addr);
-  }
-  ThreadState& ts = St(loc.thread);
-  const auto r = static_cast<uint32_t>(loc.addr);
-  return (ts.reg_valid >> r) & 1u ? &ts.regs[r] : nullptr;
-}
-
-inline const FlowDetector::Entry* FlowDetector::FindEntryConst(const vm::Loc& loc) const {
-  if (loc.is_mem()) {
-    return mem_dict_.Find(loc.addr);
-  }
-  if (loc.thread >= threads_.size()) {
-    return nullptr;
-  }
-  const ThreadState& ts = threads_[loc.thread];
-  const auto r = static_cast<uint32_t>(loc.addr);
-  return (ts.reg_valid >> r) & 1u ? &ts.regs[r] : nullptr;
-}
-
-inline void FlowDetector::SetEntry(const vm::Loc& loc, const Entry& entry) {
-  if (loc.is_mem()) {
-    mem_dict_.Upsert(loc.addr, entry);
-    return;
-  }
-  ThreadState& ts = St(loc.thread);
-  const auto r = static_cast<uint32_t>(loc.addr);
-  reg_entries_ += static_cast<size_t>(((ts.reg_valid >> r) & 1u) == 0);
-  ts.reg_valid |= 1u << r;
-  ts.regs[r] = entry;
-}
-
-inline bool FlowDetector::EraseEntry(const vm::Loc& loc) {
-  if (loc.is_mem()) {
-    return mem_dict_.Erase(loc.addr);
-  }
-  ThreadState& ts = St(loc.thread);
-  const auto r = static_cast<uint32_t>(loc.addr);
-  if (((ts.reg_valid >> r) & 1u) == 0) {
-    return false;
-  }
-  ts.reg_valid &= ~(1u << r);
-  --reg_entries_;
-  return true;
-}
-
-inline bool FlowDetector::ProbeSourceEntry(const vm::Loc& loc, uint64_t lock_id,
-                                           Entry* out) {
-  if (loc.is_mem()) {
-    if (Entry* e = mem_dict_.Find(loc.addr)) {
-      if (e->lock_id != lock_id) {
-        mem_dict_.Erase(loc.addr);
-        ++tally_.flushes;
-        return false;
-      }
-      *out = *e;
-      return true;
-    }
-    return false;
-  }
-  ThreadState& ts = St(loc.thread);
-  const auto r = static_cast<uint32_t>(loc.addr);
-  if (((ts.reg_valid >> r) & 1u) == 0) {
-    return false;
-  }
-  if (ts.regs[r].lock_id != lock_id) {
-    ts.reg_valid &= ~(1u << r);
-    --reg_entries_;
-    ++tally_.flushes;
-    return false;
-  }
-  *out = ts.regs[r];
-  return true;
-}
-
-inline void FlowDetector::WriteEntryFlushingForeign(const vm::Loc& dst, uint64_t lock_id,
-                                                    const Entry& entry) {
-  if (dst.is_mem()) {
-    bool existed = false;
-    Entry& slot = mem_dict_.FindOrInsert(dst.addr, &existed);
-    tally_.flushes += static_cast<uint64_t>(existed && slot.lock_id != lock_id);
-    slot = entry;
-    return;
-  }
-  ThreadState& ts = St(dst.thread);
-  const auto r = static_cast<uint32_t>(dst.addr);
-  if ((ts.reg_valid >> r) & 1u) {
-    tally_.flushes += static_cast<uint64_t>(ts.regs[r].lock_id != lock_id);
-  } else {
-    ts.reg_valid |= 1u << r;
-    ++reg_entries_;
-  }
-  ts.regs[r] = entry;
-}
-
-inline void FlowDetector::ClearThreadRegisters(vm::ThreadId t) {
-  ThreadState& ts = St(t);
-  reg_entries_ -= std::popcount(ts.reg_valid);
-  ts.reg_valid = 0;
-}
+// --- Inline definitions ----------------------------------------------
 
 inline void FlowDetector::FlushObsTallies() {
   if (tally_.critical_sections != 0) {
@@ -600,113 +461,6 @@ inline void FlowDetector::FlushObsTallies() {
     tally_.window_dedups = 0;
   }
   sections_until_flush_ = kObsFlushSections;
-}
-
-inline void FlowDetector::OnMov(vm::ThreadId t, const vm::Loc& dst, const vm::Loc& src) {
-  if (rec_ != nullptr) [[unlikely]] {
-    RecOnMov(t, dst, src);
-    return;
-  }
-  ThreadState& ts = St(t);
-  if (ts.lock_stack.empty()) {
-    // Outside any critical section the algorithm does not propagate;
-    // a write still clobbers whatever context the destination held.
-    EraseEntry(dst);
-    return;
-  }
-  const uint64_t lock_id = ts.lock_stack.front();
-  Entry sv;
-  const bool have_src = ProbeSourceEntry(src, lock_id, &sv);
-  // Propagation inherits the source's context and producer;
-  // association stamps the thread's own. Selected without control
-  // flow past the provider call so the common MOV chain compiles to
-  // conditional moves.
-  const CtxtId ctxt = have_src ? sv.ctxt : ctxt_provider_(t);
-  const vm::ThreadId producer = have_src ? sv.producer : t;
-  WriteEntryFlushingForeign(dst, lock_id, Entry{ctxt, lock_id, producer});
-  if (have_src) {
-    ++tally_.propagations;
-    return;
-  }
-  ++tally_.associations;
-  if (dst.is_mem()) {
-    // Writing an un-contexted value into shared memory is production.
-    LockRoles& roles = RolesOf(lock_id);
-    if (roles.producers.insert(t)) {
-      MaybeDemote(lock_id, roles, roles.consumers, t);
-    }
-  }
-}
-
-inline void FlowDetector::OnWriteValue(vm::ThreadId t, const vm::Loc& dst) {
-  if (rec_ != nullptr) [[unlikely]] {
-    RecOnWriteValue(t, dst);
-    return;
-  }
-  ThreadState& ts = St(t);
-  if (ts.lock_stack.empty()) {
-    EraseEntry(dst);
-    return;
-  }
-  // Non-MOV modification: immediate store, arithmetic result. The
-  // location's value no longer carries any transaction's data.
-  SetEntry(dst, Entry{kInvalidCtxt, ts.lock_stack.front(), t});
-  ++tally_.poisonings;
-}
-
-inline void FlowDetector::OnRead(vm::ThreadId t, const vm::Loc& src) {
-  if (rec_ != nullptr) [[unlikely]] {
-    RecOnRead(t, src);
-    return;
-  }
-  ThreadState& ts = St(t);
-  // Reads inside critical sections are handled by OnMov propagation;
-  // reads past the consume window are un-emulated in the real system.
-  if (!ts.lock_stack.empty() || ts.post_window_left <= 0) {
-    return;
-  }
-  ConsumeInWindow(t, ts, src);
-}
-
-inline void FlowDetector::OnLock(vm::ThreadId t, uint64_t lock_id) {
-  if (rec_ != nullptr) [[unlikely]] {
-    RecOnLock(t, lock_id);
-    return;
-  }
-  ThreadState& ts = St(t);
-  if (ts.lock_stack.empty()) {
-    // Entering an outermost critical section: registers carry values
-    // computed in un-emulated code, so they have no associated context
-    // (§3.2, "live registers on entry"). A pending consume window is
-    // over. With the bitmask register file this is one mask reset.
-    reg_entries_ -= std::popcount(ts.reg_valid);
-    ts.reg_valid = 0;
-    ts.post_window_left = 0;
-    ++tally_.critical_sections;
-    if (--sections_until_flush_ == 0) [[unlikely]] {
-      FlushObsTallies();
-    }
-  }
-  ts.lock_stack.push_back(lock_id);
-}
-
-inline void FlowDetector::OnUnlock(vm::ThreadId t, uint64_t lock_id) {
-  if (rec_ != nullptr) [[unlikely]] {
-    RecOnUnlock(t, lock_id);
-    return;
-  }
-  ThreadState& ts = St(t);
-  if (!ts.lock_stack.empty() && ts.lock_stack.back() == lock_id) {
-    ts.lock_stack.pop_back();
-  } else {
-    PopLockSlow(ts, lock_id);
-  }
-  if (ts.lock_stack.empty()) {
-    // Keep emulating for MAX instructions watching for consumption.
-    ts.post_window_left = config_.post_window;
-    ts.window_flows.clear();
-    obs_dict_size_->Set(static_cast<int64_t>(dictionary_size()));
-  }
 }
 
 inline void FlowDetector::OnRetireBatch(vm::ThreadId t, int64_t n) {

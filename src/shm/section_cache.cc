@@ -34,9 +34,6 @@ vm::ExecResult SectionCache::Plain(vm::Interpreter& interp, const vm::Program& p
 vm::ExecResult SectionCache::RunMiss(vm::Interpreter& interp, const vm::Program& program,
                                      vm::ThreadId t, vm::CpuState& cpu, vm::Memory& mem,
                                      FlowDetector* det) {
-  if (!config_.enabled) {
-    return Plain(interp, program, t, cpu, mem, det);
-  }
   ++misses_;
   obs_misses_->Add();
   if (!interp.IsTranslated(program.id)) {
@@ -87,9 +84,7 @@ vm::ExecResult SectionCache::RecordCold(vm::Interpreter& interp, const vm::Progr
   const bool full = ring.summaries.size() >= config_.max_variants;
   if (full) {
     ++ring.evictions;
-    if (config_.churn_demote_records != 0 &&
-        ring.evictions >= config_.churn_demote_records &&
-        ring.replay_hits < ring.evictions) {
+    if (ring.evictions >= kChurnDemoteRecords && ring.replay_hits < ring.evictions) {
       // This thread's fingerprints walk an unbounded set (evictions
       // outpace replays even with a full ring), so the cache is a net
       // slowdown here: demote the ring to plain emulation for good.

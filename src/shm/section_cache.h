@@ -54,7 +54,6 @@ inline constexpr bool kShadowVerifyDefault = false;
 class SectionCache {
  public:
   struct Config {
-    bool enabled = true;
     // Fingerprint variants retained per (program, thread) ring; a full
     // ring evicts the least recently replayed. Sections whose pinned
     // values walk a bounded set (a table section whose fingerprint pins
@@ -62,16 +61,17 @@ class SectionCache {
     // per distinct value, so the default covers a 64-value working set
     // for each thread before anything is evicted.
     size_t max_variants = 64;
-    // Churn guard: once a full ring has evicted this many summaries
-    // while replaying fewer hits than evictions, that (program, thread)
-    // ring is demoted to plain emulation for good. Recording costs
-    // several times a plain run, so a section whose pinned values walk
-    // an unbounded set (a monotonically growing depth) would otherwise
-    // turn the cache into a steady-state slowdown. 0 disables.
-    uint32_t churn_demote_records = 32;
     // Re-emulate every hit and assert equivalence (debug).
     bool shadow_verify = kShadowVerifyDefault;
   };
+
+  // Churn guard: once a full ring has evicted this many summaries
+  // while replaying fewer hits than evictions, that (program, thread)
+  // ring is demoted to plain emulation for good. Recording costs
+  // several times a plain run, so a section whose pinned values walk
+  // an unbounded set (a monotonically growing depth) would otherwise
+  // turn the cache into a steady-state slowdown.
+  static constexpr uint32_t kChurnDemoteRecords = 32;
 
   SectionCache() : SectionCache(Config{}) {}
   explicit SectionCache(Config config);
@@ -86,44 +86,42 @@ class SectionCache {
   // caller; everything past a fingerprint miss goes out-of-line.
   vm::ExecResult Run(vm::Interpreter& interp, const vm::Program& program, vm::ThreadId t,
                      vm::CpuState& cpu, vm::Memory& mem, FlowDetector* det) {
-    if (config_.enabled) {
-      ProgramEntry* pe = table_.Find(program.id);
-      if (pe != nullptr && t < pe->rings.size() && interp.IsTranslated(program.id)) {
-        ThreadRing& ring = pe->rings[t];
-        std::vector<SectionSummary>& sums = ring.summaries;
-        const bool want_dict = det != nullptr;
-        for (size_t i = 0; i < sums.size(); ++i) {
-          SectionSummary& s = sums[i];
-          if (s.has_dict != want_dict) {
-            continue;
-          }
-          if (!MatchArch(s.arch, cpu, mem)) {
-            continue;
-          }
-          if (want_dict && !det->MatchSection(s.dict, t, &resolved_)) {
-            continue;
-          }
-          ++hits_;
-          ++ring.replay_hits;
-          obs_hits_->Add();
-          if (i != 0) {
-            // Keep the ring in replay-recency order: repeated sections
-            // match at the front, and eviction drops the back.
-            std::swap(sums[0], s);
-          }
-          SectionSummary& m = sums[0];
-          if (config_.shadow_verify) {
-            return ShadowVerifyHit(m, interp, program, t, cpu, mem, det);
-          }
-          ApplyArch(m.arch, cpu, mem);
-          if (want_dict) {
-            det->ApplySection(m.dict, t, resolved_);
-          }
-          return m.base;
+    ProgramEntry* pe = table_.Find(program.id);
+    if (pe != nullptr && t < pe->rings.size() && interp.IsTranslated(program.id)) {
+      ThreadRing& ring = pe->rings[t];
+      std::vector<SectionSummary>& sums = ring.summaries;
+      const bool want_dict = det != nullptr;
+      for (size_t i = 0; i < sums.size(); ++i) {
+        SectionSummary& s = sums[i];
+        if (s.has_dict != want_dict) {
+          continue;
         }
-        if (!sums.empty()) {
-          obs_fingerprint_misses_->Add();
+        if (!MatchArch(s.arch, cpu, mem)) {
+          continue;
         }
+        if (want_dict && !det->MatchSection(s.dict, t, &resolved_)) {
+          continue;
+        }
+        ++hits_;
+        ++ring.replay_hits;
+        obs_hits_->Add();
+        if (i != 0) {
+          // Keep the ring in replay-recency order: repeated sections
+          // match at the front, and eviction drops the back.
+          std::swap(sums[0], s);
+        }
+        SectionSummary& m = sums[0];
+        if (config_.shadow_verify) {
+          return ShadowVerifyHit(m, interp, program, t, cpu, mem, det);
+        }
+        ApplyArch(m.arch, cpu, mem);
+        if (want_dict) {
+          det->ApplySection(m.dict, t, resolved_);
+        }
+        return m.base;
+      }
+      if (!sums.empty()) {
+        obs_fingerprint_misses_->Add();
       }
     }
     return RunMiss(interp, program, t, cpu, mem, det);
@@ -147,7 +145,7 @@ class SectionCache {
   struct ThreadRing {
     std::vector<SectionSummary> summaries;
     // Replay/eviction tallies for the churn guard: a ring whose
-    // evictions outpace its hits past `churn_demote_records` is paying
+    // evictions outpace its hits past kChurnDemoteRecords is paying
     // record cost on ~every run and gets demoted.
     uint64_t replay_hits = 0;
     uint32_t evictions = 0;

@@ -8,16 +8,13 @@
 // emulation, emulation from cache) fall directly out of this design.
 //
 // The execute loop is a template over the observer's concrete type
-// (ExecuteWith). Instantiating it on a final observer class lets the
-// compiler resolve every hook call statically — no vtable dispatch in
-// the per-instruction path — and instantiating it on the NoObserver
-// tag compiles the hook code out entirely (the direct-execution
-// regime). The virtual-dispatch path survives as the
-// ExecuteWith<InstructionObserver> instantiation behind Execute(), for
-// callers that only hold the abstract interface. Retire bookkeeping is
-// batched: opcodes that deliver no hooks (jumps, nop, halt — see
-// kDeliversHooks) accumulate a pending count that is flushed as one
-// OnRetireBatch call before the next hook-delivering instruction.
+// (ExecuteWith), so every hook call is bound statically — no vtable
+// dispatch in the per-instruction path. Execute() is the hookless
+// instantiation (the NoObserver tag compiles the hook code out
+// entirely). Retire bookkeeping is batched: opcodes that deliver no
+// hooks (jumps, nop, halt — see kDeliversHooks) accumulate a pending
+// count that is flushed as one OnRetireBatch call before the next
+// hook-delivering instruction.
 #ifndef SRC_VM_INTERPRETER_H_
 #define SRC_VM_INTERPRETER_H_
 
@@ -40,59 +37,9 @@ struct CpuState {
   int cmp = 0;  // sign of (lhs - rhs) from the last compare
 };
 
-// Receives the instruction-level events the flow-detection algorithm
-// consumes. Default implementations ignore everything.
 namespace internal {
 inline int Sign(int64_t v) { return v < 0 ? -1 : (v > 0 ? 1 : 0); }
 }  // namespace internal
-
-class InstructionObserver {
- public:
-  virtual ~InstructionObserver() = default;
-
-  // A MOV-class data movement dst <- src.
-  virtual void OnMov(ThreadId /*t*/, const Loc& /*dst*/, const Loc& /*src*/) {}
-  // A non-MOV write: immediate store or arithmetic result.
-  virtual void OnWriteValue(ThreadId /*t*/, const Loc& /*dst*/) {}
-  // A write whose value is the source location's value plus a constant
-  // (wrapping): INC/DEC/ADD-immediate. For flow purposes this is a
-  // non-MOV write, so the default forwards to OnWriteValue and every
-  // existing observer sees unchanged behavior; the section-summary
-  // effect recorder overrides it to memoize the delta symbolically
-  // (a shared counter's increment replays without re-emulation even
-  // though the counter's value differs every execution).
-  virtual void OnAffineWrite(ThreadId t, const Loc& dst, const Loc& /*src*/,
-                             uint64_t /*delta*/) {
-    OnWriteValue(t, dst);
-  }
-  // Any operand read (includes MOV sources and address bases).
-  virtual void OnRead(ThreadId /*t*/, const Loc& /*src*/) {}
-  // A compare against an immediate: cmp <- sign(value(lhs) - imm).
-  // Delivered after the operand's OnRead, before the flags update.
-  // Effect recorders use it to keep the flags *symbolic* in lhs — a
-  // table read whose only post-section use is `CmpRI(row, 0)` replays
-  // for any row value instead of pinning the payload.
-  virtual void OnCompare(ThreadId /*t*/, const Loc& /*lhs*/, int64_t /*imm*/) {}
-  // A compare of two locations: cmp <- sign(value(lhs) - value(rhs)).
-  virtual void OnCompareLocs(ThreadId /*t*/, const Loc& /*lhs*/, const Loc& /*rhs*/) {}
-  // A conditional jump consulted the flags (taken or not). This is
-  // where a symbolic compare result must collapse to a concrete pin:
-  // the recorded instruction trace embeds the branch direction.
-  virtual void OnBranch(ThreadId /*t*/) {}
-  virtual void OnLock(ThreadId /*t*/, uint64_t /*lock_id*/) {}
-  virtual void OnUnlock(ThreadId /*t*/, uint64_t /*lock_id*/) {}
-  // Fired after each instruction completes.
-  virtual void OnRetire(ThreadId /*t*/) {}
-  // `n` consecutive instructions retired with no intervening hook
-  // deliveries. The interpreter batches hookless stretches (control
-  // flow, nops) into one call; the default unrolls to OnRetire so
-  // observers that count retires individually keep exact semantics.
-  virtual void OnRetireBatch(ThreadId t, int64_t n) {
-    for (int64_t i = 0; i < n; ++i) {
-      OnRetire(t);
-    }
-  }
-};
 
 struct ExecResult {
   int64_t instructions = 0;
@@ -112,37 +59,54 @@ class Interpreter {
     kEmulate,  // emulated execution: hooks delivered, emulation cost
   };
 
-  // Tag type selecting the hookless instantiation of ExecuteWith: all
-  // observer code compiles out. Pass observer = nullptr with it.
+  // The hooks ExecuteWith delivers, as no-ops. As the observer type it
+  // selects the hookless instantiation (all observer code compiles out;
+  // pass observer = nullptr). Observers that handle only some hooks
+  // derive from it for the rest.
   struct NoObserver {
-    void OnMov(ThreadId, const Loc&, const Loc&) {}
-    void OnWriteValue(ThreadId, const Loc&) {}
-    void OnAffineWrite(ThreadId, const Loc&, const Loc&, uint64_t) {}
-    void OnRead(ThreadId, const Loc&) {}
-    void OnCompare(ThreadId, const Loc&, int64_t) {}
-    void OnCompareLocs(ThreadId, const Loc&, const Loc&) {}
+    // A MOV-class data movement dst <- src.
+    void OnMov(ThreadId, const Loc& /*dst*/, const Loc& /*src*/) {}
+    // A non-MOV write: immediate store or arithmetic result.
+    void OnWriteValue(ThreadId, const Loc& /*dst*/) {}
+    // A write whose value is the source location's value plus a
+    // constant (wrapping): INC/DEC/ADD-immediate. For flow purposes
+    // this is a non-MOV write; the section-summary effect recorder
+    // memoizes the delta symbolically (a shared counter's increment
+    // replays without re-emulation even though the counter's value
+    // differs every execution).
+    void OnAffineWrite(ThreadId, const Loc& /*dst*/, const Loc& /*src*/,
+                       uint64_t /*delta*/) {}
+    // Any operand read (includes MOV sources and address bases).
+    void OnRead(ThreadId, const Loc& /*src*/) {}
+    // A compare against an immediate: cmp <- sign(value(lhs) - imm).
+    // Delivered after the operand's OnRead, before the flags update.
+    // Effect recorders use it to keep the flags *symbolic* in lhs — a
+    // table read whose only post-section use is `CmpRI(row, 0)` replays
+    // for any row value instead of pinning the payload.
+    void OnCompare(ThreadId, const Loc& /*lhs*/, int64_t /*imm*/) {}
+    // A compare of two locations: cmp <- sign(value(lhs) - value(rhs)).
+    void OnCompareLocs(ThreadId, const Loc& /*lhs*/, const Loc& /*rhs*/) {}
+    // A conditional jump consulted the flags (taken or not). This is
+    // where a symbolic compare result must collapse to a concrete pin:
+    // the recorded instruction trace embeds the branch direction.
     void OnBranch(ThreadId) {}
-    void OnLock(ThreadId, uint64_t) {}
-    void OnUnlock(ThreadId, uint64_t) {}
-    void OnRetireBatch(ThreadId, int64_t) {}
+    void OnLock(ThreadId, uint64_t /*lock_id*/) {}
+    void OnUnlock(ThreadId, uint64_t /*lock_id*/) {}
+    // `n` consecutive instructions retired with no intervening hook
+    // deliveries (one call per hookless stretch of control flow, nops).
+    void OnRetireBatch(ThreadId, int64_t /*n*/) {}
   };
 
   // Runs `program` to completion (Halt or falling off the end) on the
-  // given thread's register state over `mem`. Aborts after max_steps
-  // instructions as a runaway-loop guard. Dispatches to the hookless
-  // instantiation when no hooks can fire, the virtual one otherwise.
+  // given thread's register state over `mem`, delivering no hooks.
+  // Aborts after max_steps instructions as a runaway-loop guard.
   ExecResult Execute(const Program& program, ThreadId thread, CpuState& cpu, Memory& mem,
-                     InstructionObserver* observer = nullptr, Mode mode = Mode::kEmulate,
-                     int64_t max_steps = 1 << 20) {
-    if (observer == nullptr || mode == Mode::kDirect) {
-      return ExecuteWith<NoObserver>(program, thread, cpu, mem, nullptr, mode, max_steps);
-    }
-    return ExecuteWith(program, thread, cpu, mem, observer, mode, max_steps);
+                     Mode mode = Mode::kEmulate, int64_t max_steps = 1 << 20) {
+    return ExecuteWith<NoObserver>(program, thread, cpu, mem, nullptr, mode, max_steps);
   }
 
-  // The execute loop, statically bound to the observer's concrete
-  // type. Calling this with a `final` observer class (e.g.
-  // shm::FlowDetector) devirtualizes every hook call.
+  // Execute, delivering every hook of an emulated run to `observer`
+  // (statically bound to Obs; kDirect runs deliver none).
   template <typename Obs>
   ExecResult ExecuteWith(const Program& program, ThreadId thread, CpuState& cpu, Memory& mem,
                          Obs* observer, Mode mode = Mode::kEmulate,
@@ -539,9 +503,8 @@ struct ArchEffects {
 };
 
 // Observer that wraps an optional inner observer (forwarding every
-// hook unchanged, statically bound when Inner is final) while building
-// the ArchEffects of one section run. Duck-typed for ExecuteWith; not
-// an InstructionObserver so nothing here dispatches virtually.
+// hook unchanged, statically bound to Inner) while building the
+// ArchEffects of one section run.
 //
 // Classification protocol: every operand read lands in a pending list;
 // the instruction's classifying hook (OnMov / OnAffineWrite) claims

@@ -101,7 +101,7 @@ inline constexpr int64_t kEmulateCycles[kNumOpcodes] = {
 // True for opcodes whose emulation delivers observer hooks (data
 // movement, reads, compares, conditional branches, lock markers).
 // Unconditional control flow, nops and halt report nothing, which is
-// what lets the interpreter batch their OnRetire bookkeeping.
+// what lets the interpreter batch their retire bookkeeping.
 // Conditional jumps deliver OnBranch — the point where the flags value
 // is *consumed*, which effect recorders use to decide whether a
 // symbolic compare result must be pinned.

@@ -90,8 +90,8 @@ TEST(InterpreterGuardTest, RunawayLoopTerminatesAtMaxSteps) {
   Interpreter interp;
   CpuState cpu;
   Memory mem;
-  ExecResult r = interp.Execute(b.Build(), 0, cpu, mem, nullptr,
-                                Interpreter::Mode::kDirect, /*max_steps=*/1000);
+  ExecResult r = interp.Execute(b.Build(), 0, cpu, mem, Interpreter::Mode::kDirect,
+                                /*max_steps=*/1000);
   EXPECT_EQ(r.instructions, 1000);
 }
 

@@ -36,7 +36,7 @@ class Harness {
     for (const auto& [r, v] : regs) {
       cpu.regs[static_cast<size_t>(r)] = v;
     }
-    return interp_.Execute(p, t, cpu, mem_, &detector_);
+    return interp_.ExecuteWith(p, t, cpu, mem_, &detector_);
   }
 
   FlowDetector& detector() { return detector_; }
@@ -216,8 +216,8 @@ TEST(FlowDetectorEdgeTest, ThreadSetOverflowIds) {
   EXPECT_FALSE(h.detector().producers_of(kLockA).contains(69));
 }
 
-// OnRetire and OnRetireBatch must agree: a batch of n behaves like n
-// single retires with no hooks in between. Whether a read consumed is
+// A batch of n retires must behave like n single-instruction batches
+// with no hooks in between. Whether a read consumed is
 // observable through the allocator-pattern demotion it triggers.
 TEST(FlowDetectorEdgeTest, RetireBatchMatchesSingleRetires) {
   FlowDetector::Config config;
@@ -227,7 +227,7 @@ TEST(FlowDetectorEdgeTest, RetireBatchMatchesSingleRetires) {
       det.OnRetireBatch(1, n);
     } else {
       for (int i = 0; i < n; ++i) {
-        det.OnRetire(1);
+        det.OnRetireBatch(1, 1);
       }
     }
   };

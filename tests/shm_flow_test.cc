@@ -39,7 +39,7 @@ class Harness {
     for (const auto& [r, v] : regs) {
       cpu.regs[static_cast<size_t>(r)] = v;
     }
-    return interp_.Execute(p, t, cpu, mem_, &detector_);
+    return interp_.ExecuteWith(p, t, cpu, mem_, &detector_);
   }
 
   FlowDetector& detector() { return detector_; }

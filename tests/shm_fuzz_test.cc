@@ -67,7 +67,7 @@ TEST_P(ShmFuzzTest, EveryPopCarriesItsPushersContext) {
       cpu.regs[0] = kQueue;
       cpu.regs[1] = next_value;
       cpu.regs[2] = next_value + 1;
-      interp.Execute(push, t, cpu, mem, &detector);
+      interp.ExecuteWith(push, t, cpu, mem, &detector);
       model.push_back(Elem{t, ctxts[t], next_value});
       next_value += 2;
     } else {
@@ -78,7 +78,7 @@ TEST_P(ShmFuzzTest, EveryPopCarriesItsPushersContext) {
       cpu.regs[0] = kQueue;
       cpu.regs[5] = 0x2000 + t * 64;
       cpu.regs[6] = 0x2008 + t * 64;
-      interp.Execute(pop, t, cpu, mem, &detector);
+      interp.ExecuteWith(pop, t, cpu, mem, &detector);
       // Functional correctness of the queue itself.
       ASSERT_EQ(cpu.regs[7], expected.value);
       ++expected_flows;

@@ -143,7 +143,7 @@ TEST(SectionCacheTest, ChurnGuardDemotesWalkingSection) {
   // A queue that only ever grows pins a fresh depth on every push:
   // each run re-records and the full ring evicts, and recording costs
   // several plain emulations. After the ring has evicted
-  // churn_demote_records summaries with no replays to show for them,
+  // kChurnDemoteRecords summaries with no replays to show for them,
   // the (program, thread) ring must fall back to plain emulation for
   // good. 48 runs = 1 translate + 8 ring fills + 32 evictions + tail.
   for (int i = 0; i < 48; ++i) {
@@ -372,23 +372,6 @@ TEST(SectionCacheTest, ShadowVerifyPassesOnHits) {
   // means zero divergences. State is the authoritative run's.
   EXPECT_EQ(cache.hits(), 8u);
   EXPECT_EQ(u.mem.Read(kCounterAddr), 10u);
-}
-
-TEST(SectionCacheTest, DisabledCacheIsTransparent) {
-  SectionCache::Config cfg;
-  cfg.enabled = false;
-  SectionCache cache(cfg);
-  Universe cached, plain;
-  vm::Program cnt = CounterIncrement(kLock);
-  for (int i = 0; i < 5; ++i) {
-    for (Universe* u : {&cached, &plain}) {
-      u->cpus[0].regs[0] = kCounterAddr;
-    }
-    cache.Run(cached.interp, cnt, 0, cached.cpus[0], cached.mem, &cached.detector);
-    plain.interp.ExecuteWith(cnt, 0, plain.cpus[0], plain.mem, &plain.detector);
-  }
-  EXPECT_EQ(cache.hits(), 0u);
-  ExpectSame(cached, plain);
 }
 
 TEST(SectionCacheTest, ArchOnlyRunsCacheWithoutDetector) {

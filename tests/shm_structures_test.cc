@@ -36,7 +36,7 @@ class Harness {
     for (const auto& [r, v] : regs) {
       cpu.regs[static_cast<size_t>(r)] = v;
     }
-    interp_.Execute(p, t, cpu, mem_, &detector_);
+    interp_.ExecuteWith(p, t, cpu, mem_, &detector_);
     return cpu;
   }
 

@@ -94,10 +94,9 @@ TEST_P(VmFuzzTest, EmulationIsArchitecturallyTransparent) {
 
     Interpreter di, ei;
     shm::FlowDetector detector([](ThreadId) { return 7u; });
-    ExecResult dr = di.Execute(p, 0, direct_cpu, direct_mem, nullptr,
-                               Interpreter::Mode::kDirect);
-    ExecResult er = ei.Execute(p, 0, emu_cpu, emu_mem, &detector,
-                               Interpreter::Mode::kEmulate);
+    ExecResult dr = di.Execute(p, 0, direct_cpu, direct_mem, Interpreter::Mode::kDirect);
+    ExecResult er = ei.ExecuteWith(p, 0, emu_cpu, emu_mem, &detector,
+                                   Interpreter::Mode::kEmulate);
 
     ASSERT_EQ(dr.instructions, er.instructions) << "trial " << trial;
     EXPECT_EQ(direct_cpu.regs, emu_cpu.regs) << "trial " << trial;
@@ -134,7 +133,7 @@ TEST_P(VmFuzzTest, FlowDetectorNeverCrashesOnRandomPrograms) {
     Program p = RandomProgram(rng, 60, 1 + trial % 3);
     CpuState cpu;
     cpu.regs[0] = 0x1000;
-    interp.Execute(p, static_cast<ThreadId>(trial % 4), cpu, mem, &detector);
+    interp.ExecuteWith(p, static_cast<ThreadId>(trial % 4), cpu, mem, &detector);
   }
   // Sanity: the dictionary stays bounded by the touched locations.
   EXPECT_LT(detector.dictionary_size(), 1000u);

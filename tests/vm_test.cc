@@ -128,16 +128,16 @@ TEST(InterpreterTest, TranslationCachePaysOnce) {
   Interpreter interp;
   CpuState cpu;
   Memory mem;
-  ExecResult first = interp.Execute(p, 0, cpu, mem, nullptr, Interpreter::Mode::kEmulate);
+  ExecResult first = interp.Execute(p, 0, cpu, mem, Interpreter::Mode::kEmulate);
   EXPECT_TRUE(first.translated);
   EXPECT_TRUE(interp.IsTranslated(p.id));
-  ExecResult second = interp.Execute(p, 0, cpu, mem, nullptr, Interpreter::Mode::kEmulate);
+  ExecResult second = interp.Execute(p, 0, cpu, mem, Interpreter::Mode::kEmulate);
   EXPECT_FALSE(second.translated);
   EXPECT_LT(second.guest_cycles, first.guest_cycles);
   EXPECT_EQ(interp.translations_performed(), 1u);
 
   interp.FlushTranslationCache();
-  ExecResult third = interp.Execute(p, 0, cpu, mem, nullptr, Interpreter::Mode::kEmulate);
+  ExecResult third = interp.Execute(p, 0, cpu, mem, Interpreter::Mode::kEmulate);
   EXPECT_TRUE(third.translated);
   EXPECT_EQ(third.guest_cycles, first.guest_cycles);
 }
@@ -148,45 +148,45 @@ TEST(InterpreterTest, CostRegimesOrdered) {
   Interpreter interp;
   Memory mem;
   CpuState cpu;
-  ExecResult cold = interp.Execute(p, 0, cpu, mem, nullptr, Interpreter::Mode::kEmulate);
-  ExecResult warm = interp.Execute(p, 0, cpu, mem, nullptr, Interpreter::Mode::kEmulate);
-  ExecResult direct = interp.Execute(p, 0, cpu, mem, nullptr, Interpreter::Mode::kDirect);
+  ExecResult cold = interp.Execute(p, 0, cpu, mem, Interpreter::Mode::kEmulate);
+  ExecResult warm = interp.Execute(p, 0, cpu, mem, Interpreter::Mode::kEmulate);
+  ExecResult direct = interp.Execute(p, 0, cpu, mem, Interpreter::Mode::kDirect);
   EXPECT_LT(direct.guest_cycles, warm.guest_cycles);
   EXPECT_LT(warm.guest_cycles, cold.guest_cycles);
   EXPECT_EQ(direct.guest_cycles, direct.direct_cycles);
 }
 
 TEST(InterpreterTest, DirectModeDeliversNoHooks) {
-  struct Counting : InstructionObserver {
-    int events = 0;
-    void OnMov(ThreadId, const Loc&, const Loc&) override { ++events; }
-    void OnWriteValue(ThreadId, const Loc&) override { ++events; }
-    void OnRead(ThreadId, const Loc&) override { ++events; }
-    void OnRetire(ThreadId) override { ++events; }
+  struct Counting : Interpreter::NoObserver {
+    int64_t events = 0;
+    void OnMov(ThreadId, const Loc&, const Loc&) { ++events; }
+    void OnWriteValue(ThreadId, const Loc&) { ++events; }
+    void OnRead(ThreadId, const Loc&) { ++events; }
+    void OnRetireBatch(ThreadId, int64_t n) { events += n; }
   } obs;
   Program p = ProgramBuilder("d").MovRI(1, 5).MovRR(2, 1).Halt().Build();
   Interpreter interp;
   CpuState cpu;
   Memory mem;
-  interp.Execute(p, 0, cpu, mem, &obs, Interpreter::Mode::kDirect);
+  interp.ExecuteWith(p, 0, cpu, mem, &obs, Interpreter::Mode::kDirect);
   EXPECT_EQ(obs.events, 0);
-  interp.Execute(p, 0, cpu, mem, &obs, Interpreter::Mode::kEmulate);
+  interp.ExecuteWith(p, 0, cpu, mem, &obs, Interpreter::Mode::kEmulate);
   EXPECT_GT(obs.events, 0);
 }
 
 TEST(InterpreterTest, ObserverSeesMovAndWriteEvents) {
-  struct Recorder : InstructionObserver {
+  struct Recorder : Interpreter::NoObserver {
     std::vector<std::string> log;
-    void OnMov(ThreadId, const Loc& dst, const Loc& src) override {
+    void OnMov(ThreadId, const Loc& dst, const Loc& src) {
       log.push_back("mov " + dst.ToString() + " <- " + src.ToString());
     }
-    void OnWriteValue(ThreadId, const Loc& dst) override {
-      log.push_back("write " + dst.ToString());
+    void OnWriteValue(ThreadId, const Loc& dst) { log.push_back("write " + dst.ToString()); }
+    // An affine write (IncM) is a non-MOV write for this log.
+    void OnAffineWrite(ThreadId t, const Loc& dst, const Loc&, uint64_t) {
+      OnWriteValue(t, dst);
     }
-    void OnLock(ThreadId, uint64_t id) override { log.push_back("lock " + std::to_string(id)); }
-    void OnUnlock(ThreadId, uint64_t id) override {
-      log.push_back("unlock " + std::to_string(id));
-    }
+    void OnLock(ThreadId, uint64_t id) { log.push_back("lock " + std::to_string(id)); }
+    void OnUnlock(ThreadId, uint64_t id) { log.push_back("unlock " + std::to_string(id)); }
   } obs;
   ProgramBuilder b("events");
   b.Lock(9)
@@ -198,7 +198,7 @@ TEST(InterpreterTest, ObserverSeesMovAndWriteEvents) {
   Interpreter interp;
   CpuState cpu;
   Memory mem;
-  interp.Execute(b.Build(), 3, cpu, mem, &obs);
+  interp.ExecuteWith(b.Build(), 3, cpu, mem, &obs);
   ASSERT_EQ(obs.log.size(), 5u);
   EXPECT_EQ(obs.log[0], "lock 9");
   EXPECT_EQ(obs.log[1], "write r0@t3");
@@ -208,9 +208,9 @@ TEST(InterpreterTest, ObserverSeesMovAndWriteEvents) {
 }
 
 TEST(InterpreterTest, InstructionCountsAndRetires) {
-  struct Retires : InstructionObserver {
+  struct Retires : Interpreter::NoObserver {
     int64_t retired = 0;
-    void OnRetire(ThreadId) override { ++retired; }
+    void OnRetireBatch(ThreadId, int64_t n) { retired += n; }
   } obs;
   ProgramBuilder b("count");
   const int loop = b.DefineLabel();
@@ -218,7 +218,7 @@ TEST(InterpreterTest, InstructionCountsAndRetires) {
   CpuState cpu;
   Memory mem;
   Interpreter interp;
-  ExecResult r = interp.Execute(b.Build(), 0, cpu, mem, &obs);
+  ExecResult r = interp.ExecuteWith(b.Build(), 0, cpu, mem, &obs);
   EXPECT_EQ(r.instructions, obs.retired);
   EXPECT_EQ(r.instructions, 1 + 10 * 3 + 1);  // mov + 10*(add,cmp,jne) + halt
 }
