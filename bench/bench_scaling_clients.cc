@@ -1,86 +1,40 @@
-// Million-client DES scaling: the ladder-queue scheduler + arena-pooled
+// Million-client DES scaling: the event scheduler + arena-pooled
 // events + open-loop arrival generators, measured end to end.
 //
-// Two measurements:
-//   1. Scheduler hold model (google-benchmark): one Step() per
-//      iteration on a queue holding N self-rescheduling events, for
-//      the calendar/ladder queue vs the reference binary heap. The
-//      acceptance headline is the >= 2x ladder speedup at >= 100k
-//      pending events (derived.scheduler_speedup in the bench JSON).
-//   2. Open-loop TPC-W sweep: Poisson arrivals from 1k to 1M logical
-//      clients (~1 generator coroutine per 10k clients), stage cores
-//      and worker pools provisioned proportionally to offered load so
-//      the variable under test is population size. Per-client heap
-//      must stay flat: bytes_per_client at the top scale must be
-//      <= 1.1x its 10k-client value, asserted here and gated again in
-//      scripts/check_perf.sh via derived.bytes_per_client.
+// Open-loop TPC-W sweep: Poisson arrivals from 1k to 1M logical
+// clients (~1 generator coroutine per 10k clients), stage cores and
+// worker pools provisioned proportionally to offered load so the
+// variable under test is population size. Per-client heap must stay
+// flat: bytes_per_client at the top scale must be <= 1.1x its
+// 10k-client value, asserted here and gated again in
+// scripts/check_perf.sh via derived.bytes_per_client.
 //
 // $BENCH_SCALING_MAX_CLIENTS caps the sweep (default 1000000; CI runs
 // 100000 to keep the gate fast — scripts/check_perf.sh).
 // $BENCH_SCALING_SCALES (comma-separated client counts) replaces the
 // sweep entirely — a bisection tool, not a baseline configuration.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/apps/bookstore/bookstore.h"
 #include "src/obs/metrics.h"
-#include "src/sim/scheduler.h"
+#include "src/sim/time.h"
 #include "src/util/arena.h"
-#include "src/util/rng.h"
 
 namespace {
 
 using namespace whodunit;
-
-// ---- Part 1: scheduler hold model ------------------------------------
-
-// Each fired event schedules exactly one replacement, so the pending
-// population stays at N while Step() churns through the queue.
-template <typename Sched>
-struct Hold {
-  Sched* sched;
-  util::Rng* rng;
-  void operator()() const {
-    const auto dt = static_cast<sim::SimTime>(1 + rng->NextBelow(100000));
-    sched->ScheduleAfter(dt, Hold<Sched>{sched, rng});
-  }
-};
-
-template <typename Sched>
-void HoldModel(benchmark::State& state) {
-  const auto n = static_cast<size_t>(state.range(0));
-  Sched sched;
-  util::Rng rng(42);
-  for (size_t i = 0; i < n; ++i) {
-    const auto t = static_cast<sim::SimTime>(rng.NextBelow(100000));
-    sched.ScheduleAt(t, Hold<Sched>{&sched, &rng});
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sched.Step());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-
-void BM_LadderHold(benchmark::State& state) { HoldModel<sim::Scheduler>(state); }
-void BM_HeapHold(benchmark::State& state) {
-  HoldModel<sim::HeapScheduler>(state);
-}
-
-BENCHMARK(BM_LadderHold)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
-BENCHMARK(BM_HeapHold)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
-
-// ---- Part 2: open-loop client sweep ----------------------------------
 
 // Samples the process heap while the simulation runs and keeps the
 // high-water mark; mallinfo2 behind util::ApproxHeapBytes() reports
@@ -216,13 +170,18 @@ ScalePoint MeasureScale(uint64_t clients) {
   return runs[runs.size() / 2];
 }
 
+// Client counts below the sweep's first point, or beyond what
+// BookstoreOptions::clients holds, are rejected (bench_util.h).
+uint64_t ParseClients(const char* name, std::string_view text) {
+  return static_cast<uint64_t>(bench::ParseEnvInt(name, text, 1000, INT_MAX));
+}
+
 uint64_t MaxClients() {
   const char* v = std::getenv("BENCH_SCALING_MAX_CLIENTS");
   if (v == nullptr || v[0] == '\0') {
     return 1000000;
   }
-  const long long n = std::atoll(v);
-  return n < 1000 ? 1000 : static_cast<uint64_t>(n);
+  return ParseClients("BENCH_SCALING_MAX_CLIENTS", v);
 }
 
 int RunSweep() {
@@ -232,17 +191,15 @@ int RunSweep() {
   // the default sweep — for bisecting scaling behavior, not baselines.
   if (const char* override = std::getenv("BENCH_SCALING_SCALES");
       override != nullptr && override[0] != '\0') {
-    const char* s = override;
-    while (*s != '\0') {
-      char* end = nullptr;
-      const long long n = std::strtoll(s, &end, 10);
-      if (end == s) {
+    std::string_view rest(override);
+    while (true) {
+      const size_t comma = rest.find(',');
+      scales.push_back(
+          ParseClients("BENCH_SCALING_SCALES", rest.substr(0, comma)));
+      if (comma == std::string_view::npos) {
         break;
       }
-      if (n >= 1000) {
-        scales.push_back(static_cast<uint64_t>(n));
-      }
-      s = (*end == ',') ? end + 1 : end;
+      rest.remove_prefix(comma + 1);
     }
   }
   if (scales.empty()) {
@@ -254,8 +211,8 @@ int RunSweep() {
   }
 
   bench::Header(
-      "Open-loop client scaling: Poisson arrivals, ladder scheduler,\n"
-      "arena-pooled events. Per-client heap must stay flat.");
+      "Open-loop client scaling: Poisson arrivals, arena-pooled events.\n"
+      "Per-client heap must stay flat.");
   std::printf("%9s | %6s | %8s | %10s | %11s | %8s | %9s | %9s | %s\n",
               "clients", "dur s", "wall s", "interact", "sim events", "Mev/s",
               "peak q", "B/client", "util p/t/db");
@@ -318,10 +275,7 @@ int RunSweep() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   const int rc = RunSweep();
   whodunit::bench::DumpMetrics("scaling_clients");
   return rc;

@@ -8,9 +8,14 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -42,29 +47,64 @@ inline void Note(const char* text) { std::printf("%s\n", text); }
 // workload definition: changing it changes the numbers (documented in
 // docs/PERFORMANCE.md), which is why it is a separate knob.
 
+// Knob values come from outside the program, so a malformed or
+// out-of-range one stops the bench with exit 2 and a message naming
+// the variable, instead of running at a default that the recorded
+// bench JSON would misreport.
+//
+// Parses all of `text`, the value of $name, as an integer in [lo, hi].
+inline long long ParseEnvInt(const char* name, std::string_view text,
+                             long long lo, long long hi) {
+  long long n = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, n);
+  if (ec != std::errc() || end != last || n < lo || n > hi) {
+    std::fprintf(stderr, "%s='%.*s': expected an integer in [%lld, %lld]\n",
+                 name, static_cast<int>(text.size()), text.data(), lo, hi);
+    std::exit(2);
+  }
+  return n;
+}
+
 inline int EnvInt(const char* name, int fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || v[0] == '\0') {
     return fallback;
   }
-  const int n = std::atoi(v);
-  return n < 1 ? fallback : n;
+  return static_cast<int>(ParseEnvInt(name, v, 1, INT_MAX));
 }
 
-inline int BenchThreads() { return EnvInt("BENCH_THREADS", 1); }
-inline int BenchShards() { return EnvInt("BENCH_SHARDS", 1); }
+// Each knob is parsed once, so a bad value exits from the first
+// reader only, even when jobs read it from several pool threads.
+inline int BenchThreads() {
+  static const int threads = EnvInt("BENCH_THREADS", 1);
+  return threads;
+}
+inline int BenchShards() {
+  static const int shards = EnvInt("BENCH_SHARDS", 1);
+  return shards;
+}
 
 // $BENCH_SAMPLE_RATE sets the production sampling rate the app-level
-// benches profile at (docs/PRODUCTION.md); run_benches.sh records it
-// in the whodunit-bench-v1 JSON. Committed baselines use 1.0, which
-// is byte-identical to the pre-sampling profiler.
+// benches profile at (docs/PRODUCTION.md), in (0, 1]; run_benches.sh
+// records it in the whodunit-bench-v1 JSON. Committed baselines use
+// 1.0, which is byte-identical to the pre-sampling profiler.
 inline double BenchSampleRate() {
-  const char* v = std::getenv("BENCH_SAMPLE_RATE");
-  if (v == nullptr || v[0] == '\0') {
-    return 1.0;
-  }
-  const double rate = std::atof(v);
-  return rate <= 0.0 || rate > 1.0 ? 1.0 : rate;
+  static const double rate = [] {
+    const char* v = std::getenv("BENCH_SAMPLE_RATE");
+    if (v == nullptr || v[0] == '\0') {
+      return 1.0;
+    }
+    double r = 0;
+    const char* last = v + std::strlen(v);
+    const auto [end, ec] = std::from_chars(v, last, r);
+    if (ec != std::errc() || end != last || !(r > 0.0 && r <= 1.0)) {
+      std::fprintf(stderr, "BENCH_SAMPLE_RATE='%s': expected a number in (0, 1]\n", v);
+      std::exit(2);
+    }
+    return r;
+  }();
+  return rate;
 }
 
 // Runs jobs 0..count-1 (each `fn(job)` returning a result) on

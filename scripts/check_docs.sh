@@ -64,6 +64,35 @@ for metric in $documented; do
   fi
 done
 
+# Every backticked repo path in the docs must exist, so a deleted or
+# renamed file cannot leave its mention behind. One {a,b} group is
+# expanded (`src/sim/event.{h,cc}`), a `:name` suffix is dropped, and a
+# program stem counts when its .cc or .cpp source exists
+# (`examples/offline_report`).
+for doc in "$repo_root"/docs/*.md "$repo_root/README.md"; do
+  paths=$(grep -oE '`(src|bench|tests|scripts|examples|perfbench)/[A-Za-z0-9_./{},:-]*`' "$doc" \
+          | tr -d '`' | sed 's/:.*//' | sort -u)
+  for path in $paths; do
+    case "$path" in
+      *"{"*)
+        prefix=${path%%\{*}
+        rest=${path#*\{}
+        suffix=${rest#*\}}
+        files=$(printf '%s\n' "${rest%%\}*}" | tr ',' '\n' \
+                | sed "s|^|$prefix|; s|\$|$suffix|")
+        ;;
+      *) files=$path ;;
+    esac
+    for f in $files; do
+      if [ ! -e "$repo_root/$f" ] && [ ! -e "$repo_root/$f.cc" ] \
+         && [ ! -e "$repo_root/$f.cpp" ]; then
+        echo "check_docs: $f is named in ${doc#"$repo_root"/} but does not exist" >&2
+        status=1
+      fi
+    done
+  done
+done
+
 # Every backticked google-benchmark name (`BM_...`) in the docs must be
 # registered by a BENCHMARK(...) call under bench/, so a deleted or
 # renamed benchmark cannot leave its description behind.

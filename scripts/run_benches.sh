@@ -213,8 +213,7 @@ if sc_hits + sc_misses > 0:
     derived["section_cache_hit_rate"] = round(sc_hits / (sc_hits + sc_misses), 6)
 
 # Million-client scaling headlines (bench_scaling_clients): open-loop
-# engine throughput, flat per-client memory, and the ladder-vs-heap
-# hold-model speedup at 2^17 pending events (docs/PERFORMANCE.md).
+# engine throughput and flat per-client memory (docs/PERFORMANCE.md).
 gauges = out.get("metrics", {}).get("gauges", {})
 if "bench.scaling.events_per_sec" in gauges:
     derived["events_per_sec"] = gauges["bench.scaling.events_per_sec"]
@@ -224,10 +223,6 @@ if "bench.scaling.events_per_sec" in gauges:
         derived["bytes_per_client_10k"] = ten_k
         derived["bytes_per_client_ratio"] = round(
             derived["bytes_per_client"] / ten_k, 3)
-if "BM_LadderHold/131072" in gb and "BM_HeapHold/131072" in gb:
-    derived["scheduler_speedup"] = round(
-        gb["BM_HeapHold/131072"]["cpu_time_ns"]
-        / gb["BM_LadderHold/131072"]["cpu_time_ns"], 3)
 
 # Live-observability ablation headlines (bench_ablation_live_obs):
 #   * publish_ns_per_txn — the full publish->pump->aggregate pipeline

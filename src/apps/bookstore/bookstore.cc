@@ -686,7 +686,7 @@ BookstoreResult Bookstore::Run(profiler::ShardProfile* out_profile) {
     result.live_attr_folded = daemon_->ExportAttrFolded();
   }
   result.sim_events = sched_.events_executed();
-  result.peak_event_queue_depth = sched_.queue_stats().peak_depth;
+  result.peak_event_queue_depth = sched_.peak_queue_depth();
   return result;
 }
 

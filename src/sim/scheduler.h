@@ -2,13 +2,14 @@
 #ifndef SRC_SIM_SCHEDULER_H_
 #define SRC_SIM_SCHEDULER_H_
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "src/obs/metrics.h"
 #include "src/sim/event.h"
-#include "src/sim/ladder_queue.h"
 #include "src/sim/time.h"
 
 namespace whodunit::sim {
@@ -20,22 +21,19 @@ namespace whodunit::sim {
 // deliberately minimal: coroutine awaitables (Delay, locks, channels,
 // CPU) build on ScheduleAt/ScheduleAfter.
 //
-// The calendar itself is pluggable: BasicScheduler is parameterized on
-// the queue type so the ladder queue (production) and the pre-existing
-// binary heap (differential-test oracle, bench baseline) run the exact
-// same scheduling logic. Because the (time, seq) key is a total order,
-// both produce identical executions — see src/sim/ladder_queue.h.
+// The calendar is a binary min-heap on the (time, seq) key. That key
+// is a total order, so the execution order is fully determined by the
+// events scheduled, which keeps the shard merge determinism contract.
 //
 // Callbacks are stored as sim::Event records: coroutine resumes carry
 // no allocation at all, small lambdas live inline, and oversized ones
 // come from the per-thread arena pool instead of malloc.
-template <typename Queue>
-class BasicScheduler {
+class Scheduler {
  public:
-  BasicScheduler() = default;
-  BasicScheduler(const BasicScheduler&) = delete;
-  BasicScheduler& operator=(const BasicScheduler&) = delete;
-  ~BasicScheduler() { PublishMetrics(); }
+  Scheduler() = default;
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
+  ~Scheduler() { PublishMetrics(); }
 
   SimTime now() const { return now_; }
 
@@ -69,10 +67,7 @@ class BasicScheduler {
   // Runs events with time <= t, then sets now to t. Events scheduled
   // beyond t stay queued.
   void RunUntil(SimTime t) {
-    while (const ScheduledEvent* head = queue_.Peek()) {
-      if (head->time > t) {
-        break;
-      }
+    while (!heap_.empty() && heap_.front().time <= t) {
       Step();
     }
     if (now_ < t) {
@@ -82,21 +77,24 @@ class BasicScheduler {
 
   // Executes the single earliest event; returns false if none.
   bool Step() {
-    if (queue_.empty()) {
+    if (heap_.empty()) {
       return false;
     }
-    ScheduledEvent item = queue_.Pop();
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    ScheduledEvent item = std::move(heap_.back());
+    heap_.pop_back();
     now_ = item.time;
     ++events_executed_;
     item.ev.Fire();
     return true;
   }
 
-  bool empty() const { return queue_.empty(); }
-  size_t queue_depth() const { return queue_.size(); }
+  bool empty() const { return heap_.empty(); }
+  size_t queue_depth() const { return heap_.size(); }
   uint64_t events_executed() const { return events_executed_; }
   uint64_t events_scheduled() const { return events_scheduled_; }
-  const QueueStats& queue_stats() const { return queue_.stats(); }
+  // Most events resident in the calendar at once.
+  uint64_t peak_queue_depth() const { return peak_depth_; }
 
   // Folds the scheduler's deterministic counters into the calling
   // thread's metrics registry (docs/METRICS.md, sim.* family). Runs
@@ -107,20 +105,15 @@ class BasicScheduler {
   // double-counts.
   void PublishMetrics() {
     obs::MetricsRegistry& reg = obs::Registry();
-    const QueueStats& qs = queue_.stats();
     reg.GetCounter("sim.events_scheduled")
         .Add(events_scheduled_ - published_.scheduled);
     reg.GetCounter("sim.events_executed")
         .Add(events_executed_ - published_.executed);
-    reg.GetCounter("sim.ladder_promotions")
-        .Add(qs.promotions - published_.promotions);
-    reg.GetCounter("sim.ladder_spills").Add(qs.spills - published_.spills);
-    published_ = {events_scheduled_, events_executed_, qs.promotions,
-                  qs.spills};
+    published_ = {events_scheduled_, events_executed_};
     // Peak depth is a high-water mark, not a flow: fold as a gauge
     // (gauges add across shards, giving the sum of per-shard peaks).
     obs::Gauge& peak = reg.GetGauge("sim.queue_peak_depth");
-    int64_t depth = static_cast<int64_t>(qs.peak_depth);
+    int64_t depth = static_cast<int64_t>(peak_depth_);
     if (depth > last_peak_gauge_) {
       peak.Add(depth - last_peak_gauge_);
       last_peak_gauge_ = depth;
@@ -131,31 +124,36 @@ class BasicScheduler {
   struct Published {
     uint64_t scheduled = 0;
     uint64_t executed = 0;
-    uint64_t promotions = 0;
-    uint64_t spills = 0;
+  };
+
+  // Heap order: the earliest (time, seq) key sits at the front.
+  struct Later {
+    bool operator()(const ScheduledEvent& a, const ScheduledEvent& b) const {
+      return EventBefore(b, a);
+    }
   };
 
   void PushEvent(SimTime t, Event ev) {
     if (t < now_) {
       t = now_;
     }
-    queue_.Push(ScheduledEvent{t, next_seq_++, std::move(ev)});
+    heap_.push_back(ScheduledEvent{t, next_seq_++, std::move(ev)});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    if (heap_.size() > peak_depth_) {
+      peak_depth_ = heap_.size();
+    }
     ++events_scheduled_;
   }
 
-  Queue queue_;
+  std::vector<ScheduledEvent> heap_;
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_executed_ = 0;
   uint64_t events_scheduled_ = 0;
+  uint64_t peak_depth_ = 0;
   Published published_;
   int64_t last_peak_gauge_ = 0;
 };
-
-using Scheduler = BasicScheduler<LadderQueue>;
-// The pre-ladder scheduler, kept for differential tests and the
-// BM_SchedulerThroughput baseline leg.
-using HeapScheduler = BasicScheduler<HeapQueue>;
 
 // Awaitable that suspends the current coroutine for dt virtual ns.
 // Usage: co_await Delay{sched, Micros(5)};

@@ -2,11 +2,47 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <functional>
+#include <map>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "src/sim/task.h"
 #include "src/util/rng.h"
+
+// Counts every global operator new in this binary, so a test can show
+// that the scheduler does not touch the allocator once warm. The
+// deletes are replaced too, to keep new/delete pairs matched under the
+// sanitizers.
+namespace {
+std::atomic<uint64_t> g_heap_allocs{0};
+
+void* CountedAlloc(std::size_t n) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+
+void* CheckedAlloc(std::size_t n) {
+  void* p = CountedAlloc(n);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return CheckedAlloc(n); }
+void* operator new[](std::size_t n) { return CheckedAlloc(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return CountedAlloc(n); }
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return CountedAlloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace whodunit::sim {
 namespace {
@@ -101,11 +137,11 @@ TEST(SchedulerTest, NegativeScheduleAfterClampsToNow) {
   EXPECT_EQ(s.now(), 100);
 }
 
-TEST(SchedulerTest, FifoSurvivesSpillAndRungRefill) {
-  // Far more events than the calendar's bottom tier holds, drawn from
-  // a handful of timestamps so heavy tie groups are split across the
-  // bottom/rung/top spill paths. The executed sequence must still be
-  // the exact (time, insertion order) total order.
+TEST(SchedulerTest, FifoAmongHeavyTies) {
+  // Thousands of events drawn from a handful of timestamps, so every
+  // tie group is large and interleaved with the others in the heap.
+  // The executed sequence must still be the exact (time, insertion
+  // order) total order.
   Scheduler s;
   struct Rec {
     SimTime t;
@@ -126,10 +162,67 @@ TEST(SchedulerTest, FifoSurvivesSpillAndRungRefill) {
         (order[k - 1].t == order[k].t && order[k - 1].i < order[k].i);
     ASSERT_TRUE(in_order) << "at position " << k;
   }
-  // The point of the test: the spill machinery actually engaged.
-  EXPECT_GT(s.queue_stats().spills + s.queue_stats().promotions, 0u);
-  EXPECT_EQ(s.queue_stats().peak_depth, static_cast<size_t>(kEvents));
+  EXPECT_EQ(s.peak_queue_depth(), static_cast<uint64_t>(kEvents));
 }
+
+// Each fired event schedules one replacement 1-1000 ns ahead, so the
+// pending population stays constant while Step() churns the queue.
+struct Hold {
+  Scheduler* sched;
+  util::Rng* rng;
+  void operator()() const {
+    const auto dt = static_cast<SimTime>(1 + rng->NextBelow(1000));
+    sched->ScheduleAfter(dt, Hold{sched, rng});
+  }
+};
+
+TEST(SchedulerTest, SteadyStateStepsDoNotAllocate) {
+  // A shallow queue that never drains: once warm, the calendar must
+  // reuse its storage instead of growing behind consumed events.
+  Scheduler s;
+  util::Rng rng(42);
+  for (int i = 0; i < 64; ++i) {
+    s.ScheduleAt(static_cast<SimTime>(rng.NextBelow(1000)), Hold{&s, &rng});
+  }
+  for (int i = 0; i < 100000; ++i) {
+    ASSERT_TRUE(s.Step());
+  }
+  const uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < 1000000; ++i) {
+    s.Step();
+  }
+  const uint64_t allocs = g_heap_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(s.queue_depth(), 64u);
+}
+
+// A reference calendar that shares no code with Scheduler: events keyed
+// by (time, insertion seq) in an ordered multimap, so the map's own
+// order is the specification the heap must match.
+class ReferenceScheduler {
+ public:
+  void ScheduleAt(SimTime t, std::function<void()> cb) {
+    events_.emplace(std::make_pair(std::max(t, now_), next_seq_++),
+                    std::move(cb));
+  }
+  void ScheduleAfter(SimTime dt, std::function<void()> cb) {
+    ScheduleAt(now_ + std::max<SimTime>(dt, 0), std::move(cb));
+  }
+  void Run() {
+    while (!events_.empty()) {
+      auto head = events_.begin();
+      now_ = head->first.first;
+      std::function<void()> cb = std::move(head->second);
+      events_.erase(head);
+      cb();
+    }
+  }
+
+ private:
+  std::multimap<std::pair<SimTime, uint64_t>, std::function<void()>> events_;
+  SimTime now_ = 0;
+  uint64_t next_seq_ = 0;
+};
 
 // Runs an identical randomized workload — events rescheduling further
 // events with heavy timestamp collisions — on the given scheduler and
@@ -146,8 +239,7 @@ std::vector<int> RandomWorkloadOrder(uint64_t seed) {
     const uint64_t kids = rng.NextBelow(3);
     for (uint64_t k = 0; k < kids && next_id < kMaxEvents; ++k) {
       const int cid = next_id++;
-      // Mix zero/near-tie deltas with far jumps so events cross every
-      // tier of the calendar.
+      // Mix zero/near-tie deltas with far jumps.
       const auto dt = static_cast<SimTime>(
           rng.NextBelow(4) == 0 ? rng.NextBelow(3) : rng.NextBelow(50000));
       s.ScheduleAfter(dt, [&fire, cid] { fire(cid); });
@@ -162,15 +254,15 @@ std::vector<int> RandomWorkloadOrder(uint64_t seed) {
   return order;
 }
 
-TEST(SchedulerTest, LadderMatchesHeapOnRandomWorkloads) {
-  // Differential check: the calendar queue and the reference binary
-  // heap must execute byte-identical event sequences, including events
-  // scheduled from inside callbacks.
+TEST(SchedulerTest, MatchesSortedReferenceOnRandomWorkloads) {
+  // Differential check: the heap scheduler and the sorted reference
+  // must execute identical event sequences, including events scheduled
+  // from inside callbacks.
   for (const uint64_t seed : {1ULL, 42ULL, 1234ULL}) {
-    const std::vector<int> ladder = RandomWorkloadOrder<Scheduler>(seed);
-    const std::vector<int> heap = RandomWorkloadOrder<HeapScheduler>(seed);
-    ASSERT_GE(ladder.size(), 2000u) << "seed " << seed;
-    EXPECT_EQ(ladder, heap) << "seed " << seed;
+    const std::vector<int> heap = RandomWorkloadOrder<Scheduler>(seed);
+    const std::vector<int> ref = RandomWorkloadOrder<ReferenceScheduler>(seed);
+    ASSERT_GE(heap.size(), 2000u) << "seed " << seed;
+    EXPECT_EQ(heap, ref) << "seed " << seed;
   }
 }
 
