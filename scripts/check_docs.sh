@@ -3,7 +3,8 @@
 # docs/ARCHITECTURE.md, the files docs link to must exist, and the
 # docs/METRICS.md catalog must match the metrics src/ exports. Run from
 # anywhere; registered with ctest as `check_docs`. Also checks that every
-# benchmark the docs name is registered in bench/.
+# benchmark the docs name is registered in bench/, and that every type
+# name the docs name occurs in the code.
 set -u
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -101,6 +102,19 @@ named=$(cat "$repo_root"/docs/*.md "$repo_root/README.md" \
 for bm in $named; do
   if ! grep -rqE "BENCHMARK\($bm\)" "$repo_root/bench"; then
     echo "check_docs: benchmark $bm is named in the docs but not registered in bench/" >&2
+    status=1
+  fi
+done
+
+# Every backticked two-hump CamelCase name (`SimMutex`, `QueueElem`) in
+# the docs must occur as a word in the code, so a deleted or renamed
+# type cannot leave its mention behind.
+named=$(cat "$repo_root"/docs/*.md "$repo_root/README.md" "$repo_root/DESIGN.md" \
+        | grep -oE '`[A-Z][a-z0-9]+[A-Z][A-Za-z0-9]*`' | tr -d '`' | sort -u)
+for name in $named; do
+  if ! grep -rqw -- "$name" "$repo_root/src" "$repo_root/bench" "$repo_root/examples" \
+       "$repo_root/perfbench" "$repo_root/tests"; then
+    echo "check_docs: $name is named in the docs but does not occur in the code" >&2
     status=1
   fi
 done

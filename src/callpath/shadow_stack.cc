@@ -3,31 +3,35 @@
 namespace whodunit::callpath {
 
 void ShadowStack::Push(FunctionId f) {
-  frames_.push_back(f);
-  ++pushes_;
+  path_ = paths_.Child(path_, f);
+  ++depth_;
   if (cct_ != nullptr) {
-    node_path_.push_back(cct_->Child(node_path_.back(), f));
-    cct_->AddCall(node_path_.back());
+    node_ = cct_->Child(node_, f);
+    cct_->AddCall(node_);
   }
 }
 
 void ShadowStack::Pop() {
-  frames_.pop_back();
+  path_ = paths_.node(path_).parent;
+  --depth_;
   if (cct_ != nullptr) {
-    node_path_.pop_back();
+    node_ = cct_->node(node_).parent;
   }
 }
 
 void ShadowStack::AttachCct(CallingContextTree* cct) {
   cct_ = cct;
-  node_path_.clear();
-  if (cct_ == nullptr) {
-    return;
+  if (cct_ != nullptr) {
+    node_ = Graft(path_);
   }
-  node_path_.push_back(cct_->root());
-  for (FunctionId f : frames_) {
-    node_path_.push_back(cct_->Child(node_path_.back(), f));
+}
+
+NodeIndex ShadowStack::Graft(NodeIndex path) {
+  if (path == paths_.root()) {
+    return cct_->root();
   }
+  const CallingContextTree::Node& n = paths_.node(path);
+  return cct_->Child(Graft(n.parent), n.function);
 }
 
 }  // namespace whodunit::callpath

@@ -18,7 +18,7 @@
 namespace whodunit::context {
 
 enum class ElementKind : uint8_t {
-  kCallPath = 0,  // an interned call path at a produce/send point
+  kCallPath = 0,  // a node of the deployment's path tree at a produce/send point
   kHandler = 1,   // an event handler (event-driven stage)
   kStage = 2,     // a SEDA stage
 };

@@ -14,7 +14,14 @@ Deployment::~Deployment() = default;
 
 std::string Deployment::DescribeElement(context::ElementKind kind, uint32_t id) const {
   if (kind == context::ElementKind::kCallPath) {
-    return paths_.Render(id, functions_);
+    std::string out;
+    for (callpath::FunctionId f : paths_.PathTo(id)) {
+      if (!out.empty()) {
+        out += ">";
+      }
+      out += functions_.NameOf(f);
+    }
+    return out;
   }
   if (element_namer_) {
     return element_namer_(kind, id);

@@ -1,8 +1,9 @@
 // Deployment-wide profiling state.
 //
 // A Deployment models one profiled multi-tier application: the shared
-// name spaces (function names, interned call paths, the transaction
-// context <-> synopsis dictionary) plus every stage's profiler.
+// name spaces (function names, the call-path tree every thread's shadow
+// stack walks, the transaction context <-> synopsis dictionary) plus
+// every stage's profiler.
 //
 // In the real system each stage keeps these tables privately and the
 // presentation phase merges them post mortem (paper §7.1); sharing the
@@ -17,8 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "src/callpath/cct.h"
 #include "src/callpath/function_registry.h"
-#include "src/callpath/path_table.h"
 #include "src/context/synopsis.h"
 #include "src/context/transaction_context.h"
 #include "src/profiler/sampling.h"
@@ -35,7 +36,7 @@ class Deployment {
  public:
   // Names a context element for reports; apps register namers for
   // their handler/stage id spaces. Call-path elements are rendered
-  // from the shared path table automatically.
+  // from the shared path tree automatically.
   using ElementNamer = std::function<std::string(context::ElementKind, uint32_t)>;
 
   Deployment();
@@ -43,7 +44,9 @@ class Deployment {
 
   callpath::FunctionRegistry& functions() { return functions_; }
   const callpath::FunctionRegistry& functions() const { return functions_; }
-  callpath::CallPathTable& paths() { return paths_; }
+  // The call-path interner: a CCT whose counters are never charged. A
+  // node index in it is the id of a kCallPath context element.
+  callpath::CallingContextTree& paths() { return paths_; }
   context::SynopsisDictionary& synopses() { return synopses_; }
   const context::SynopsisDictionary& synopses() const { return synopses_; }
 
@@ -88,7 +91,7 @@ class Deployment {
 
  private:
   callpath::FunctionRegistry functions_;
-  callpath::CallPathTable paths_;
+  callpath::CallingContextTree paths_;
   context::SynopsisDictionary synopses_;
   SamplingPolicy sampling_;
   ElementNamer element_namer_;

@@ -1,4 +1,4 @@
-// Production-mode transaction sampling (ROADMAP item 2).
+// Production-mode transaction sampling (docs/PRODUCTION.md).
 //
 // Whodunit's §8 overhead numbers assume every transaction is profiled;
 // production deployments instead flip one cheap coin per top-level
@@ -10,7 +10,7 @@
 // stateful RNG stream: every shard draws its decisions in its own
 // deterministic scheduler order, so the decision sequence depends only
 // on the workload definition (seed + shard decomposition), never on
-// how many pool threads ran the shards. That is what keeps the PR 5
+// how many pool threads ran the shards. That is what keeps the
 // shard-determinism contract intact at any rate.
 #ifndef SRC_PROFILER_SAMPLING_H_
 #define SRC_PROFILER_SAMPLING_H_

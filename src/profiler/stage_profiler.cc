@@ -25,7 +25,8 @@ StageProfiler::StageProfiler(Deployment& deployment, Options options)
 
 ThreadProfile& StageProfiler::CreateThread(std::string thread_name) {
   threads_.push_back(
-      std::make_unique<ThreadProfile>(std::move(thread_name), options_.sample_period));
+      std::make_unique<ThreadProfile>(std::move(thread_name), deployment_.paths(),
+                                      options_.sample_period));
   ThreadProfile& tp = *threads_.back();
   UpdateCct(tp);
   return tp;
@@ -117,8 +118,7 @@ context::Synopsis StageProfiler::PrepareSend(ThreadProfile& tp, bool expect_resp
   // elements plus the call path leading to the send (§5). Two O(1)
   // probes: one hash-cons append, one synopsis-dictionary lookup.
   const context::NodeId send_node = context::GlobalContextTree().Append(
-      tp.local_node_, context::Element{context::ElementKind::kCallPath,
-                                       deployment_.paths().Intern(tp.stack_.path())});
+      tp.local_node_, context::Element{context::ElementKind::kCallPath, tp.stack_.path_id()});
   const uint32_t part = deployment_.synopses().Intern(send_node);
   context::Synopsis wire = tp.incoming_.Extend(context::Synopsis{{part}});
   if (expect_response) {
@@ -386,45 +386,6 @@ std::string StageProfiler::RenderTransactionalProfile(double min_fraction) const
   return out.str();
 }
 
-std::string StageProfiler::RenderFlatProfile(size_t max_rows) const {
-  struct Row {
-    sim::SimTime cpu = 0;
-    uint64_t samples = 0;
-    uint64_t calls = 0;
-  };
-  std::map<callpath::FunctionId, Row> rows;
-  for (const auto& [label, cct] : ccts_) {
-    for (callpath::NodeIndex i = 0; i < cct->size(); ++i) {
-      const auto& node = cct->node(i);
-      if (i == cct->root()) {
-        continue;
-      }
-      Row& row = rows[node.function];
-      row.cpu += node.cpu_time;
-      row.samples += node.samples;
-      row.calls += node.calls;
-    }
-  }
-  std::vector<std::pair<callpath::FunctionId, Row>> sorted(rows.begin(), rows.end());
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.second.cpu > b.second.cpu; });
-
-  const double total = static_cast<double>(total_cpu_time());
-  std::ostringstream out;
-  out << "=== flat profile of stage '" << options_.name << "' (all contexts merged) ===\n";
-  out << "  %time        cpu   samples     calls  function\n";
-  size_t emitted = 0;
-  for (const auto& [fn, row] : sorted) {
-    if (emitted++ >= max_rows) {
-      break;
-    }
-    const double pct = total > 0 ? 100.0 * static_cast<double>(row.cpu) / total : 0.0;
-    out << "  " << pct << "%  " << sim::ToMillis(row.cpu) << "ms  " << row.samples << "  "
-        << row.calls << "  " << deployment_.functions().NameOf(fn) << "\n";
-  }
-  return out.str();
-}
-
 callpath::CallingContextTree& StageProfiler::CctFor(const context::Synopsis& label) {
   auto it = ccts_.find(label);
   if (it == ccts_.end()) {
@@ -462,8 +423,7 @@ void StageProfiler::UpdateCct(ThreadProfile& tp) {
 
 context::Synopsis StageProfiler::FullSynopsis(ThreadProfile& tp) {
   const context::NodeId full = context::GlobalContextTree().Append(
-      tp.local_node_, context::Element{context::ElementKind::kCallPath,
-                                       deployment_.paths().Intern(tp.stack_.path())});
+      tp.local_node_, context::Element{context::ElementKind::kCallPath, tp.stack_.path_id()});
   return tp.incoming_.Extend(context::Synopsis{{deployment_.synopses().Intern(full)}});
 }
 

@@ -46,16 +46,13 @@ namespace whodunit::profiler {
 // an event loop, a SEDA stage worker).
 class ThreadProfile {
  public:
-  explicit ThreadProfile(std::string name, sim::SimTime sample_period)
-      : name_(std::move(name)), sampler_(sample_period) {}
+  ThreadProfile(std::string name, callpath::CallingContextTree& paths,
+                sim::SimTime sample_period)
+      : name_(std::move(name)), stack_(paths), sampler_(sample_period) {}
 
   const std::string& name() const { return name_; }
-  const callpath::ShadowStack& stack() const { return stack_; }
   const context::Synopsis& incoming() const { return incoming_; }
   context::NodeId local_node() const { return local_node_; }
-  context::TransactionContext local_context() const {
-    return context::GlobalContextTree().Materialize(local_node_);
-  }
 
  private:
   friend class StageProfiler;
@@ -262,12 +259,6 @@ class StageProfiler {
   // Renders the stage's transactional profile: one section per
   // transaction context, with the CCT and its share of stage CPU.
   std::string RenderTransactionalProfile(double min_fraction = 0.0) const;
-
-  // A gprof-style flat profile over ALL contexts: functions ranked by
-  // exclusive CPU time, with call counts. What a conventional profiler
-  // would report — useful as the "before" view next to the
-  // transactional profile.
-  std::string RenderFlatProfile(size_t max_rows = 20) const;
 
  private:
   friend class FrameGuard;

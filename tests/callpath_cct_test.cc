@@ -84,12 +84,13 @@ TEST(CctTest, RenderContainsNamesAndPercents) {
 
 TEST(ShadowStackTest, TracksPathAndNode) {
   CallingContextTree cct;
-  ShadowStack stack;
+  CallingContextTree paths;
+  ShadowStack stack(paths);
   stack.AttachCct(&cct);
   EXPECT_EQ(stack.current_node(), cct.root());
   stack.Push(1);
   stack.Push(2);
-  EXPECT_EQ(stack.path(), (std::vector<FunctionId>{1, 2}));
+  EXPECT_EQ(paths.PathTo(stack.path_id()), (std::vector<FunctionId>{1, 2}));
   EXPECT_EQ(stack.current_node(), cct.PathNode({1, 2}));
   stack.Pop();
   EXPECT_EQ(stack.current_node(), cct.PathNode({1}));
@@ -98,15 +99,18 @@ TEST(ShadowStackTest, TracksPathAndNode) {
 }
 
 TEST(ShadowStackTest, DetachedStackStillTracksPath) {
-  ShadowStack stack;
+  CallingContextTree paths;
+  ShadowStack stack(paths);
   stack.Push(5);
   EXPECT_EQ(stack.depth(), 1u);
+  EXPECT_EQ(paths.PathTo(stack.path_id()), (std::vector<FunctionId>{5}));
   EXPECT_EQ(stack.current_node(), kNoNode);
 }
 
 TEST(ShadowStackTest, SwitchingCctReplaysLivePath) {
   CallingContextTree cct1, cct2;
-  ShadowStack stack;
+  CallingContextTree paths;
+  ShadowStack stack(paths);
   stack.AttachCct(&cct1);
   stack.Push(1);
   stack.Push(2);
@@ -119,7 +123,8 @@ TEST(ShadowStackTest, SwitchingCctReplaysLivePath) {
 
 TEST(ShadowStackTest, ScopedFrameBalances) {
   CallingContextTree cct;
-  ShadowStack stack;
+  CallingContextTree paths;
+  ShadowStack stack(paths);
   stack.AttachCct(&cct);
   {
     ScopedFrame f1(stack, 1);
@@ -130,12 +135,14 @@ TEST(ShadowStackTest, ScopedFrameBalances) {
     EXPECT_EQ(stack.depth(), 1u);
   }
   EXPECT_EQ(stack.depth(), 0u);
-  EXPECT_EQ(stack.pushes(), 2u);
+  EXPECT_EQ(stack.path_id(), paths.root());
+  EXPECT_EQ(stack.current_node(), cct.root());
 }
 
 TEST(ShadowStackTest, CallCountsRecorded) {
   CallingContextTree cct;
-  ShadowStack stack;
+  CallingContextTree paths;
+  ShadowStack stack(paths);
   stack.AttachCct(&cct);
   for (int i = 0; i < 3; ++i) {
     ScopedFrame f(stack, 1);
@@ -145,7 +152,8 @@ TEST(ShadowStackTest, CallCountsRecorded) {
 
 TEST(SamplerTest, SamplesAtConfiguredPeriod) {
   CallingContextTree cct;
-  ShadowStack stack;
+  CallingContextTree paths;
+  ShadowStack stack(paths);
   stack.AttachCct(&cct);
   Sampler sampler(/*period=*/100);
   stack.Push(1);
@@ -159,7 +167,8 @@ TEST(SamplerTest, SamplesAtConfiguredPeriod) {
 
 TEST(SamplerTest, AttributesToCurrentNode) {
   CallingContextTree cct;
-  ShadowStack stack;
+  CallingContextTree paths;
+  ShadowStack stack(paths);
   stack.AttachCct(&cct);
   Sampler sampler(100);
   stack.Push(1);
@@ -171,7 +180,8 @@ TEST(SamplerTest, AttributesToCurrentNode) {
 }
 
 TEST(SamplerTest, DetachedChargesAreDropped) {
-  ShadowStack stack;
+  CallingContextTree paths;
+  ShadowStack stack(paths);
   Sampler sampler(100);
   sampler.OnCpu(stack, 1000);
   EXPECT_EQ(sampler.samples_taken(), 0u);
@@ -179,7 +189,8 @@ TEST(SamplerTest, DetachedChargesAreDropped) {
 
 TEST(SamplerTest, ZeroAndNegativeCostsIgnored) {
   CallingContextTree cct;
-  ShadowStack stack;
+  CallingContextTree paths;
+  ShadowStack stack(paths);
   stack.AttachCct(&cct);
   Sampler sampler(100);
   sampler.OnCpu(stack, 0);

@@ -1,46 +1,97 @@
-// Tests for call-path interning and disassembler coverage.
+// Tests for call-path interning (the shadow stack's path tree) and
+// disassembler coverage.
 #include <gtest/gtest.h>
 
-#include "src/callpath/path_table.h"
+#include "src/callpath/shadow_stack.h"
+#include "src/profiler/deployment.h"
+#include "src/profiler/stage_profiler.h"
 #include "src/vm/interpreter.h"
 #include "src/vm/program_builder.h"
 
 namespace whodunit {
 namespace {
 
-TEST(PathTableTest, InternsAndRendersPaths) {
-  callpath::FunctionRegistry reg;
-  callpath::CallPathTable paths;
-  auto main_fn = reg.Register("main");
-  auto foo_fn = reg.Register("foo");
-  auto send_fn = reg.Register("send");
-
-  callpath::PathId p1 = paths.Intern({main_fn, foo_fn, send_fn});
-  callpath::PathId p2 = paths.Intern({main_fn, foo_fn, send_fn});
-  callpath::PathId p3 = paths.Intern({main_fn, send_fn});
-  EXPECT_EQ(p1, p2);
-  EXPECT_NE(p1, p3);
-  EXPECT_EQ(paths.size(), 2u);
-  EXPECT_EQ(paths.PathOf(p1), (std::vector<callpath::FunctionId>{main_fn, foo_fn, send_fn}));
-  EXPECT_EQ(paths.Render(p1, reg), "main>foo>send");
-  EXPECT_EQ(paths.Render(p3, reg), "main>send");
+TEST(PathTreeTest, RecursionGivesDistinctPathsAndPopReturns) {
+  callpath::CallingContextTree paths;
+  callpath::ShadowStack stack(paths);
+  const callpath::FunctionId f = 3;
+  const callpath::NodeIndex root = stack.path_id();
+  stack.Push(f);
+  const callpath::NodeIndex f1 = stack.path_id();
+  stack.Push(f);
+  const callpath::NodeIndex f2 = stack.path_id();
+  stack.Push(f);
+  const callpath::NodeIndex f3 = stack.path_id();
+  EXPECT_NE(f1, f2);
+  EXPECT_NE(f2, f3);
+  EXPECT_NE(f1, f3);
+  EXPECT_EQ(paths.PathTo(f3), (std::vector<callpath::FunctionId>{f, f, f}));
+  stack.Pop();
+  EXPECT_EQ(stack.path_id(), f2);
+  stack.Pop();
+  EXPECT_EQ(stack.path_id(), f1);
+  stack.Pop();
+  EXPECT_EQ(stack.path_id(), root);
+  EXPECT_EQ(root, paths.root());
 }
 
-TEST(PathTableTest, EmptyPathIsValid) {
-  callpath::FunctionRegistry reg;
-  callpath::CallPathTable paths;
-  callpath::PathId p = paths.Intern({});
-  EXPECT_EQ(paths.Render(p, reg), "");
-  EXPECT_EQ(paths.Intern({}), p);
+TEST(PathTreeTest, DetachedStackTracksPathAndAttachGraftsIt) {
+  callpath::CallingContextTree paths;
+  callpath::ShadowStack stack(paths);
+  stack.Push(1);
+  stack.Push(2);
+  stack.Push(3);
+  EXPECT_EQ(stack.current_node(), callpath::kNoNode);
+  EXPECT_EQ(paths.PathTo(stack.path_id()), (std::vector<callpath::FunctionId>{1, 2, 3}));
+
+  callpath::CallingContextTree cct;
+  stack.AttachCct(&cct);
+  EXPECT_EQ(cct.size(), 4u);
+  EXPECT_EQ(stack.current_node(), cct.PathNode({1, 2, 3}));
+  EXPECT_EQ(cct.PathTo(stack.current_node()), paths.PathTo(stack.path_id()));
+  // Grafting creates nodes without counting calls; later pushes count.
+  EXPECT_EQ(cct.node(stack.current_node()).calls, 0u);
+  stack.Push(4);
+  EXPECT_EQ(cct.node(stack.current_node()).calls, 1u);
+  stack.Pop();
+  stack.Pop();
+  EXPECT_EQ(stack.current_node(), cct.PathNode({1, 2}));
 }
 
-TEST(PathTableTest, PrefixPathsAreDistinct) {
-  callpath::FunctionRegistry reg;
-  callpath::CallPathTable paths;
-  auto a = reg.Register("a");
-  auto b = reg.Register("b");
-  EXPECT_NE(paths.Intern({a}), paths.Intern({a, b}));
-  EXPECT_NE(paths.Intern({a, b}), paths.Intern({b, a}));
+// The kCallPath element closing the context a synopsis part names.
+context::Element SendPathElement(const profiler::Deployment& dep,
+                                 const context::Synopsis& wire) {
+  const context::TransactionContext ctxt = dep.synopses().Lookup(wire.parts.back());
+  return ctxt.elements().back();
+}
+
+TEST(PathTreeTest, StagesOfOneDeploymentShareCallPathElements) {
+  profiler::Deployment dep;
+  std::vector<context::Element> sent;
+  for (const char* name : {"front", "back"}) {
+    profiler::StageProfiler::Options options;
+    options.name = name;
+    auto& stage = dep.AddStage(std::make_unique<profiler::StageProfiler>(dep, options));
+    profiler::ThreadProfile& tp = stage.CreateThread("worker");
+    auto main_frame = stage.EnterFrame(tp, stage.RegisterFunction("main"));
+    auto foo_frame = stage.EnterFrame(tp, stage.RegisterFunction("foo"));
+    auto send_frame = stage.EnterFrame(tp, stage.RegisterFunction("send"));
+    sent.push_back(SendPathElement(dep, stage.PrepareSend(tp)));
+  }
+  ASSERT_EQ(sent.size(), 2u);
+  EXPECT_EQ(sent[0].kind, context::ElementKind::kCallPath);
+  EXPECT_EQ(sent[0], sent[1]);
+  EXPECT_EQ(dep.DescribeElement(sent[0].kind, sent[0].id), "main>foo>send");
+}
+
+TEST(PathTreeTest, DescribeElementRendersPaths) {
+  profiler::Deployment dep;
+  const auto main_fn = dep.functions().Register("main");
+  const auto foo_fn = dep.functions().Register("foo");
+  const auto send_fn = dep.functions().Register("send");
+  const callpath::NodeIndex path = dep.paths().PathNode({main_fn, foo_fn, send_fn});
+  EXPECT_EQ(dep.DescribeElement(context::ElementKind::kCallPath, path), "main>foo>send");
+  EXPECT_EQ(dep.DescribeElement(context::ElementKind::kCallPath, dep.paths().root()), "");
 }
 
 TEST(DisassemblerTest, CoversEveryOpcode) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/callpath/gprof_report.h"
 #include "src/profiler/stitcher.h"
 
 namespace whodunit::profiler {
@@ -275,13 +276,26 @@ TEST(ProfileIoTest, OfflineStitchReconstructsEdges) {
   EXPECT_NE(report.find("--> callee"), std::string::npos);
 }
 
+// The conventional flat profile of a stage: every context's CCT merged
+// into one tree, rendered by the gprof renderer; only the "Flat
+// profile:" part, up to the call graph.
+std::string FlatProfile(const StageProfiler& stage) {
+  callpath::CallingContextTree merged;
+  for (const auto& [label, cct] : stage.LabeledCcts()) {
+    merged.MergeFrom(*cct);
+  }
+  const std::string report =
+      callpath::RenderGprofReport(merged, stage.deployment().functions());
+  return report.substr(0, report.find("\nCall graph:"));
+}
+
 TEST(FlatProfileTest, RanksFunctionsByCpu) {
   Rig rig;
-  std::string flat = rig.callee.RenderFlatProfile();
-  EXPECT_NE(flat.find("svc"), std::string::npos);
-  EXPECT_NE(flat.find("100%"), std::string::npos);
+  std::string flat = FlatProfile(rig.callee);
+  // svc has all of the callee's CPU: 100 in the %time column.
+  EXPECT_NE(flat.find("  100  2.5e-06  2.5e-06  1  svc\n"), std::string::npos) << flat;
   // The flat profile merges contexts: only function totals remain.
-  std::string caller_flat = rig.caller.RenderFlatProfile();
+  std::string caller_flat = FlatProfile(rig.caller);
   size_t main_pos = caller_flat.find("main");
   size_t foo_pos = caller_flat.find("foo");
   ASSERT_NE(main_pos, std::string::npos);
