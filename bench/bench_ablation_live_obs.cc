@@ -48,7 +48,7 @@
 #include "src/obs/live/aggregator.h"
 #include "src/obs/live/attribution.h"
 #include "src/obs/live/daemon.h"
-#include "src/obs/live/symbol_table.h"
+#include "src/util/symbol_table.h"
 #include "src/obs/metrics.h"
 #include "src/sim/parallel_runner.h"
 #include "src/sim/scheduler.h"
@@ -148,7 +148,7 @@ double RunOnce(bool live, bool attribution, whodunit::apps::BookstoreResult* out
 // an app-server hop, zero to two DB spans with queue/service/lock
 // components. {stage, start, dur, parent, link, queue, service, lock}.
 std::vector<whodunit::obs::live::TxnEvent> RepresentativeEvents() {
-  using whodunit::obs::live::Syms;
+  using whodunit::util::Syms;
   using whodunit::obs::live::TxnEvent;
   const auto S = [](std::string_view name) { return Syms().Intern(name); };
   std::vector<TxnEvent> events;
@@ -206,6 +206,8 @@ double TimedNsPerEvent(int rounds, int iters, size_t events_per_pass, Fn&& fn) {
 // minus ingest + copy without attribution.
 double MeasureAttrNsPerTxn() {
   using namespace whodunit::obs::live;
+  using whodunit::util::SymbolTable;
+  using whodunit::util::Syms;
   whodunit::sim::ShardEnv env;
   whodunit::sim::ShardEnv::Scope scope(env);
   const std::vector<TxnEvent> events = RepresentativeEvents();
@@ -259,6 +261,8 @@ struct PipelineCost {
 
 PipelineCost MeasurePublishPipeline() {
   using namespace whodunit::obs::live;
+  using whodunit::util::SymbolTable;
+  using whodunit::util::SymId;
   whodunit::sim::ShardEnv env;
   whodunit::sim::ShardEnv::Scope scope(env);
   whodunit::sim::Scheduler sched;

@@ -1,10 +1,10 @@
 #!/bin/sh
 # Docs drift check: every src/<subsystem>/ directory must have a section in
 # docs/ARCHITECTURE.md, the files docs link to must exist, and the
-# docs/METRICS.md catalog must match the metrics src/ exports. Run from
-# anywhere; registered with ctest as `check_docs`. Also checks that every
-# benchmark the docs name is registered in bench/, and that every type
-# name the docs name occurs in the code.
+# docs/METRICS.md catalog and schema version must match the metrics src/
+# exports. Run from anywhere; registered with ctest as `check_docs`. Also
+# checks that every benchmark the docs name is registered in bench/, and
+# that every type name the docs name occurs in the code.
 set -u
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -64,6 +64,16 @@ for metric in $documented; do
     status=1
   fi
 done
+
+# The schema example in METRICS.md must carry the version obs::ToJson
+# writes (kSchemaVersion in src/obs/export.cc).
+written=$(sed -n 's/.*kSchemaVersion = \([0-9][0-9]*\);.*/\1/p' "$repo_root/src/obs/export.cc")
+shown=$(sed -n '/^## JSON export schema/,/^## /p' "$metrics_doc" \
+        | sed -n 's/.*"version": \([0-9][0-9]*\).*/\1/p' | head -n 1)
+if [ -z "$written" ] || [ "$written" != "$shown" ]; then
+  echo "check_docs: docs/METRICS.md shows metrics schema version \"$shown\" but src/obs/export.cc writes \"$written\"" >&2
+  status=1
+fi
 
 # Every backticked repo path in the docs must exist, so a deleted or
 # renamed file cannot leave its mention behind. One {a,b} group is

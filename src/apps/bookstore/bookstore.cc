@@ -463,7 +463,7 @@ class Bookstore {
   std::unique_ptr<obs::live::Whodunitd> daemon_;
   // Interaction names pre-interned against the daemon's symbol table
   // (filled in the ctor when options.live); index by TpcwTransaction.
-  std::array<obs::live::SymId, workload::kTpcwTransactionCount> tpcw_syms_{};
+  std::array<util::SymId, workload::kTpcwTransactionCount> tpcw_syms_{};
   // LivePoller's reused snapshot + render buffer.
   obs::live::Whodunitd::TopSnapshot top_snap_;
   std::string top_text_;

@@ -398,8 +398,8 @@ class Server {
   std::unique_ptr<obs::live::Whodunitd> daemon_;
   // Connection-type names pre-interned against the daemon's symbol
   // table (set in the ctor when options.live).
-  obs::live::SymId conn_small_sym_ = 0;
-  obs::live::SymId conn_large_sym_ = 0;
+  util::SymId conn_small_sym_ = 0;
+  util::SymId conn_large_sym_ = 0;
 
   vm::Program push_prog_, pop_prog_, alloc_prog_, free_prog_, counter_prog_;
   std::map<vm::ThreadId, vm::CpuState> guest_cpus_;

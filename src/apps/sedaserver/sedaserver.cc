@@ -323,10 +323,10 @@ class Haboob {
   // Stage/type names pre-interned against the daemon's symbol table:
   // stage_syms_ is indexed by StageId (filled in Run() once the stage
   // graph exists), the type syms in the ctor.
-  std::vector<obs::live::SymId> stage_syms_;
-  obs::live::SymId http_request_sym_ = 0;
-  obs::live::SymId cache_hit_sym_ = 0;
-  obs::live::SymId cache_miss_sym_ = 0;
+  std::vector<util::SymId> stage_syms_;
+  util::SymId http_request_sym_ = 0;
+  util::SymId cache_hit_sym_ = 0;
+  util::SymId cache_miss_sym_ = 0;
   std::map<StageId, std::vector<ThreadProfile*>> worker_tps_;
   std::map<uint64_t, ReqState> requests_;
   std::vector<std::unique_ptr<sim::Channel<uint8_t>>> client_done_;

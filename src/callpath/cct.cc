@@ -91,7 +91,7 @@ void RenderNode(const CallingContextTree& cct, const FunctionRegistry& registry,
       out << "  ";
     }
     const auto& n = cct.node(node);
-    out << registry.NameOf(n.function) << "  samples=" << cct.InclusiveSamples(node)
+    out << registry.Name(n.function) << "  samples=" << cct.InclusiveSamples(node)
         << " cpu=" << sim::ToMillis(cct.InclusiveCpuTime(node)) << "ms";
     if (total > 0) {
       out << " (" << 100.0 * inclusive / total << "%)";

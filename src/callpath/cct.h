@@ -65,7 +65,7 @@ class CallingContextTree {
   // Merges another CCT into this one (summing counters node-by-node).
   void MergeFrom(const CallingContextTree& other);
   // Same, translating the other tree's FunctionIds through `fn_remap`
-  // (remap[their_id] = my_id, from FunctionRegistry::MergeFrom) —
+  // (remap[their_id] = my_id, from SymbolTable::MergeFrom) —
   // for merging CCTs built against a different function registry.
   void MergeFrom(const CallingContextTree& other, const std::vector<FunctionId>& fn_remap);
 

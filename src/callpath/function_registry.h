@@ -1,43 +1,18 @@
 // Function name <-> id registry shared by a profiling domain.
 //
 // Whodunit's core is a call-path profiler (the paper builds on csprof);
-// every procedure the applications execute is registered here once and
-// referenced by FunctionId everywhere else.
+// every procedure the applications execute is interned here once and
+// referenced by FunctionId everywhere else. Id 0 is the empty name,
+// which no procedure has; it is the function of a CCT's root node.
 #ifndef SRC_CALLPATH_FUNCTION_REGISTRY_H_
 #define SRC_CALLPATH_FUNCTION_REGISTRY_H_
 
-#include <cstdint>
-#include <string>
-#include <string_view>
-#include <vector>
-
-#include "src/util/interner.h"
+#include "src/util/symbol_table.h"
 
 namespace whodunit::callpath {
 
-using FunctionId = uint32_t;
-
-class FunctionRegistry {
- public:
-  FunctionId Register(std::string_view name) { return interner_.Intern(name); }
-  const std::string& NameOf(FunctionId id) const { return interner_.NameOf(id); }
-  size_t size() const { return interner_.size(); }
-
-  // Registers every function of `other` here (by name) and returns
-  // the id translation: remap[id_in_other] = id_here. Used when
-  // merging profiles from shard deployments, whose registries assigned
-  // ids independently.
-  std::vector<FunctionId> MergeFrom(const FunctionRegistry& other) {
-    std::vector<FunctionId> remap(other.size());
-    for (FunctionId id = 0; id < other.size(); ++id) {
-      remap[id] = Register(other.NameOf(id));
-    }
-    return remap;
-  }
-
- private:
-  util::StringInterner interner_;
-};
+using FunctionId = util::SymId;
+using FunctionRegistry = util::SymbolTable;
 
 }  // namespace whodunit::callpath
 

@@ -71,7 +71,7 @@ std::string RenderGprofReport(const CallingContextTree& cct, const FunctionRegis
     cumulative += sim::ToSeconds(e.self);
     out << "  " << (total > 0 ? 100.0 * static_cast<double>(e.self) / total : 0.0) << "  "
         << cumulative << "  " << sim::ToSeconds(e.self) << "  " << e.calls << "  "
-        << registry.NameOf(e.function) << "\n";
+        << registry.Name(e.function) << "\n";
   }
 
   out << "\nCall graph:\n";
@@ -81,13 +81,13 @@ std::string RenderGprofReport(const CallingContextTree& cct, const FunctionRegis
       break;
     }
     for (const GprofArc& arc : e.callers) {
-      out << "    <- " << registry.NameOf(arc.caller) << " (" << arc.calls << " calls, "
+      out << "    <- " << registry.Name(arc.caller) << " (" << arc.calls << " calls, "
           << sim::ToMillis(arc.callee_inclusive) << "ms)\n";
     }
-    out << "[" << registry.NameOf(e.function) << "] self=" << sim::ToMillis(e.self)
+    out << "[" << registry.Name(e.function) << "] self=" << sim::ToMillis(e.self)
         << "ms children=" << sim::ToMillis(e.children) << "ms calls=" << e.calls << "\n";
     for (const GprofArc& arc : e.callees) {
-      out << "    -> " << registry.NameOf(arc.callee) << " (" << arc.calls << " calls, "
+      out << "    -> " << registry.Name(arc.callee) << " (" << arc.calls << " calls, "
           << sim::ToMillis(arc.callee_inclusive) << "ms)\n";
     }
     out << "\n";

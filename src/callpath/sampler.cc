@@ -6,8 +6,7 @@ Sampler::Sampler(sim::SimTime period)
     : period_(period),
       obs_samples_taken_(&obs::Registry().GetCounter("sampler.samples_taken")),
       obs_samples_dropped_(&obs::Registry().GetCounter("sampler.samples_dropped_detached")),
-      obs_stack_depth_(&obs::Registry().GetHistogram("sampler.shadow_stack_depth",
-                                                     obs::DefaultDepthBounds())) {}
+      obs_stack_depth_(&obs::Registry().GetHistogram("sampler.shadow_stack_depth")) {}
 
 void Sampler::OnCpu(ShadowStack& stack, sim::SimTime cost) {
   if (cost <= 0) {

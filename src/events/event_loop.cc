@@ -11,12 +11,9 @@ EventLoop::EventLoop(sim::Scheduler& sched, std::string name)
       queue_(sched),
       obs_dispatched_(&obs::Registry().GetCounter("events.dispatched")),
       obs_external_(&obs::Registry().GetCounter("events.external_injected")),
-      obs_queue_depth_(&obs::Registry().GetHistogram("events.queue_depth",
-                                                     obs::DefaultDepthBounds())),
-      obs_handler_ns_(&obs::Registry().GetHistogram("events.handler_ns",
-                                                    obs::DefaultLatencyBoundsNs())),
-      obs_queue_wait_(&obs::Registry().GetHistogram("events.queue_wait_ns",
-                                                    obs::DefaultLatencyBoundsNs())) {}
+      obs_queue_depth_(&obs::Registry().GetHistogram("events.queue_depth")),
+      obs_handler_ns_(&obs::Registry().GetHistogram("events.handler_ns")),
+      obs_queue_wait_(&obs::Registry().GetHistogram("events.queue_wait_ns")) {}
 
 HandlerId EventLoop::RegisterHandler(std::string_view name, Handler handler) {
   const HandlerId id = handlers_.Intern(name);

@@ -23,7 +23,7 @@
 #include "src/sim/channel.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/task.h"
-#include "src/util/interner.h"
+#include "src/util/symbol_table.h"
 
 namespace whodunit::events {
 
@@ -64,7 +64,7 @@ class EventLoop {
   explicit EventLoop(sim::Scheduler& sched, std::string name = "event_loop");
 
   HandlerId RegisterHandler(std::string_view name, Handler handler);
-  const std::string& HandlerName(HandlerId h) const { return handlers_.NameOf(h); }
+  const std::string& HandlerName(HandlerId h) const { return handlers_.Name(h); }
 
   // event_add: stamps the new event with the CURRENT transaction
   // context (Figure 4 line 12) and queues it for dispatch.
@@ -130,7 +130,7 @@ class EventLoop {
  private:
   sim::Scheduler& sched_;
   std::string name_;
-  util::StringInterner handlers_;
+  util::SymbolTable handlers_;
   std::vector<Handler> handler_fns_;
   sim::Channel<Event> queue_;
   context::NodeId curr_node_ = context::kEmptyContext;

@@ -1,5 +1,6 @@
 #include "src/obs/export.h"
 
+#include <array>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
@@ -8,6 +9,9 @@
 
 namespace whodunit::obs {
 namespace {
+
+// The schema version ToJson writes and ParseJson accepts (docs/METRICS.md).
+constexpr uint64_t kSchemaVersion = 3;
 
 // ---- writer ---------------------------------------------------------
 
@@ -38,18 +42,6 @@ void AppendEscaped(std::string& out, std::string_view s) {
     }
   }
   out += '"';
-}
-
-template <typename T>
-void AppendArray(std::string& out, const std::vector<T>& values) {
-  out += '[';
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) {
-      out += ',';
-    }
-    out += std::to_string(values[i]);
-  }
-  out += ']';
 }
 
 // ---- minimal parser for the schema ToJson emits ---------------------
@@ -169,24 +161,6 @@ bool ParseInt(Cursor& c, int64_t* out) {
   return true;
 }
 
-bool ParseUintArray(Cursor& c, std::vector<uint64_t>* out) {
-  if (!c.Consume('[')) {
-    return false;
-  }
-  out->clear();
-  if (c.Consume(']')) {
-    return true;
-  }
-  do {
-    uint64_t v = 0;
-    if (!ParseUint(c, &v)) {
-      return false;
-    }
-    out->push_back(v);
-  } while (c.Consume(','));
-  return c.Consume(']');
-}
-
 // Parses {"name": uint, ...}.
 bool ParseUintMap(Cursor& c, std::map<std::string, uint64_t>* out) {
   if (!c.Consume('{')) {
@@ -224,42 +198,92 @@ bool ParseIntMap(Cursor& c, std::map<std::string, int64_t>* out) {
   return c.Consume('}');
 }
 
-bool ParseHistogramObject(Cursor& c, HistogramSnapshot* out) {
+// Parses a bucket key: the decimal lower bound of a LogHistogram
+// bucket, without sign or leading zeros. Returns the bucket index, or
+// kBuckets for anything else.
+size_t ParseBucketKey(std::string_view key) {
+  Cursor c{key};
+  uint64_t lower = 0;
+  if (!ParseDigits(c, &lower) || c.pos != key.size() || (key.size() > 1 && key[0] == '0')) {
+    return util::LogHistogram::kBuckets;
+  }
+  const size_t i = util::LogHistogram::BucketOf(lower);
+  return util::LogHistogram::BucketLowerBound(i) == lower ? i : util::LogHistogram::kBuckets;
+}
+
+// Parses {"<lower bound>": count, ...}: non-zero counts keyed by
+// ascending bucket lower bounds, as ToJson writes them.
+bool ParseBuckets(Cursor& c, std::array<uint64_t, util::LogHistogram::kBuckets>* out) {
   if (!c.Consume('{')) {
     return false;
   }
   if (c.Consume('}')) {
     return true;
   }
+  size_t next = 0;  // the smallest bucket index the next key may name
+  do {
+    std::string key;
+    uint64_t count = 0;
+    if (!ParseStringToken(c, &key) || !c.Consume(':') || !ParseUint(c, &count)) {
+      return false;
+    }
+    const size_t i = ParseBucketKey(key);
+    if (i == util::LogHistogram::kBuckets || i < next || count == 0) {
+      return false;
+    }
+    (*out)[i] = count;
+    next = i + 1;
+  } while (c.Consume(','));
+  return c.Consume('}');
+}
+
+// Parses {"count": n, "sum": s, "buckets": {...}}; each key exactly
+// once, and the bucket counts must add up to `count`.
+bool ParseHistogramObject(Cursor& c, util::LogHistogram* out) {
+  if (!c.Consume('{')) {
+    return false;
+  }
+  uint64_t count = 0;
+  uint64_t sum = 0;
+  std::array<uint64_t, util::LogHistogram::kBuckets> buckets{};
+  bool has_count = false;
+  bool has_sum = false;
+  bool has_buckets = false;
   do {
     std::string key;
     if (!ParseStringToken(c, &key) || !c.Consume(':')) {
       return false;
     }
-    if (key == "bounds") {
-      if (!ParseUintArray(c, &out->bounds)) {
-        return false;
-      }
-    } else if (key == "counts") {
-      if (!ParseUintArray(c, &out->counts)) {
-        return false;
-      }
-    } else if (key == "count") {
-      if (!ParseUint(c, &out->count)) {
-        return false;
-      }
-    } else if (key == "sum") {
-      if (!ParseUint(c, &out->sum)) {
-        return false;
-      }
-    } else {
+    bool ok = false;
+    if (key == "count" && !has_count) {
+      ok = has_count = ParseUint(c, &count);
+    } else if (key == "sum" && !has_sum) {
+      ok = has_sum = ParseUint(c, &sum);
+    } else if (key == "buckets" && !has_buckets) {
+      ok = has_buckets = ParseBuckets(c, &buckets);
+    }
+    if (!ok) {
       return false;
     }
   } while (c.Consume(','));
-  return c.Consume('}');
+  if (!c.Consume('}') || !has_count || !has_sum || !has_buckets) {
+    return false;
+  }
+  uint64_t total = 0;
+  for (uint64_t n : buckets) {
+    if (n > UINT64_MAX - total) {
+      return false;
+    }
+    total += n;
+  }
+  if (total != count) {
+    return false;
+  }
+  *out = util::LogHistogram(buckets, sum);
+  return true;
 }
 
-bool ParseHistogramMap(Cursor& c, std::map<std::string, HistogramSnapshot>* out) {
+bool ParseHistogramMap(Cursor& c, std::map<std::string, util::LogHistogram>* out) {
   if (!c.Consume('{')) {
     return false;
   }
@@ -268,11 +292,11 @@ bool ParseHistogramMap(Cursor& c, std::map<std::string, HistogramSnapshot>* out)
   }
   do {
     std::string key;
-    HistogramSnapshot h;
+    util::LogHistogram h;
     if (!ParseStringToken(c, &key) || !c.Consume(':') || !ParseHistogramObject(c, &h)) {
       return false;
     }
-    (*out)[std::move(key)] = std::move(h);
+    out->insert_or_assign(std::move(key), h);
   } while (c.Consume(','));
   return c.Consume('}');
 }
@@ -289,29 +313,12 @@ std::string FormatNs(double ns) {
   return buf;
 }
 
-// Linear-interpolated quantile over the explicit buckets.
-double Quantile(const HistogramSnapshot& h, double q) {
-  if (h.count == 0) {
-    return 0;
-  }
-  const double target = q * static_cast<double>(h.count);
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < h.counts.size(); ++i) {
-    cumulative += h.counts[i];
-    if (static_cast<double>(cumulative) >= target) {
-      // Upper bound of this bucket (last finite bound for overflow).
-      const size_t idx = i < h.bounds.size() ? i : h.bounds.size() - 1;
-      return h.bounds.empty() ? 0 : static_cast<double>(h.bounds[idx]);
-    }
-  }
-  return h.bounds.empty() ? 0 : static_cast<double>(h.bounds.back());
-}
-
 }  // namespace
 
 std::string ToJson(const MetricsSnapshot& snapshot) {
   std::string out;
-  out += "{\n  \"schema\": \"whodunit-metrics\",\n  \"version\": 2,\n  \"counters\": {";
+  out += "{\n  \"schema\": \"whodunit-metrics\",\n  \"version\": " +
+         std::to_string(kSchemaVersion) + ",\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, value] : snapshot.counters) {
     out += first ? "\n" : ",\n";
@@ -338,12 +345,18 @@ std::string ToJson(const MetricsSnapshot& snapshot) {
     first = false;
     out += "    ";
     AppendEscaped(out, name);
-    out += ": {\"bounds\": ";
-    AppendArray(out, h.bounds);
-    out += ", \"counts\": ";
-    AppendArray(out, h.counts);
-    out += ", \"count\": " + std::to_string(h.count);
-    out += ", \"sum\": " + std::to_string(h.sum) + "}";
+    out += ": {\"count\": " + std::to_string(h.count());
+    out += ", \"sum\": " + std::to_string(h.sum()) + ", \"buckets\": {";
+    const char* sep = "";
+    for (size_t i = 0; i < util::LogHistogram::kBuckets; ++i) {
+      if (h.buckets()[i] != 0) {
+        out += sep;
+        out += "\"" + std::to_string(util::LogHistogram::BucketLowerBound(i)) +
+               "\": " + std::to_string(h.buckets()[i]);
+        sep = ", ";
+      }
+    }
+    out += "}}";
   }
   out += first ? "}\n}\n" : "\n  }\n}\n";
   return out;
@@ -368,7 +381,7 @@ bool ParseJson(std::string_view json, MetricsSnapshot* out) {
         }
       } else if (key == "version") {
         uint64_t version = 0;
-        if (!ParseUint(c, &version) || version != 2) {
+        if (!ParseUint(c, &version) || version != kSchemaVersion) {
           return false;
         }
         version_ok = true;
@@ -404,8 +417,6 @@ std::string RenderText(const MetricsSnapshot& snapshot) {
   }
   out << "--- histograms ---\n";
   for (const auto& [name, h] : snapshot.histograms) {
-    const double mean = h.count > 0 ? static_cast<double>(h.sum) / static_cast<double>(h.count)
-                                    : 0.0;
     // Only *_ns histograms carry time units; depth histograms are counts.
     const bool is_ns = name.size() >= 3 && name.compare(name.size() - 3, 3, "_ns") == 0;
     auto fmt = [is_ns](double v) {
@@ -416,8 +427,8 @@ std::string RenderText(const MetricsSnapshot& snapshot) {
       std::snprintf(buf, sizeof(buf), "%.1f", v);
       return std::string(buf);
     };
-    out << "  " << name << ": count=" << h.count << " mean=" << fmt(mean)
-        << " p50=" << fmt(Quantile(h, 0.5)) << " p99=" << fmt(Quantile(h, 0.99)) << "\n";
+    out << "  " << name << ": count=" << h.count() << " mean=" << fmt(h.mean())
+        << " p50=" << fmt(h.Quantile(0.5)) << " p99=" << fmt(h.Quantile(0.99)) << "\n";
   }
   return out.str();
 }

@@ -5,7 +5,7 @@
 // the profiler's internal counters next to the wall-clock numbers,
 // and `examples/offline_report` re-reads a dump and renders it. The
 // schema (docs/METRICS.md) is deliberately small — flat maps of
-// counters and gauges and explicit-bucket histograms — and ParseJson
+// counters and gauges and log-bucketed histograms — and ParseJson
 // understands exactly that subset, so the round trip needs no
 // external JSON dependency.
 #ifndef SRC_OBS_EXPORT_H_
@@ -18,7 +18,7 @@
 
 namespace whodunit::obs {
 
-// Serializes a snapshot as schema-version-2 JSON.
+// Serializes a snapshot as schema-version-3 JSON.
 std::string ToJson(const MetricsSnapshot& snapshot);
 
 // Parses JSON produced by ToJson. Returns false on malformed input

@@ -13,7 +13,7 @@ const std::string kUntypedName("(untyped)");
 
 }  // namespace
 
-const std::string& LiveAggregator::TypeName(SymId id) const {
+const std::string& LiveAggregator::TypeName(util::SymId id) const {
   return id == 0 ? kUntypedName : syms_->Name(id);
 }
 
@@ -72,9 +72,9 @@ void LiveAggregator::MergeFrom(const LiveAggregator& other,
   // Translate the other shard's symbol ids into this table. When both
   // aggregators share one table (serial runs, tests) the remap is the
   // identity and interning is a no-op lookup.
-  const std::vector<SymId> sym_remap =
-      syms_ == other.syms_ ? std::vector<SymId>() : syms_->MergeFrom(*other.syms_);
-  const auto remap_sym = [&](SymId id) {
+  const std::vector<util::SymId> sym_remap =
+      syms_ == other.syms_ ? std::vector<util::SymId>() : syms_->MergeFrom(*other.syms_);
+  const auto remap_sym = [&](util::SymId id) {
     return id < sym_remap.size() ? sym_remap[id] : id;
   };
   for (const auto& [id, state] : other.by_type_) {

@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "src/context/context_tree.h"
-#include "src/obs/live/symbol_table.h"
+#include "src/util/symbol_table.h"
 #include "src/obs/live/txn_event.h"
 #include "src/obs/metrics.h"
 #include "src/util/robin_hood.h"
@@ -133,7 +133,7 @@ class LiveAggregator {
 
   // The symbol table this aggregator's SymIds resolve through (the
   // thread-current table at construction).
-  const SymbolTable& syms() const { return *syms_; }
+  const util::SymbolTable& syms() const { return *syms_; }
 
   // Folds another aggregator (a shard's) into this one. `ctxt_remap`
   // translates the other aggregator's ContextTree NodeIds into this
@@ -158,15 +158,15 @@ class LiveAggregator {
 
   std::string TagName(uint64_t tag) const;
   // Resolves a type SymId for display: id 0 renders as "(untyped)".
-  const std::string& TypeName(SymId id) const;
+  const std::string& TypeName(util::SymId id) const;
 
   // Keyed by interned SymId; probes on the per-event ingest path are
   // integer compares, and a tree node is only allocated the first time
   // a key is seen — steady-state ingest never allocates.
-  std::map<SymId, TypeState> by_type_;
-  std::map<SymId, StageState> by_stage_;
+  std::map<util::SymId, TypeState> by_type_;
+  std::map<util::SymId, StageState> by_stage_;
   // (type, stage, ctxt, state) -> cumulative critical-path ns.
-  std::map<std::tuple<SymId, SymId, context::NodeId, uint8_t>, int64_t> attr_;
+  std::map<std::tuple<util::SymId, util::SymId, context::NodeId, uint8_t>, int64_t> attr_;
   std::map<std::pair<uint64_t, uint64_t>, util::RunningStat> waits_;
   std::map<uint64_t, std::string> tag_names_;
   util::RobinHoodMap<context::NodeId, uint64_t> cost_by_ctxt_;
@@ -175,7 +175,7 @@ class LiveAggregator {
   // Bound at construction (shard-registry rule): an aggregator built
   // inside a shard isolate reports into that shard's metrics registry
   // and resolves names through that shard's symbol table.
-  SymbolTable* syms_ = &Syms();
+  util::SymbolTable* syms_ = &util::Syms();
   Counter* obs_txns_ = &Registry().GetCounter("live.txns_ingested");
   Counter* obs_spans_ = &Registry().GetCounter("live.spans_ingested");
   Counter* obs_waits_ = &Registry().GetCounter("live.crosstalk_waits");

@@ -7,7 +7,7 @@
 
 namespace whodunit::obs::live {
 
-void AttributeTxn(const TxnEvent& event, const SymbolTable& syms,
+void AttributeTxn(const TxnEvent& event, const util::SymbolTable& syms,
                   AttrScratch& scratch, AttrVec& out) {
   out.clear();
   if (event.spans.empty() || event.end_ns <= event.start_ns) return;
@@ -69,12 +69,14 @@ void AttributeTxn(const TxnEvent& event, const SymbolTable& syms,
   // integer work: `stages` ends up unique and sorted by NAME (rank
   // order IS name order — the determinism contract the exports rely
   // on), span_rank[i] is span i's index into it.
-  std::vector<SymId>& stages = scratch.stages;
+  std::vector<util::SymId>& stages = scratch.stages;
   stages.clear();
   for (const StageSpan& s : event.spans) {
     stages.push_back(s.stage);
   }
-  const auto by_name = [&syms](SymId a, SymId b) { return syms.Name(a) < syms.Name(b); };
+  const auto by_name = [&syms](util::SymId a, util::SymId b) {
+    return syms.Name(a) < syms.Name(b);
+  };
   std::sort(stages.begin(), stages.end(), by_name);
   stages.erase(std::unique(stages.begin(), stages.end()), stages.end());
   std::vector<uint32_t>& span_rank = scratch.span_rank;

@@ -14,7 +14,7 @@
 
 #include <vector>
 
-#include "src/obs/live/symbol_table.h"
+#include "src/util/symbol_table.h"
 #include "src/obs/live/txn_event.h"
 
 namespace whodunit::obs::live {
@@ -34,7 +34,7 @@ struct AttrScratch {
   // Per-event stage table: unique stage symbols sorted by NAME (so
   // slice ordering matches the pre-interning string sort), and each
   // span's rank in it. Slices then sort and fold on integer ranks.
-  std::vector<SymId> stages;
+  std::vector<util::SymId> stages;
   std::vector<uint32_t> span_rank;
   struct RawSlice {
     uint32_t rank;
@@ -50,7 +50,7 @@ struct AttrScratch {
 // stage name (resolved through `syms`), then ctxt, then state. `out`
 // is cleared first; it may be event.attr itself (the daemon attributes
 // in place). Empty when the event has no spans.
-void AttributeTxn(const TxnEvent& event, const SymbolTable& syms,
+void AttributeTxn(const TxnEvent& event, const util::SymbolTable& syms,
                   AttrScratch& scratch, AttrVec& out);
 
 // One-shot convenience overload (tests, ad-hoc callers): resolves
@@ -58,7 +58,7 @@ void AttributeTxn(const TxnEvent& event, const SymbolTable& syms,
 inline AttrVec AttributeTxn(const TxnEvent& event) {
   AttrScratch scratch;
   AttrVec out;
-  AttributeTxn(event, Syms(), scratch, out);
+  AttributeTxn(event, util::Syms(), scratch, out);
   return out;
 }
 

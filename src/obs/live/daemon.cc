@@ -102,7 +102,7 @@ sim::Process Whodunitd::Pump() {
   history_.Flush(sched_.now());
 }
 
-uint64_t Whodunitd::BeginTxn(SymId origin_stage, int64_t now) {
+uint64_t Whodunitd::BeginTxn(util::SymId origin_stage, int64_t now) {
   if (shutdown_ || builders_.size() >= options_.max_inflight) {
     obs_dropped_->Add();
     return 0;
@@ -121,7 +121,7 @@ uint64_t Whodunitd::BeginTxn(SymId origin_stage, int64_t now) {
   return txn;
 }
 
-void Whodunitd::SetTxnType(uint64_t txn, SymId type) {
+void Whodunitd::SetTxnType(uint64_t txn, util::SymId type) {
   if (auto* b = builders_.Find(txn)) {
     b->event.type = type;
   }
@@ -133,7 +133,7 @@ void Whodunitd::SetTxnCtxt(uint64_t txn, context::NodeId ctxt) {
   }
 }
 
-void Whodunitd::JoinSpan(uint64_t txn, SymId stage, uint32_t link, int64_t now,
+void Whodunitd::JoinSpan(uint64_t txn, util::SymId stage, uint32_t link, int64_t now,
                          int64_t queue_ns, context::NodeId ctxt) {
   auto* found = builders_.Find(txn);
   if (found == nullptr) {
@@ -158,7 +158,7 @@ void Whodunitd::JoinSpan(uint64_t txn, SymId stage, uint32_t link, int64_t now,
   b.open.push_back({index, 0});
 }
 
-void Whodunitd::AddSpanWait(uint64_t txn, SymId stage, WaitState state,
+void Whodunitd::AddSpanWait(uint64_t txn, util::SymId stage, WaitState state,
                             int64_t ns) {
   if (ns <= 0) {
     return;
@@ -189,7 +189,7 @@ void Whodunitd::AddSpanWait(uint64_t txn, SymId stage, WaitState state,
   }
 }
 
-void Whodunitd::NoteSend(uint64_t txn, SymId stage, uint32_t link) {
+void Whodunitd::NoteSend(uint64_t txn, util::SymId stage, uint32_t link) {
   auto* found = builders_.Find(txn);
   if (found == nullptr) {
     return;
@@ -203,7 +203,7 @@ void Whodunitd::NoteSend(uint64_t txn, SymId stage, uint32_t link) {
   }
 }
 
-void Whodunitd::EndSpan(uint64_t txn, SymId stage, int64_t now) {
+void Whodunitd::EndSpan(uint64_t txn, util::SymId stage, int64_t now) {
   auto* found = builders_.Find(txn);
   if (found == nullptr) {
     return;
@@ -442,7 +442,7 @@ std::vector<Whodunitd::WhyTailType> Whodunitd::WhyTail(double fast_q,
   // population at its own p50/p99 latency (nearest-rank over the
   // retained sample), and compare the mean per-(stage, state)
   // critical-path cost of the two groups.
-  std::map<SymId, std::vector<const TxnEvent*>> by_type;
+  std::map<util::SymId, std::vector<const TxnEvent*>> by_type;
   for (const TxnEvent* event : history_.Scan()) {
     if (event->attr.empty()) {
       continue;
@@ -470,7 +470,7 @@ std::vector<Whodunitd::WhyTailType> Whodunitd::WhyTail(double fast_q,
     // Mean per-(stage, state) attribution of each group; every bucket
     // is normalized by the group's txn count, so a state absent from
     // one group still yields a delta.
-    std::map<std::pair<SymId, uint8_t>, std::pair<int64_t, int64_t>> buckets;
+    std::map<std::pair<util::SymId, uint8_t>, std::pair<int64_t, int64_t>> buckets;
     int64_t fast_total = 0;
     int64_t tail_total = 0;
     for (const TxnEvent* event : events) {

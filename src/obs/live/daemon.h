@@ -52,7 +52,7 @@
 #include "src/obs/live/aggregator.h"
 #include "src/obs/live/attribution.h"
 #include "src/obs/live/history.h"
-#include "src/obs/live/symbol_table.h"
+#include "src/util/symbol_table.h"
 #include "src/obs/live/txn_event.h"
 #include "src/obs/metrics.h"
 #include "src/sim/channel.h"
@@ -100,7 +100,7 @@ class Whodunitd {
   // The symbol table this daemon's SymIds resolve through (the
   // thread-current table at construction). Publishers intern their
   // stable names here once at wiring time.
-  SymbolTable& symbols() const { return *syms_; }
+  util::SymbolTable& symbols() const { return *syms_; }
 
   // ---- Publish hooks (called by StageProfiler and apps) --------------
   // SymId forms are the hot path: pure integer work, no hashing, no
@@ -108,11 +108,11 @@ class Whodunitd {
   //
   // Opens a transaction and its origin span; returns the live txn id
   // (0 = dropped: over the in-flight cap). All later hooks no-op on 0.
-  uint64_t BeginTxn(SymId origin_stage, int64_t now);
+  uint64_t BeginTxn(util::SymId origin_stage, int64_t now);
   uint64_t BeginTxn(std::string_view origin_stage, int64_t now) {
     return BeginTxn(syms_->Intern(origin_stage), now);
   }
-  void SetTxnType(uint64_t txn, SymId type);
+  void SetTxnType(uint64_t txn, util::SymId type);
   void SetTxnType(uint64_t txn, std::string_view type) {
     SetTxnType(txn, syms_->Intern(type));
   }
@@ -122,7 +122,7 @@ class Whodunitd {
   // the measured queue residency of that message before this span
   // started, and `ctxt` the interned context the span runs under —
   // both feed the wait-state attribution (attribution.h).
-  void JoinSpan(uint64_t txn, SymId stage, uint32_t link, int64_t now,
+  void JoinSpan(uint64_t txn, util::SymId stage, uint32_t link, int64_t now,
                 int64_t queue_ns = 0, context::NodeId ctxt = context::kEmptyContext);
   void JoinSpan(uint64_t txn, std::string_view stage, uint32_t link, int64_t now,
                 int64_t queue_ns = 0, context::NodeId ctxt = context::kEmptyContext) {
@@ -130,18 +130,18 @@ class Whodunitd {
   }
   // Accumulates a measured wait-state component (kService or
   // kLockWait) onto the most recent open span of `stage` for `txn`.
-  void AddSpanWait(uint64_t txn, SymId stage, WaitState state, int64_t ns);
+  void AddSpanWait(uint64_t txn, util::SymId stage, WaitState state, int64_t ns);
   void AddSpanWait(uint64_t txn, std::string_view stage, WaitState state, int64_t ns) {
     AddSpanWait(txn, syms_->Intern(stage), state, ns);
   }
   // Records that the stage's open span sent a request carrying
   // synopsis part `link` (joins link arrows at the receiver).
-  void NoteSend(uint64_t txn, SymId stage, uint32_t link);
+  void NoteSend(uint64_t txn, util::SymId stage, uint32_t link);
   void NoteSend(uint64_t txn, std::string_view stage, uint32_t link) {
     NoteSend(txn, syms_->Intern(stage), link);
   }
   // Closes the most recent open span of `stage` for `txn`.
-  void EndSpan(uint64_t txn, SymId stage, int64_t now);
+  void EndSpan(uint64_t txn, util::SymId stage, int64_t now);
   void EndSpan(uint64_t txn, std::string_view stage, int64_t now) {
     EndSpan(txn, syms_->Intern(stage), now);
   }
@@ -292,7 +292,7 @@ class Whodunitd {
   std::function<void()> flush_hook_;
   std::function<std::string(context::NodeId)> ctxt_namer_;
 
-  SymbolTable* syms_ = &Syms();
+  util::SymbolTable* syms_ = &util::Syms();
   Counter* obs_begun_;
   Counter* obs_dropped_;
   Counter* obs_abandoned_;

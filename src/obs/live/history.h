@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/live/symbol_table.h"
+#include "src/util/symbol_table.h"
 #include "src/obs/live/txn_event.h"
 #include "src/obs/metrics.h"
 #include "src/util/ring_queue.h"
@@ -94,7 +94,7 @@ class TxnHistory {
 
   // Names in ExportJson resolve through the thread-current table at
   // construction (shard-registry rule).
-  const SymbolTable* syms_ = &Syms();
+  const util::SymbolTable* syms_ = &util::Syms();
   Counter* obs_ingested_;
   Counter* obs_flushes_;
   Counter* obs_evicted_txns_;

@@ -46,10 +46,10 @@ const char* SpanColor(const StageSpan& span) {
 
 }  // namespace
 
-std::string ExportChromeTrace(const std::vector<TxnEvent>& events, const SymbolTable& syms) {
+std::string ExportChromeTrace(const std::vector<TxnEvent>& events, const util::SymbolTable& syms) {
   // One track per stage, numbered by first appearance across events.
-  std::map<SymId, int> tids;
-  auto tid_of = [&](SymId stage) {
+  std::map<util::SymId, int> tids;
+  auto tid_of = [&](util::SymId stage) {
     auto it = tids.find(stage);
     if (it == tids.end()) {
       it = tids.emplace(stage, static_cast<int>(tids.size())).first;

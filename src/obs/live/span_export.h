@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/live/symbol_table.h"
+#include "src/util/symbol_table.h"
 #include "src/obs/live/txn_event.h"
 
 namespace whodunit::obs::live {
@@ -22,10 +22,10 @@ namespace whodunit::obs::live {
 // numbered in first-appearance order and named (through `syms`, in
 // name order) with thread_name metadata events; timestamps are
 // virtual-time microseconds.
-std::string ExportChromeTrace(const std::vector<TxnEvent>& events, const SymbolTable& syms);
+std::string ExportChromeTrace(const std::vector<TxnEvent>& events, const util::SymbolTable& syms);
 
 inline std::string ExportChromeTrace(const std::vector<TxnEvent>& events) {
-  return ExportChromeTrace(events, Syms());
+  return ExportChromeTrace(events, util::Syms());
 }
 
 }  // namespace whodunit::obs::live

@@ -21,7 +21,7 @@
 #include <cstdint>
 
 #include "src/context/context_tree.h"
-#include "src/obs/live/symbol_table.h"
+#include "src/util/symbol_table.h"
 #include "src/util/pooled_vec.h"
 
 namespace whodunit::obs::live {
@@ -59,7 +59,7 @@ constexpr const char* WaitStateName(WaitState s) {
 // (attribution.h). The slices of one event sum exactly to its
 // end-to-end latency.
 struct AttrSlice {
-  SymId stage = 0;
+  util::SymId stage = 0;
   context::NodeId ctxt = context::kEmptyContext;
   WaitState state = WaitState::kSchedOther;
   int64_t ns = 0;
@@ -69,7 +69,7 @@ struct AttrSlice {
 // that is visited repeatedly (a SEDA stage once per object) produces
 // one span per visit.
 struct StageSpan {
-  SymId stage = 0;          // interned stage name ("squid", "mysql", "WriteStage")
+  util::SymId stage = 0;          // interned stage name ("squid", "mysql", "WriteStage")
   int64_t start_ns = 0;     // virtual time
   int64_t duration_ns = 0;
   // Index (into TxnEvent::spans) of the span whose send caused this
@@ -95,8 +95,8 @@ using AttrVec = util::PooledVec<AttrSlice>;
 
 struct TxnEvent {
   uint64_t txn_id = 0;
-  SymId type = 0;           // transaction type ("BestSellers", "cache_miss")
-  SymId origin_stage = 0;   // stage that began the transaction
+  util::SymId type = 0;           // transaction type ("BestSellers", "cache_miss")
+  util::SymId origin_stage = 0;   // stage that began the transaction
   // Interned context-tree node of the origin at completion time; the
   // aggregator's top-N context table keys on NodeIds like this.
   context::NodeId root_ctxt = context::kEmptyContext;

@@ -1,7 +1,5 @@
 #include "src/obs/metrics.h"
 
-#include <algorithm>
-
 namespace whodunit::obs {
 
 namespace internal {
@@ -22,81 +20,28 @@ void Counter::Reset() {
   }
 }
 
-Histogram::Histogram(std::vector<uint64_t> bounds) : bounds_(std::move(bounds)) {
-  for (auto& shard : shards_) {
-    shard.buckets = std::vector<internal::PaddedAtomic>(bounds_.size() + 1);
+util::LogHistogram Histogram::Snapshot() const {
+  std::array<uint64_t, util::LogHistogram::kBuckets> counts{};
+  for (size_t i = 0; i < counts.size(); ++i) {
+    counts[i] = buckets_[i].load(std::memory_order_relaxed);
   }
+  return util::LogHistogram(counts, sum_.load(std::memory_order_relaxed));
 }
 
-void Histogram::Observe(uint64_t value) {
-  const size_t bucket = static_cast<size_t>(
-      std::lower_bound(bounds_.begin(), bounds_.end(), value) - bounds_.begin());
-  Shard& shard = shards_[ThisThreadShard()];
-  shard.buckets[bucket].v.fetch_add(1, std::memory_order_relaxed);
-  shard.count.v.fetch_add(1, std::memory_order_relaxed);
-  shard.sum.v.fetch_add(value, std::memory_order_relaxed);
-}
-
-std::vector<uint64_t> Histogram::BucketCounts() const {
-  std::vector<uint64_t> out(bounds_.size() + 1, 0);
-  for (const auto& shard : shards_) {
-    for (size_t i = 0; i < out.size(); ++i) {
-      out[i] += shard.buckets[i].v.load(std::memory_order_relaxed);
+void Histogram::Merge(const util::LogHistogram& other) {
+  for (size_t i = 0; i < buckets_.size(); ++i) {
+    if (other.buckets()[i] != 0) {
+      buckets_[i].fetch_add(other.buckets()[i], std::memory_order_relaxed);
     }
   }
-  return out;
-}
-
-uint64_t Histogram::Count() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard.count.v.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t Histogram::Sum() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard.sum.v.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void Histogram::MergeCounts(const std::vector<uint64_t>& bucket_counts, uint64_t count,
-                            uint64_t sum) {
-  Shard& shard = shards_[0];
-  if (bucket_counts.size() == bounds_.size() + 1) {
-    for (size_t i = 0; i < bucket_counts.size(); ++i) {
-      shard.buckets[i].v.fetch_add(bucket_counts[i], std::memory_order_relaxed);
-    }
-  }
-  shard.count.v.fetch_add(count, std::memory_order_relaxed);
-  shard.sum.v.fetch_add(sum, std::memory_order_relaxed);
+  sum_.fetch_add(other.sum(), std::memory_order_relaxed);
 }
 
 void Histogram::Reset() {
-  for (auto& shard : shards_) {
-    for (auto& b : shard.buckets) {
-      b.v.store(0, std::memory_order_relaxed);
-    }
-    shard.count.v.store(0, std::memory_order_relaxed);
-    shard.sum.v.store(0, std::memory_order_relaxed);
+  for (auto& b : buckets_) {
+    b.store(0, std::memory_order_relaxed);
   }
-}
-
-const std::vector<uint64_t>& DefaultLatencyBoundsNs() {
-  static const std::vector<uint64_t> kBounds = {
-      1'000,       2'000,       5'000,       10'000,      20'000,        50'000,
-      100'000,     200'000,     500'000,     1'000'000,   2'000'000,     5'000'000,
-      10'000'000,  20'000'000,  50'000'000,  100'000'000, 200'000'000,   500'000'000,
-      1'000'000'000};
-  return kBounds;
-}
-
-const std::vector<uint64_t>& DefaultDepthBounds() {
-  static const std::vector<uint64_t> kBounds = {0, 1, 2, 4, 8, 16, 32, 64, 128, 256};
-  return kBounds;
+  sum_.store(0, std::memory_order_relaxed);
 }
 
 Counter& MetricsRegistry::GetCounter(std::string_view name) {
@@ -117,12 +62,11 @@ Gauge& MetricsRegistry::GetGauge(std::string_view name) {
   return *it->second;
 }
 
-Histogram& MetricsRegistry::GetHistogram(std::string_view name,
-                                         const std::vector<uint64_t>& bounds) {
+Histogram& MetricsRegistry::GetHistogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>(bounds)).first;
+    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>()).first;
   }
   return *it->second;
 }
@@ -137,12 +81,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     snap.gauges[name] = gauge->Value();
   }
   for (const auto& [name, hist] : histograms_) {
-    HistogramSnapshot h;
-    h.bounds = hist->bounds();
-    h.counts = hist->BucketCounts();
-    h.count = hist->Count();
-    h.sum = hist->Sum();
-    snap.histograms[name] = std::move(h);
+    snap.histograms.emplace(name, hist->Snapshot());
   }
   return snap;
 }
@@ -168,7 +107,7 @@ void MetricsRegistry::MergeFrom(const MetricsSnapshot& other) {
     GetGauge(name).Add(value);
   }
   for (const auto& [name, hist] : other.histograms) {
-    GetHistogram(name, hist.bounds).MergeCounts(hist.counts, hist.count, hist.sum);
+    GetHistogram(name).Merge(hist);
   }
 }
 

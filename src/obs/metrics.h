@@ -8,14 +8,14 @@
 // a snapshot (merged across threads) is exported as JSON at bench
 // exit — see docs/METRICS.md for the full catalog and schema.
 //
-// Design: instruments are lock-cheap. A Counter/Histogram holds a
-// small fixed array of cache-line-padded atomic shards; a thread
-// picks its shard once (thread-local index) and updates it with a
-// relaxed fetch_add — no mutex, no contention between simulator
-// threads or test writer threads. The registry mutex is touched only
-// at instrument creation and at snapshot time. Instrumented classes
-// cache `Counter*` handles at construction so hot paths never pay a
-// name lookup.
+// Design: instruments are lock-cheap. A Counter holds a small fixed
+// array of cache-line-padded atomic shards; a thread picks its shard
+// once (thread-local index) and updates it with a relaxed fetch_add —
+// no mutex, no contention between simulator threads or test writer
+// threads. A Histogram is two relaxed fetch_adds (bucket and sum).
+// The registry mutex is touched only at instrument creation and at
+// snapshot time. Instrumented classes cache `Counter*` handles at
+// construction so hot paths never pay a name lookup.
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 
@@ -27,11 +27,12 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
+
+#include "src/util/stats.h"
 
 namespace whodunit::obs {
 
-// Number of independent shards per instrument. Threads hash onto a
+// Number of independent shards per Counter. Threads hash onto a
 // shard; 16 is plenty for the simulator (single-threaded) and for the
 // concurrency the tests exercise.
 inline constexpr size_t kShards = 16;
@@ -80,55 +81,34 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
-// Fixed-bucket histogram: `bounds` are inclusive upper bounds of the
-// finite buckets; one implicit overflow bucket catches the rest.
-// Observations, the running count, and the running sum are sharded
-// like Counter.
+// Histogram recorder over util::LogHistogram's geometry (values 0..7
+// exact, then 8 sub-buckets per power of two). One relaxed atomic per
+// bucket plus the running sum, unsharded; the count is the sum of the
+// buckets, so a snapshot taken while writers run is still a
+// self-consistent LogHistogram. Snapshots and shard folds are exact,
+// and quantiles are within the geometry's 12.5%.
 class Histogram {
  public:
-  explicit Histogram(std::vector<uint64_t> bounds);
+  void Observe(uint64_t value) {
+    buckets_[util::LogHistogram::BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(value, std::memory_order_relaxed);
+  }
 
-  void Observe(uint64_t value);
-
-  const std::vector<uint64_t>& bounds() const { return bounds_; }
-  // Per-bucket counts (bounds().size() + 1 entries, overflow last).
-  std::vector<uint64_t> BucketCounts() const;
-  uint64_t Count() const;
-  uint64_t Sum() const;
+  util::LogHistogram Snapshot() const;
+  // Adds another histogram's buckets and sum (the shard-fold path).
+  void Merge(const util::LogHistogram& other);
   void Reset();
 
-  // Adds raw bucket counts (bounds().size() + 1 entries, overflow
-  // last) plus a running count/sum — the fold path for merging a
-  // shard registry's snapshot. Mismatched sizes keep count/sum only.
-  void MergeCounts(const std::vector<uint64_t>& bucket_counts, uint64_t count, uint64_t sum);
-
  private:
-  struct Shard {
-    std::vector<internal::PaddedAtomic> buckets;
-    internal::PaddedAtomic count;
-    internal::PaddedAtomic sum;
-  };
-  std::vector<uint64_t> bounds_;
-  std::array<Shard, kShards> shards_;
-};
-
-// Virtual-time latency buckets: 1us..1s, roughly 1-2-5 per decade.
-const std::vector<uint64_t>& DefaultLatencyBoundsNs();
-// Small-cardinality buckets (queue depths, stack depths): powers of 2.
-const std::vector<uint64_t>& DefaultDepthBounds();
-
-struct HistogramSnapshot {
-  std::vector<uint64_t> bounds;
-  std::vector<uint64_t> counts;  // bounds.size() + 1, overflow last
-  uint64_t count = 0;
-  uint64_t sum = 0;
+  std::array<std::atomic<uint64_t>, util::LogHistogram::kBuckets> buckets_{};
+  std::atomic<uint64_t> sum_{0};
 };
 
 // Point-in-time merged view of every instrument in a registry.
 struct MetricsSnapshot {
   std::map<std::string, uint64_t> counters;
   std::map<std::string, int64_t> gauges;
-  std::map<std::string, HistogramSnapshot> histograms;
+  std::map<std::string, util::LogHistogram> histograms;
 };
 
 class MetricsRegistry {
@@ -141,8 +121,7 @@ class MetricsRegistry {
   // stable, so callers cache them at construction time.
   Counter& GetCounter(std::string_view name);
   Gauge& GetGauge(std::string_view name);
-  // `bounds` is used only on first creation of `name`.
-  Histogram& GetHistogram(std::string_view name, const std::vector<uint64_t>& bounds);
+  Histogram& GetHistogram(std::string_view name);
 
   MetricsSnapshot Snapshot() const;
   // Zeroes every instrument (between bench configurations, in tests).
@@ -150,10 +129,9 @@ class MetricsRegistry {
 
   // Deterministic fold of another registry's snapshot into this one:
   // counters and histogram buckets add, gauges add (a shard-parallel
-  // run reports the sum over shards — docs/METRICS.md). Histograms
-  // whose bucket bounds differ from an existing instrument keep only
-  // their count/sum. Folding shard snapshots in canonical shard order
-  // yields byte-identical exports regardless of thread interleaving.
+  // run reports the sum over shards — docs/METRICS.md). Folding shard
+  // snapshots in canonical shard order yields byte-identical exports
+  // regardless of thread interleaving.
   void MergeFrom(const MetricsSnapshot& other);
 
  private:

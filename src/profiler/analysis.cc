@@ -42,19 +42,9 @@ std::vector<ContextShare> Analysis::TopContexts(const StageProfiler& stage,
 std::vector<ContextShare> Analysis::WhoCauses(const StageProfiler& stage,
                                               std::string_view function_name,
                                               size_t max_rows) const {
-  const uint32_t fn = deployment_.functions().size() == 0
-                          ? util::StringInterner::kNotFound
-                          : [&] {
-                              // Linear lookup by name (analysis is offline).
-                              for (uint32_t i = 0; i < deployment_.functions().size(); ++i) {
-                                if (deployment_.functions().NameOf(i) == function_name) {
-                                  return i;
-                                }
-                              }
-                              return util::StringInterner::kNotFound;
-                            }();
+  const callpath::FunctionId fn = deployment_.functions().Find(function_name);
   std::vector<ContextShare> rows;
-  if (fn == util::StringInterner::kNotFound) {
+  if (fn == util::SymbolTable::kNotFound) {
     return rows;
   }
   for (const auto& [label, cct] : stage.LabeledCcts()) {

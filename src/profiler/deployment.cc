@@ -19,7 +19,7 @@ std::string Deployment::DescribeElement(context::ElementKind kind, uint32_t id) 
       if (!out.empty()) {
         out += ">";
       }
-      out += functions_.NameOf(f);
+      out += functions_.Name(f);
     }
     return out;
   }

@@ -29,7 +29,7 @@ void SerializeSubtree(const callpath::CallingContextTree& cct,
   const auto& n = cct.node(node);
   const callpath::NodeIndex my_out = next_out++;
   if (node != cct.root()) {
-    out << "node " << my_out << " " << parent_out << " " << Sanitize(functions.NameOf(n.function))
+    out << "node " << my_out << " " << parent_out << " " << Sanitize(functions.Name(n.function))
         << " " << n.samples << " " << n.cpu_time << " " << n.calls << "\n";
   }
   for (const auto& [f, child] : n.children) {
@@ -166,7 +166,7 @@ bool ParseProfile(std::string_view text, LoadedProfile* out) {
           !ParseNumber(f[6], &calls) || node_map.contains(idx) || !node_map.contains(parent)) {
         return false;
       }
-      const auto fn = out->functions.Register(f[3]);
+      const auto fn = out->functions.Intern(f[3]);
       const size_t nodes_before = current->size();
       const callpath::NodeIndex node = current->Child(node_map[parent], fn);
       if (current->size() == nodes_before) {

@@ -82,12 +82,12 @@ std::string MergedProfile::RenderTransactionalProfile(std::string_view stage,
 
 uint64_t MergedProfile::MergedTag(std::string_view name) const {
   const uint32_t id = tag_names_.Find(name);
-  return id == util::StringInterner::kNotFound ? kNoMergedTag : id;
+  return id == util::SymbolTable::kNotFound ? kNoMergedTag : id;
 }
 
 std::string MergedProfile::RenderCrosstalk() const {
   return crosstalk_.Render([this](uint64_t tag) {
-    return tag < tag_names_.size() ? tag_names_.NameOf(static_cast<uint32_t>(tag))
+    return tag < tag_names_.size() ? tag_names_.Name(static_cast<uint32_t>(tag))
                                    : "tag_" + std::to_string(tag);
   });
 }

@@ -23,7 +23,7 @@
 #include "src/callpath/function_registry.h"
 #include "src/crosstalk/crosstalk.h"
 #include "src/profiler/deployment.h"
-#include "src/util/interner.h"
+#include "src/util/symbol_table.h"
 
 namespace whodunit::profiler {
 
@@ -59,7 +59,7 @@ void AppendStageCcts(const Deployment& deployment, const StageProfiler& stage,
 class MergedProfile {
  public:
   // Folds one shard in. Function ids are unified by name
-  // (FunctionRegistry::MergeFrom), CCTs are summed per (stage, label)
+  // (SymbolTable::MergeFrom), CCTs are summed per (stage, label)
   // with the id translation applied, and crosstalk stats are summed
   // with tags re-keyed by name — shards reporting the same transaction
   // type fold into one row, exactly as a serial run would have.
@@ -88,7 +88,7 @@ class MergedProfile {
   callpath::FunctionRegistry functions_;
   std::map<std::pair<std::string, std::string>, callpath::CallingContextTree> ccts_;
   crosstalk::CrosstalkRecorder crosstalk_;
-  util::StringInterner tag_names_;
+  util::SymbolTable tag_names_;
 };
 
 }  // namespace whodunit::profiler

@@ -33,7 +33,7 @@ ThreadProfile& StageProfiler::CreateThread(std::string thread_name) {
 }
 
 callpath::FunctionId StageProfiler::RegisterFunction(std::string_view fn_name) {
-  return deployment_.functions().Register(fn_name);
+  return deployment_.functions().Intern(fn_name);
 }
 
 StageProfiler::FrameGuard::FrameGuard(StageProfiler& prof, ThreadProfile& tp,
@@ -209,7 +209,7 @@ uint64_t StageProfiler::LiveBegin(ThreadProfile& tp, uint32_t type_sym) {
   tp.live_span_service_ = 0;
   tp.live_span_lock_ = 0;
   if (tp.live_txn_ != 0 && type_sym != 0) {
-    live_->SetTxnType(tp.live_txn_, obs::live::SymId{type_sym});
+    live_->SetTxnType(tp.live_txn_, util::SymId{type_sym});
   }
   return tp.live_txn_;
 }
@@ -273,7 +273,7 @@ void StageProfiler::LiveLockWait(ThreadProfile& tp, sim::SimTime wait_ns) {
 
 void StageProfiler::LiveType(ThreadProfile& tp, uint32_t type_sym) {
   if (live_ != nullptr && tp.live_txn_ != 0) {
-    live_->SetTxnType(tp.live_txn_, obs::live::SymId{type_sym});
+    live_->SetTxnType(tp.live_txn_, util::SymId{type_sym});
   }
 }
 

@@ -281,7 +281,7 @@ class StageProfiler {
   Options options_;
   obs::live::Whodunitd* live_ = nullptr;
   // This stage's name interned into the attached daemon's symbol table
-  // (obs::live::SymId; valid while live_ != nullptr). Every publish
+  // (util::SymId; valid while live_ != nullptr). Every publish
   // hook passes it instead of options_.name.
   uint32_t live_name_sym_ = 0;
   std::vector<std::unique_ptr<ThreadProfile>> threads_;

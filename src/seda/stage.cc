@@ -48,12 +48,9 @@ Stage::Stage(StageGraph& graph, StageId id, std::string name, int workers,
       queue_(graph.scheduler()),
       obs_processed_(&obs::Registry().GetCounter("seda.elements_processed")),
       obs_concats_(&obs::Registry().GetCounter("seda.context_concats")),
-      obs_queue_depth_(&obs::Registry().GetHistogram("seda.queue_depth",
-                                                     obs::DefaultDepthBounds())),
-      obs_element_ns_(&obs::Registry().GetHistogram("seda.element_ns",
-                                                    obs::DefaultLatencyBoundsNs())),
-      obs_queue_wait_(&obs::Registry().GetHistogram("seda.queue_wait_ns",
-                                                    obs::DefaultLatencyBoundsNs())) {}
+      obs_queue_depth_(&obs::Registry().GetHistogram("seda.queue_depth")),
+      obs_element_ns_(&obs::Registry().GetHistogram("seda.element_ns")),
+      obs_queue_wait_(&obs::Registry().GetHistogram("seda.queue_wait_ns")) {}
 
 void Stage::Start() {
   for (int w = 0; w < workers_; ++w) {

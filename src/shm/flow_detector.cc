@@ -242,13 +242,23 @@ void FlowDetector::OnRead(vm::ThreadId t, const vm::Loc& src) {
       }
     }
     ts.window_flows.push_back(key);
-    ++flows_detected_;
-    obs_flows_->Add();
-    FlowEvent ev{entry.producer, t, entry.ctxt, entry.lock_id, src};
-    flow_log_.push_back(ev);
-    if (on_flow_) {
-      on_flow_(ev);
-    }
+    EmitFlow(FlowEvent{entry.producer, t, entry.ctxt, entry.lock_id, src});
+  }
+}
+
+void FlowDetector::EmitFlow(const FlowEvent& ev) {
+  ++flows_detected_;
+  obs_flows_->Add();
+  // Word-wise FNV-1a over the fields FlowEvent's operator== compares
+  // (a memory location's thread is not one of them).
+  const uint64_t words[] = {ev.producer, ev.consumer, ev.ctxt, ev.lock_id,
+                            static_cast<uint64_t>(ev.loc.kind),
+                            ev.loc.is_mem() ? 0 : ev.loc.thread, ev.loc.addr};
+  for (uint64_t w : words) {
+    flow_digest_ = (flow_digest_ ^ w) * 0x100000001b3ull;
+  }
+  if (on_flow_) {
+    on_flow_(ev);
   }
 }
 
@@ -447,13 +457,7 @@ void FlowDetector::ApplySection(const DictEffects& fx, vm::ThreadId t,
           break;
         }
         ts.window_flows.push_back(key);
-        ++flows_detected_;
-        obs_flows_->Add();
-        FlowEvent ev{ResolveProducer(op.producer, r), t, ctxt, op.lock_id, op.loc};
-        flow_log_.push_back(ev);
-        if (on_flow_) {
-          on_flow_(ev);
-        }
+        EmitFlow(FlowEvent{ResolveProducer(op.producer, r), t, ctxt, op.lock_id, op.loc});
         break;
       }
     }
@@ -487,13 +491,8 @@ FlowDetector FlowDetector::CloneForShadow() const {
 }
 
 bool FlowDetector::DeepEquals(const FlowDetector& other) const {
-  if (flows_detected_ != other.flows_detected_ || flow_log_.size() != other.flow_log_.size()) {
+  if (flows_detected_ != other.flows_detected_ || flow_digest_ != other.flow_digest_) {
     return false;
-  }
-  for (size_t i = 0; i < flow_log_.size(); ++i) {
-    if (!(flow_log_[i] == other.flow_log_[i])) {
-      return false;
-    }
   }
   if (mem_dict_.size() != other.mem_dict_.size()) {
     return false;

@@ -211,7 +211,7 @@ class FlowDetector {
   // measurable slice of the per-section budget — and publish every
   // kObsFlushSections critical sections and at destruction. Totals
   // are exact; mid-lifetime snapshots lag by bounded staleness
-  // (docs/METRICS.md). Flow/demotion counts and the flow log are
+  // (docs/METRICS.md). Flow/demotion counts and the flow digest are
   // never batched.
   void FlushObsTallies();
 
@@ -223,7 +223,6 @@ class FlowDetector {
 
   // Introspection for tests and reports.
   uint64_t flows_detected() const { return flows_detected_; }
-  const std::vector<FlowEvent>& flow_log() const { return flow_log_; }
   size_t dictionary_size() const { return mem_dict_.size() + reg_entries_; }
   // Role lists are returned by value: a copy is two words in the dense
   // case, and the miss path safely yields an empty set instead of a
@@ -269,6 +268,10 @@ class FlowDetector {
   bool DeepEquals(const FlowDetector& other) const;
 
  private:
+  // Counts a detected flow, folds it into the digest, and hands it to
+  // the flow callback.
+  void EmitFlow(const FlowEvent& ev);
+
   struct Entry {
     CtxtId ctxt = kInvalidCtxt;
     uint64_t lock_id = 0;       // lock of the CS that last set this entry
@@ -414,8 +417,10 @@ class FlowDetector {
   std::vector<ThreadState> threads_;
   util::RobinHoodMap<uint64_t, LockRoles> roles_;
 
+  // Count and running FNV-1a fold of every emitted flow: what
+  // DeepEquals compares, in O(1) memory however many flows pass.
   uint64_t flows_detected_ = 0;
-  std::vector<FlowEvent> flow_log_;
+  uint64_t flow_digest_ = 0xcbf29ce484222325ull;
 
   RolesCache roles_cache_;
   ObsTallies tally_;

@@ -6,7 +6,7 @@ namespace whodunit::sim {
 
 ShardEnv::ShardEnv()
     : metrics_(std::make_unique<obs::MetricsRegistry>()),
-      syms_(std::make_unique<obs::live::SymbolTable>()) {
+      syms_(std::make_unique<util::SymbolTable>()) {
   // The ContextTree constructor registers its gauges with the current
   // metrics registry, so build it with this shard's registry installed
   // — regardless of which thread constructs the env.

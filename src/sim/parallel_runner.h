@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "src/context/context_tree.h"
-#include "src/obs/live/symbol_table.h"
+#include "src/util/symbol_table.h"
 #include "src/obs/metrics.h"
 #include "src/util/thread_pool.h"
 
@@ -44,8 +44,8 @@ class ShardEnv {
   const obs::MetricsRegistry& metrics() const { return *metrics_; }
   context::ContextTree& context_tree() { return *tree_; }
   const context::ContextTree& context_tree() const { return *tree_; }
-  obs::live::SymbolTable& symbols() { return *syms_; }
-  const obs::live::SymbolTable& symbols() const { return *syms_; }
+  util::SymbolTable& symbols() { return *syms_; }
+  const util::SymbolTable& symbols() const { return *syms_; }
 
   // Installs this env as the calling thread's current metrics
   // registry, context tree, and symbol table, and restarts the shard-
@@ -62,7 +62,7 @@ class ShardEnv {
     std::vector<uint64_t> saved_counters_;
     obs::ScopedMetricsRegistry metrics_scope_;
     context::ScopedContextTree tree_scope_;
-    obs::live::ScopedSymbolTable syms_scope_;
+    util::ScopedSymbolTable syms_scope_;
   };
 
   // Folds this shard's metrics into `target` (counters and histogram
@@ -75,7 +75,7 @@ class ShardEnv {
   std::unique_ptr<context::ContextTree> tree_;
   // Per-shard symbol table: each shard interns its own SymIds; the
   // merge remaps them through SymbolTable::MergeFrom.
-  std::unique_ptr<obs::live::SymbolTable> syms_;
+  std::unique_ptr<util::SymbolTable> syms_;
 };
 
 // A completed shard: the job's result plus the env it ran in. The env

@@ -77,6 +77,13 @@ double SampleSet::Quantile(double q) const {
   return samples_[std::min(idx, samples_.size() - 1)];
 }
 
+LogHistogram::LogHistogram(const std::array<uint64_t, kBuckets>& buckets, uint64_t sum)
+    : buckets_(buckets), sum_(sum) {
+  for (uint64_t n : buckets_) {
+    count_ += n;
+  }
+}
+
 void LogHistogram::Merge(const LogHistogram& other) {
   for (size_t i = 0; i < kBuckets; ++i) {
     buckets_[i] += other.buckets_[i];
@@ -101,8 +108,11 @@ double LogHistogram::Quantile(double q) const {
     seen += buckets_[i];
     if (target < static_cast<double>(seen)) {
       // Interpolate between the bucket's bounds by the rank's position
-      // inside the bucket.
+      // inside the bucket; buckets 0..7 hold one value each.
       const double lo = static_cast<double>(BucketLowerBound(i));
+      if (i < 8) {
+        return lo;
+      }
       const double hi = i + 1 < kBuckets ? static_cast<double>(BucketLowerBound(i + 1))
                                          : lo * 2.0;
       const double frac =

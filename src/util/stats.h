@@ -52,18 +52,25 @@ class SampleSet {
   mutable bool sorted_ = true;
 };
 
-// Log-bucketed streaming histogram with a quantile API.
+// Log-bucketed streaming histogram with a quantile API: the one
+// histogram geometry of the repo.
 //
 // Buckets have a fixed global geometry (values 0..7 exact, then 8
 // sub-buckets per power of two), so two histograms are mergeable by
 // adding counts bucket-wise — the property the live aggregation
-// daemon (src/obs/live) relies on to fold per-stage state without
-// retaining samples. Relative quantile error is bounded by the
-// sub-bucket width, 12.5%.
+// daemon (src/obs/live) and the metrics registry's shard fold rely on
+// to combine state without retaining samples. Relative quantile error
+// is bounded by the sub-bucket width, 12.5%.
 class LogHistogram {
  public:
   // 0..7 exact, plus 8 sub-buckets for each leading-bit position 3..63.
   static constexpr size_t kBuckets = 8 + 61 * 8;
+
+  LogHistogram() = default;
+  // Rebuilds a histogram from per-bucket counts (indices follow
+  // BucketLowerBound) and the sum of the values they counted; count()
+  // is the sum of the buckets.
+  LogHistogram(const std::array<uint64_t, kBuckets>& buckets, uint64_t sum);
 
   // Bucket index of a value; fixed geometry shared by all instances.
   static constexpr size_t BucketOf(uint64_t v) {
@@ -88,7 +95,7 @@ class LogHistogram {
   void Add(uint64_t v, uint64_t n = 1) {
     buckets_[BucketOf(v)] += n;
     count_ += n;
-    sum_ += static_cast<double>(v) * static_cast<double>(n);
+    sum_ += v * n;
   }
 
   // Adds the other histogram's counts into this one. Exact: the bucket
@@ -97,8 +104,10 @@ class LogHistogram {
   void Merge(const LogHistogram& other);
 
   uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
+  uint64_t sum() const { return sum_; }
+  double mean() const {
+    return count_ ? static_cast<double>(sum_) / static_cast<double>(count_) : 0.0;
+  }
 
   // q in [0, 1]; returns an estimate of the q-quantile: the value is
   // linearly interpolated inside the bucket holding the target rank.
@@ -108,10 +117,12 @@ class LogHistogram {
   // Per-bucket counts for export; indices follow BucketLowerBound.
   const std::array<uint64_t, kBuckets>& buckets() const { return buckets_; }
 
+  friend bool operator==(const LogHistogram&, const LogHistogram&) = default;
+
  private:
   std::array<uint64_t, kBuckets> buckets_{};
   uint64_t count_ = 0;
-  double sum_ = 0.0;
+  uint64_t sum_ = 0;
 };
 
 }  // namespace whodunit::util

@@ -1,24 +1,22 @@
-// Interned stage/type names for the live publish pipeline.
+// The name interner: stable small integer ids for names.
 //
-// Publishers (StageProfiler, the apps' SEDA stages) used to hand the
-// whodunitd daemon stage and transaction-type names as strings, which
-// meant one std::string copy per publish hook and a string hash per
-// aggregation probe — the dominant cost of the always-on path. A
-// SymbolTable interns each name once at wiring time; everything that
-// crosses the publish channel afterwards is a 32-bit SymId, and the
-// strings are resolved only where a human (or an export format) needs
-// them: whodunit_top, QueryJson, the span/attr exports, the history
-// dump.
+// Every name the profiler handles more than once is interned here
+// exactly once and referenced by a 32-bit SymId afterwards: function
+// names (callpath::FunctionRegistry), event-handler names, crosstalk
+// tag names in a merged profile, and the stage/type names the live
+// publish pipeline hands the whodunitd daemon. Call paths and
+// transaction contexts are then cheap vectors of ids, and strings are
+// resolved only where a human (or an export format) needs them.
 //
 // Concurrency contract: one writer (the shard that owns the table),
-// any number of lock-free readers. Interned entries live in fixed-size
-// chunks that are never moved or mutated after publication, and the
-// table publishes its size with release ordering, so a reader that
-// observes id < size() can resolve Name(id) without synchronization.
-// Interning itself is single-writer (each shard interns only into its
-// own table).
-#ifndef SRC_OBS_LIVE_SYMBOL_TABLE_H_
-#define SRC_OBS_LIVE_SYMBOL_TABLE_H_
+// any number of lock-free readers. Interned entries live in chunks
+// that are never moved or mutated after publication, and the table
+// publishes its size with release ordering, so a reader that observes
+// id < size() can resolve Name(id) without synchronization. Interning
+// itself is single-writer (each shard interns only into its own
+// table).
+#ifndef SRC_UTIL_SYMBOL_TABLE_H_
+#define SRC_UTIL_SYMBOL_TABLE_H_
 
 #include <atomic>
 #include <cstdint>
@@ -27,7 +25,7 @@
 #include <string_view>
 #include <vector>
 
-namespace whodunit::obs::live {
+namespace whodunit::util {
 
 // 0 is always the empty string — the "no name yet" id, rendered as
 // "(untyped)" where a transaction type never arrived.
@@ -35,17 +33,26 @@ using SymId = uint32_t;
 
 class SymbolTable {
  public:
-  static constexpr size_t kChunkSize = 256;
-  static constexpr size_t kMaxChunks = 4096;  // 1M symbols per table
+  // Chunk k holds kFirstChunkSize << k names, so kMaxChunks chunks
+  // hold about 1M symbols while an empty table stays small.
+  static constexpr size_t kFirstChunkSize = 16;
+  static constexpr size_t kMaxChunks = 16;
+  static constexpr SymId kNotFound = 0xffffffffu;
 
   SymbolTable();
   ~SymbolTable();
-  SymbolTable(const SymbolTable&) = delete;
-  SymbolTable& operator=(const SymbolTable&) = delete;
+  // A copy interns `other`'s names in its id order, so every id is
+  // the same in the copy. Writer-side only, like Intern.
+  SymbolTable(const SymbolTable& other);
+  SymbolTable& operator=(const SymbolTable& other);
 
   // Returns the id of `name`, interning it first if new. Writer-side
   // only; ids are assigned in first-intern order and never change.
   SymId Intern(std::string_view name);
+
+  // The id of `name`, or kNotFound if it was never interned.
+  // Writer-side only.
+  SymId Find(std::string_view name) const;
 
   // Resolves an id to its name. Lock-free; safe concurrently with the
   // writer's Intern calls. Out-of-range ids resolve to "".
@@ -61,11 +68,9 @@ class SymbolTable {
   std::vector<SymId> MergeFrom(const SymbolTable& other);
 
  private:
-  struct Chunk {
-    std::string names[kChunkSize];
-  };
+  void Clear();
 
-  std::atomic<Chunk*> chunks_[kMaxChunks] = {};
+  std::atomic<std::string*> chunks_[kMaxChunks] = {};
   // Writer-side reverse index; readers never touch it.
   std::map<std::string, SymId, std::less<>> ids_;
   std::atomic<uint32_t> size_{0};
@@ -90,6 +95,6 @@ class ScopedSymbolTable {
   SymbolTable* prev_;
 };
 
-}  // namespace whodunit::obs::live
+}  // namespace whodunit::util
 
-#endif  // SRC_OBS_LIVE_SYMBOL_TABLE_H_
+#endif  // SRC_UTIL_SYMBOL_TABLE_H_

@@ -22,7 +22,7 @@ namespace {
 // Events are built with interned SymIds; tests intern through the
 // thread-current table, the same one the one-shot AttributeTxn and
 // default-constructed daemons resolve against.
-SymId S(std::string_view name) { return Syms().Intern(name); }
+util::SymId S(std::string_view name) { return util::Syms().Intern(name); }
 
 int64_t SliceSum(const AttrVec& slices) {
   int64_t sum = 0;
@@ -161,7 +161,7 @@ TEST(AttributionTest, SliceCtxtFallsBackToRootCtxt) {
   const auto slices = AttributeTxn(ev);
   for (const AttrSlice& s : slices) {
     EXPECT_EQ(s.ctxt, s.stage == S("db") ? 9u : 42u)
-        << Syms().Name(s.stage) << "/" << WaitStateName(s.state);
+        << util::Syms().Name(s.stage) << "/" << WaitStateName(s.state);
   }
   EXPECT_EQ(SliceSum(slices), 10000);
 }

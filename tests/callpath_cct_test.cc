@@ -73,8 +73,8 @@ TEST(CctTest, MergeSumsMatchingNodes) {
 TEST(CctTest, RenderContainsNamesAndPercents) {
   FunctionRegistry reg;
   CallingContextTree cct;
-  FunctionId main_fn = reg.Register("main");
-  FunctionId work_fn = reg.Register("work");
+  FunctionId main_fn = reg.Intern("main");
+  FunctionId work_fn = reg.Intern("work");
   cct.AddCpuTime(cct.PathNode({main_fn, work_fn}), sim::Millis(10));
   std::string text = cct.Render(reg);
   EXPECT_NE(text.find("main"), std::string::npos);

@@ -86,9 +86,9 @@ TEST(PathTreeTest, StagesOfOneDeploymentShareCallPathElements) {
 
 TEST(PathTreeTest, DescribeElementRendersPaths) {
   profiler::Deployment dep;
-  const auto main_fn = dep.functions().Register("main");
-  const auto foo_fn = dep.functions().Register("foo");
-  const auto send_fn = dep.functions().Register("send");
+  const auto main_fn = dep.functions().Intern("main");
+  const auto foo_fn = dep.functions().Intern("foo");
+  const auto send_fn = dep.functions().Intern("send");
   const callpath::NodeIndex path = dep.paths().PathNode({main_fn, foo_fn, send_fn});
   EXPECT_EQ(dep.DescribeElement(context::ElementKind::kCallPath, path), "main>foo>send");
   EXPECT_EQ(dep.DescribeElement(context::ElementKind::kCallPath, dep.paths().root()), "");

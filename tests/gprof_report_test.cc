@@ -10,8 +10,8 @@ namespace {
 TEST(GprofReportTest, AggregatesSelfAndChildren) {
   FunctionRegistry reg;
   CallingContextTree cct;
-  auto main_fn = reg.Register("main");
-  auto work_fn = reg.Register("work");
+  auto main_fn = reg.Intern("main");
+  auto work_fn = reg.Intern("work");
   NodeIndex m = cct.PathNode({main_fn});
   NodeIndex w = cct.PathNode({main_fn, work_fn});
   cct.AddCpuTime(m, 100);
@@ -34,9 +34,9 @@ TEST(GprofReportTest, AggregatesSelfAndChildren) {
 TEST(GprofReportTest, ArcsLinkCallersAndCallees) {
   FunctionRegistry reg;
   CallingContextTree cct;
-  auto a = reg.Register("a");
-  auto b = reg.Register("b");
-  auto sort_fn = reg.Register("sort");
+  auto a = reg.Intern("a");
+  auto b = reg.Intern("b");
+  auto sort_fn = reg.Intern("sort");
   cct.AddCpuTime(cct.PathNode({a, sort_fn}), 300);
   cct.AddCpuTime(cct.PathNode({b, sort_fn}), 100);
 
@@ -61,8 +61,8 @@ TEST(GprofReportTest, ContextSensitivityIsLost) {
   // context transactional profile.
   FunctionRegistry reg;
   CallingContextTree merged;
-  auto svc = reg.Register("svc");
-  auto sort_fn = reg.Register("sort");
+  auto svc = reg.Intern("svc");
+  auto sort_fn = reg.Intern("sort");
   // Two "transactions" worth of data merged into one tree, as gprof
   // sees the world.
   merged.AddCpuTime(merged.PathNode({svc, sort_fn}), 300);
@@ -82,8 +82,8 @@ TEST(GprofReportTest, ContextSensitivityIsLost) {
 TEST(GprofReportTest, RenderedReportHasBothSections) {
   FunctionRegistry reg;
   CallingContextTree cct;
-  auto main_fn = reg.Register("main");
-  auto sort_fn = reg.Register("db_sort");
+  auto main_fn = reg.Intern("main");
+  auto sort_fn = reg.Intern("db_sort");
   NodeIndex n = cct.PathNode({main_fn, sort_fn});
   cct.AddCpuTime(n, sim::Millis(42));
   cct.AddCall(n);

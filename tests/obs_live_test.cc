@@ -147,7 +147,7 @@ TEST(JsonCheckerTest, AcceptsAndRejects) {
 
 // Names intern through the thread-current symbol table — the same one
 // default-constructed aggregators/daemons resolve against.
-SymId S(std::string_view name) { return Syms().Intern(name); }
+util::SymId S(std::string_view name) { return util::Syms().Intern(name); }
 
 TxnEvent MakeEvent(uint64_t id, const std::string& type, int64_t start,
                    int64_t end, bool error = false) {

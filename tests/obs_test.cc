@@ -2,6 +2,7 @@
 // correctness under concurrent writers, snapshot merging across
 // thread shards, and the JSON export round trip and its parser's
 // rejection of malformed dumps.
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -11,6 +12,8 @@
 
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
+#include "src/util/rng.h"
+#include "src/util/stats.h"
 
 namespace whodunit::obs {
 namespace {
@@ -62,25 +65,24 @@ TEST(GaugeTest, SetAndAdd) {
 
 TEST(HistogramTest, BucketAssignment) {
   MetricsRegistry reg;
-  Histogram& h = reg.GetHistogram("test.hist", {10, 100, 1000});
-  h.Observe(5);     // <= 10
-  h.Observe(10);    // <= 10 (bounds are inclusive)
-  h.Observe(11);    // <= 100
-  h.Observe(1000);  // <= 1000
-  h.Observe(5000);  // overflow
-  EXPECT_EQ(h.Count(), 5u);
-  EXPECT_EQ(h.Sum(), 5u + 10 + 11 + 1000 + 5000);
-  const std::vector<uint64_t> counts = h.BucketCounts();
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0], 2u);
-  EXPECT_EQ(counts[1], 1u);
-  EXPECT_EQ(counts[2], 1u);
-  EXPECT_EQ(counts[3], 1u);
+  Histogram& h = reg.GetHistogram("test.hist");
+  const std::vector<uint64_t> values = {0, 5, 10, 11, 1000, 5000, 3'000'000'000};
+  for (uint64_t v : values) {
+    h.Observe(v);
+  }
+  const util::LogHistogram snap = h.Snapshot();
+  EXPECT_EQ(snap.count(), values.size());
+  EXPECT_EQ(snap.sum(), 0u + 5 + 10 + 11 + 1000 + 5000 + 3'000'000'000);
+  for (uint64_t v : values) {
+    EXPECT_EQ(snap.buckets()[util::LogHistogram::BucketOf(v)], 1u) << v;
+  }
+  h.Reset();
+  EXPECT_EQ(h.Snapshot(), util::LogHistogram());
 }
 
 TEST(HistogramTest, ConcurrentObservationsAreLossless) {
   MetricsRegistry reg;
-  Histogram& h = reg.GetHistogram("test.hist", {1, 2, 4, 8});
+  Histogram& h = reg.GetHistogram("test.hist");
   constexpr int kThreads = 8;
   constexpr uint64_t kPerThread = 50'000;
   std::vector<std::thread> threads;
@@ -94,31 +96,69 @@ TEST(HistogramTest, ConcurrentObservationsAreLossless) {
   for (auto& th : threads) {
     th.join();
   }
-  EXPECT_EQ(h.Count(), kThreads * kPerThread);
+  const util::LogHistogram snap = h.Snapshot();
+  EXPECT_EQ(snap.count(), kThreads * kPerThread);
   uint64_t bucket_total = 0;
-  for (uint64_t c : h.BucketCounts()) {
+  for (uint64_t c : snap.buckets()) {
     bucket_total += c;
   }
   EXPECT_EQ(bucket_total, kThreads * kPerThread);
+}
+
+// A registry histogram is util::LogHistogram's geometry end to end:
+// quantiles stay within its 12.5% bound above 1 s (where fixed 1 us..1 s
+// bounds clamped every value to 1 s), the JSON round trip keeps every
+// bucket, and folding two registries' snapshots equals one registry
+// fed both streams, bucket for bucket.
+TEST(HistogramTest, QuantilesJsonAndMergeMatchOneGeometry) {
+  MetricsRegistry whole;
+  MetricsRegistry even;
+  MetricsRegistry odd;
+  util::SampleSet exact;
+  util::Rng rng(23);
+  for (int i = 0; i < 20'000; ++i) {
+    // Log-uniform over 1 us .. ~17 s, so a tenth of the mass is above 1 s.
+    const double exponent = 3.0 + 7.25 * rng.NextDouble();
+    const auto v = static_cast<uint64_t>(std::pow(10.0, exponent));
+    whole.GetHistogram("lat_ns").Observe(v);
+    (i % 2 == 0 ? even : odd).GetHistogram("lat_ns").Observe(v);
+    exact.Add(static_cast<double>(v));
+  }
+  const MetricsSnapshot snap = whole.Snapshot();
+  const util::LogHistogram& h = snap.histograms.at("lat_ns");
+  ASSERT_EQ(h.count(), exact.count());
+  ASSERT_GT(exact.Quantile(0.99), 1e9);
+  for (double q : {0.5, 0.99}) {
+    EXPECT_NEAR(h.Quantile(q), exact.Quantile(q), exact.Quantile(q) * 0.125) << "q=" << q;
+  }
+
+  MetricsSnapshot parsed;
+  ASSERT_TRUE(ParseJson(ToJson(snap), &parsed));
+  EXPECT_EQ(parsed.histograms.at("lat_ns"), h);
+
+  MetricsRegistry folded;
+  folded.MergeFrom(even.Snapshot());
+  folded.MergeFrom(odd.Snapshot());
+  EXPECT_EQ(folded.Snapshot().histograms.at("lat_ns"), h);
 }
 
 TEST(SnapshotTest, MergesAllInstrumentKinds) {
   MetricsRegistry reg;
   reg.GetCounter("c.one").Add(7);
   reg.GetGauge("g.one").Set(-5);
-  reg.GetHistogram("h.one", {100}).Observe(42);
+  reg.GetHistogram("h.one").Observe(42);
 
   MetricsSnapshot snap = reg.Snapshot();
   EXPECT_EQ(snap.counters.at("c.one"), 7u);
   EXPECT_EQ(snap.gauges.at("g.one"), -5);
-  EXPECT_EQ(snap.histograms.at("h.one").count, 1u);
-  EXPECT_EQ(snap.histograms.at("h.one").sum, 42u);
+  EXPECT_EQ(snap.histograms.at("h.one").count(), 1u);
+  EXPECT_EQ(snap.histograms.at("h.one").sum(), 42u);
 
   reg.Reset();
   snap = reg.Snapshot();
   EXPECT_EQ(snap.counters.at("c.one"), 0u);
   EXPECT_EQ(snap.gauges.at("g.one"), 0);
-  EXPECT_EQ(snap.histograms.at("h.one").count, 0u);
+  EXPECT_EQ(snap.histograms.at("h.one").count(), 0u);
 }
 
 // A snapshot taken while writers run must see a consistent-enough
@@ -157,11 +197,17 @@ TEST(ExportTest, JsonRoundTrip) {
   reg.GetCounter("name \"quoted\"\n\x01").Add(UINT64_MAX);
   reg.GetGauge("shm.dict_size").Set(-1);
   reg.GetGauge("g.min").Set(INT64_MIN);
-  Histogram& h = reg.GetHistogram("events.handler_ns", {10, 100});
+  Histogram& h = reg.GetHistogram("events.handler_ns");
   h.Observe(5);
   h.Observe(50);
   h.Observe(500);
   const std::string json = ToJson(reg.Snapshot());
+  // Non-zero buckets keyed by their lower bounds: 5 is exact, 50 and
+  // 500 fall in [48, 52) and [480, 512).
+  EXPECT_NE(json.find("{\"count\": 3, \"sum\": 555, \"buckets\": {\"5\": 1, \"48\": 1, "
+                      "\"480\": 1}}"),
+            std::string::npos)
+      << json;
 
   MetricsSnapshot parsed;
   ASSERT_TRUE(ParseJson(json, &parsed));
@@ -170,11 +216,7 @@ TEST(ExportTest, JsonRoundTrip) {
   EXPECT_EQ(parsed.counters.at("name \"quoted\"\n\x01"), UINT64_MAX);
   EXPECT_EQ(parsed.gauges.at("shm.dict_size"), -1);
   EXPECT_EQ(parsed.gauges.at("g.min"), INT64_MIN);
-  const HistogramSnapshot& ph = parsed.histograms.at("events.handler_ns");
-  EXPECT_EQ(ph.bounds, (std::vector<uint64_t>{10, 100}));
-  EXPECT_EQ(ph.counts, (std::vector<uint64_t>{1, 1, 1}));
-  EXPECT_EQ(ph.count, 3u);
-  EXPECT_EQ(ph.sum, 555u);
+  EXPECT_EQ(parsed.histograms.at("events.handler_ns"), h.Snapshot());
   // Re-serializing the parsed snapshot reproduces the same bytes.
   EXPECT_EQ(ToJson(parsed), json);
 
@@ -185,13 +227,40 @@ TEST(ExportTest, JsonRoundTrip) {
   };
   std::vector<Case> malformed = {
       {"v1 dump with spans",
-       ReplaceOnce(ReplaceOnce(json, "\"version\": 2", "\"version\": 1"), tail,
+       ReplaceOnce(ReplaceOnce(json, "\"version\": 3", "\"version\": 1"), tail,
                    "\n  },\n  \"spans\": [\n    {\"name\": \"events.handler\", \"detail\": "
                    "\"h\", \"ctxt_hash\": 7, \"start_ns\": 100, \"duration_ns\": 42}\n  ]\n}\n")},
-      {"v2 dump with spans", ReplaceOnce(json, tail, "\n  },\n  \"spans\": []\n}\n")},
+      {"v3 dump with spans", ReplaceOnce(json, tail, "\n  },\n  \"spans\": []\n}\n")},
+      {"v2 dump",
+       ReplaceOnce(ReplaceOnce(json, "\"version\": 3", "\"version\": 2"),
+                   "{\"count\": 3, \"sum\": 555, \"buckets\": {\"5\": 1, \"48\": 1, \"480\": 1}}",
+                   "{\"bounds\": [10, 100], \"counts\": [1, 1, 1], \"count\": 3, \"sum\": 555}")},
+      {"v3 buckets under version 2", ReplaceOnce(json, "\"version\": 3", "\"version\": 2")},
+      {"v2 histogram under version 3",
+       ReplaceOnce(json, "\"buckets\": {\"5\": 1, \"48\": 1, \"480\": 1}",
+                   "\"bounds\": [10, 100], \"counts\": [1, 1, 1]")},
       {"wrong schema", ReplaceOnce(json, "whodunit-metrics", "whodunit-bench")},
       {"unknown key", ReplaceOnce(json, "\"counters\"", "\"extra\": {},\n  \"counters\"")},
       {"unknown histogram key", ReplaceOnce(json, "\"sum\"", "\"mean\": 1, \"sum\"")},
+      {"duplicate histogram key", ReplaceOnce(json, "\"sum\"", "\"count\": 3, \"sum\"")},
+      {"histogram without buckets", ReplaceOnce(json, ", \"buckets\": {\"5\": 1, \"48\": 1, "
+                                                      "\"480\": 1}", "")},
+      {"histogram without count", ReplaceOnce(json, "\"count\": 3, ", "")},
+      {"bucket key not a lower bound", ReplaceOnce(json, "\"48\": 1", "\"49\": 1")},
+      {"bucket key with a leading zero", ReplaceOnce(json, "\"48\": 1", "\"048\": 1")},
+      {"negative bucket key", ReplaceOnce(json, "\"48\": 1", "\"-48\": 1")},
+      {"empty bucket key", ReplaceOnce(json, "\"48\": 1", "\"\": 1")},
+      {"bucket key above UINT64_MAX",
+       ReplaceOnce(json, "\"480\": 1", "\"100000000000000000000\": 1")},
+      {"buckets out of order", ReplaceOnce(json, "\"5\": 1, \"48\": 1", "\"48\": 1, \"5\": 1")},
+      {"duplicate bucket", ReplaceOnce(json, "\"48\": 1", "\"48\": 1, \"48\": 1")},
+      {"zero-count bucket", ReplaceOnce(json, "\"48\": 1", "\"48\": 1, \"64\": 0")},
+      {"buckets sum above count", ReplaceOnce(json, "\"480\": 1", "\"480\": 2")},
+      {"buckets sum below count", ReplaceOnce(json, "\"count\": 3", "\"count\": 4")},
+      {"buckets sum wraps around to count",
+       ReplaceOnce(json, "\"5\": 1, \"48\": 1, \"480\": 1",
+                   "\"5\": 18446744073709551615, \"48\": 3, \"480\": 1")},
+      {"bucket count above UINT64_MAX", ReplaceOnce(json, "\"480\": 1", "\"480\": 18446744073709551616")},
       {"unterminated string", "{\"schema\": \"whodunit-metrics"},
       {"unterminated escape", "{\"schema\": \"whodunit-metrics\\u00"},
       {"counter above UINT64_MAX",
@@ -201,8 +270,6 @@ TEST(ExportTest, JsonRoundTrip) {
       {"gauge below INT64_MIN",
        ReplaceOnce(json, "-9223372036854775808", "-9223372036854775809")},
       {"gauge above INT64_MAX", ReplaceOnce(json, "\": -1", "\": 9223372036854775808")},
-      {"bucket bound above UINT64_MAX",
-       ReplaceOnce(json, "[10,100]", "[10,100000000000000000000]")},
   };
   // Every prefix that cuts into the document (everything but the
   // trailing newline) is a truncated dump.
@@ -229,23 +296,39 @@ TEST(ExportTest, RejectsMalformedInput) {
   MetricsSnapshot out;
   EXPECT_FALSE(ParseJson("", &out));
   EXPECT_FALSE(ParseJson("{}", &out));  // missing version
-  EXPECT_FALSE(ParseJson("{\"schema\": \"other\", \"version\": 2}", &out));
+  EXPECT_FALSE(ParseJson("{\"schema\": \"other\", \"version\": 3}", &out));
   EXPECT_FALSE(ParseJson("{\"schema\": \"whodunit-metrics\", \"version\": 1}", &out));
-  EXPECT_FALSE(ParseJson("{\"schema\": \"whodunit-metrics\", \"version\": 3}", &out));
+  EXPECT_FALSE(ParseJson("{\"schema\": \"whodunit-metrics\", \"version\": 2}", &out));
+  EXPECT_FALSE(ParseJson("{\"schema\": \"whodunit-metrics\", \"version\": 4}", &out));
   EXPECT_FALSE(
-      ParseJson("{\"schema\": \"whodunit-metrics\", \"version\": 2, \"counters\": {\"x\": }}",
+      ParseJson("{\"schema\": \"whodunit-metrics\", \"version\": 3, \"counters\": {\"x\": }}",
                 &out));
+  EXPECT_FALSE(ParseJson(
+      "{\"schema\": \"whodunit-metrics\", \"version\": 3, \"histograms\": {\"h\": {}}}", &out));
 }
 
 TEST(ExportTest, RenderTextMentionsEveryInstrument) {
   MetricsRegistry reg;
   reg.GetCounter("a.counter").Add(1);
   reg.GetGauge("a.gauge").Set(2);
-  reg.GetHistogram("a.hist", {10}).Observe(3);
+  reg.GetHistogram("a.hist").Observe(3);
   const std::string text = RenderText(reg.Snapshot());
   EXPECT_NE(text.find("a.counter"), std::string::npos);
   EXPECT_NE(text.find("a.gauge"), std::string::npos);
   EXPECT_NE(text.find("a.hist"), std::string::npos);
+}
+
+TEST(ExportTest, RenderTextQuantilesStayInTheObservedBucket) {
+  MetricsRegistry reg;
+  for (int i = 0; i < 100; ++i) {
+    reg.GetHistogram("a.wait_ns").Observe(1'100'000);
+  }
+  // 1.1 ms lies in the bucket [1.048576, 1.179648) ms; fixed 1-2-5
+  // bounds rendered it as 2 ms.
+  EXPECT_NE(RenderText(reg.Snapshot())
+                .find("a.wait_ns: count=100 mean=1.10ms p50=1.11ms p99=1.18ms"),
+            std::string::npos)
+      << RenderText(reg.Snapshot());
 }
 
 // The built-in instrumentation registers its metrics in the global

@@ -1,7 +1,7 @@
 // sim::ParallelRunner and the deterministic-merge primitives it rests
 // on: ShardEnv isolation, shard-registered id-counter restarts, and
-// the name/id remapping merges of ContextTree, FunctionRegistry,
-// CallingContextTree, and CrosstalkRecorder.
+// the name/id remapping merges of ContextTree, CallingContextTree
+// (through a FunctionRegistry remap), and CrosstalkRecorder.
 #include "src/sim/parallel_runner.h"
 
 #include <string>
@@ -144,30 +144,13 @@ TEST(ContextTreeMergeTest, SharedSequencesMapOntoExistingNodes) {
   EXPECT_EQ(a.node_count(), nodes_before);  // nothing new was created
 }
 
-TEST(MergePrimitivesTest, FunctionRegistryMergesByName) {
-  callpath::FunctionRegistry a;
-  const callpath::FunctionId a_f = a.Register("f");
-  const callpath::FunctionId a_g = a.Register("g");
-
-  callpath::FunctionRegistry b;
-  b.Register("g");
-  b.Register("h");
-
-  const std::vector<callpath::FunctionId> remap = a.MergeFrom(b);
-  ASSERT_EQ(remap.size(), 2u);
-  EXPECT_EQ(remap[0], a_g);  // "g" unified with a's id
-  EXPECT_EQ(a.NameOf(remap[1]), "h");
-  EXPECT_NE(remap[1], a_f);
-  EXPECT_EQ(a.size(), 3u);
-}
-
 TEST(MergePrimitivesTest, CctMergeTranslatesFunctionIds) {
   callpath::FunctionRegistry reg_a;
-  const callpath::FunctionId a_main = reg_a.Register("main");
+  const callpath::FunctionId a_main = reg_a.Intern("main");
 
   callpath::FunctionRegistry reg_b;
-  const callpath::FunctionId b_helper = reg_b.Register("helper");  // id 0 == a_main!
-  const callpath::FunctionId b_main = reg_b.Register("main");
+  const callpath::FunctionId b_helper = reg_b.Intern("helper");  // id 1 == a_main!
+  const callpath::FunctionId b_main = reg_b.Intern("main");
 
   callpath::CallingContextTree cct_a;
   const auto a_node = cct_a.Child(cct_a.root(), a_main);
@@ -189,7 +172,7 @@ TEST(MergePrimitivesTest, CctMergeTranslatesFunctionIds) {
   EXPECT_EQ(cct_a.node(merged_main).samples, 12u);
   const auto merged_helper = cct_a.Child(merged_main, remap[b_helper]);
   EXPECT_EQ(cct_a.node(merged_helper).samples, 2u);
-  EXPECT_EQ(reg_a.NameOf(cct_a.node(merged_helper).function), "helper");
+  EXPECT_EQ(reg_a.Name(cct_a.node(merged_helper).function), "helper");
   EXPECT_EQ(cct_a.TotalSamples(), 14u);
 }
 

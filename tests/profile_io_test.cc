@@ -64,13 +64,7 @@ TEST(ProfileIoTest, SerializeParseRoundTrip) {
   EXPECT_EQ(loaded.ccts[0].second.TotalCpuTime(), 2500);
   EXPECT_EQ(loaded.ccts[0].second.TotalSamples(), 25u);
   // The function name survived.
-  bool found = false;
-  for (uint32_t i = 0; i < loaded.functions.size(); ++i) {
-    if (loaded.functions.NameOf(i) == "svc") {
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
+  EXPECT_NE(loaded.functions.Find("svc"), util::SymbolTable::kNotFound);
 }
 
 TEST(ProfileIoTest, ByteCountersRoundTrip) {
@@ -117,7 +111,7 @@ void RenderSubtree(const LoadedProfile& p, const callpath::CallingContextTree& c
   const callpath::NodeIndex my_out = next_out++;
   if (node != cct.root()) {
     out += "node " + std::to_string(my_out) + " " + std::to_string(parent_out) + " " +
-           p.functions.NameOf(n.function) + " " + std::to_string(n.samples) + " " +
+           p.functions.Name(n.function) + " " + std::to_string(n.samples) + " " +
            std::to_string(n.cpu_time) + " " + std::to_string(n.calls) + "\n";
   }
   for (const auto& [f, child] : n.children) {

@@ -16,7 +16,7 @@ namespace {
 using obs::MetricsRegistry;
 using obs::ScopedMetricsRegistry;
 using obs::live::HistoryOptions;
-using obs::live::Syms;
+using util::Syms;
 using obs::live::TxnEvent;
 using obs::live::TxnHistory;
 using profiler::SamplingConfig;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "src/shm/guest_code.h"
 #include "src/vm/program_builder.h"
@@ -28,8 +29,10 @@ constexpr uint64_t kOutP = 0x2008;
 // files over one shared memory.
 class Harness {
  public:
-  Harness() : detector_(MakeProvider()) {}
-  explicit Harness(FlowDetector::Config config) : detector_(config, MakeProvider()) {}
+  Harness() : detector_(MakeProvider()) { CollectFlows(); }
+  explicit Harness(FlowDetector::Config config) : detector_(config, MakeProvider()) {
+    CollectFlows();
+  }
 
   void SetCtxt(ThreadId t, CtxtId c) { ctxts_[t] = c; }
 
@@ -43,10 +46,16 @@ class Harness {
   }
 
   FlowDetector& detector() { return detector_; }
+  // Every flow the detector emitted, in order.
+  const std::vector<FlowEvent>& flows() const { return flows_; }
   Memory& mem() { return mem_; }
   CpuState& cpu(ThreadId t) { return cpus_[t]; }
 
  private:
+  void CollectFlows() {
+    detector_.set_flow_callback([this](const FlowEvent& ev) { flows_.push_back(ev); });
+  }
+
   FlowDetector::CtxtProvider MakeProvider() {
     return [this](ThreadId t) {
       auto it = ctxts_.find(t);
@@ -59,6 +68,7 @@ class Harness {
   Memory mem_;
   Interpreter interp_;
   FlowDetector detector_;
+  std::vector<FlowEvent> flows_;
 };
 
 TEST(FlowDetectorTest, ApacheQueueFlowDetected) {
@@ -71,7 +81,7 @@ TEST(FlowDetectorTest, ApacheQueueFlowDetected) {
   h.Run(ApQueuePop(kLock), 2, {{0, kQueueBase}, {5, kOutSd}, {6, kOutP}});
 
   ASSERT_EQ(h.detector().flows_detected(), 1u);
-  const FlowEvent& ev = h.detector().flow_log()[0];
+  const FlowEvent& ev = h.flows()[0];
   EXPECT_EQ(ev.producer, 1u);
   EXPECT_EQ(ev.consumer, 2u);
   EXPECT_EQ(ev.ctxt, 100u);  // the listener's context at produce time
@@ -102,10 +112,10 @@ TEST(FlowDetectorTest, MultiplePushesPreserveDistinctContexts) {
   h.Run(ApQueuePop(kLock), 3, {{0, kQueueBase}, {5, 0x3000}, {6, 0x3008}});
 
   ASSERT_EQ(h.detector().flows_detected(), 2u);
-  EXPECT_EQ(h.detector().flow_log()[0].ctxt, 101u);
-  EXPECT_EQ(h.detector().flow_log()[0].consumer, 2u);
-  EXPECT_EQ(h.detector().flow_log()[1].ctxt, 100u);
-  EXPECT_EQ(h.detector().flow_log()[1].consumer, 3u);
+  EXPECT_EQ(h.flows()[0].ctxt, 101u);
+  EXPECT_EQ(h.flows()[0].consumer, 2u);
+  EXPECT_EQ(h.flows()[1].ctxt, 100u);
+  EXPECT_EQ(h.flows()[1].consumer, 3u);
 }
 
 TEST(FlowDetectorTest, OnePopYieldsOneLogicalFlow) {
@@ -192,8 +202,8 @@ TEST(FlowDetectorTest, LinkedQueueFlowAndFifoContexts) {
   EXPECT_EQ(h.cpu(2).regs[2], 88u);
 
   ASSERT_GE(h.detector().flows_detected(), 2u);
-  EXPECT_EQ(h.detector().flow_log()[0].ctxt, 100u);
-  EXPECT_EQ(h.detector().flow_log()[1].ctxt, 101u);
+  EXPECT_EQ(h.flows()[0].ctxt, 100u);
+  EXPECT_EQ(h.flows()[1].ctxt, 101u);
 }
 
 TEST(FlowDetectorTest, EmptyDequeueNullPropagationIsNotFlow) {
@@ -319,7 +329,7 @@ TEST(FlowDetectorTest, NestedLocksAnalyzedUnderOutermost) {
   load.Lock(kOuter).MovRM(3, 0, 0).Unlock(kOuter).CmpRI(3, 0).Halt();
   h.Run(load.Build(), 2, {{0, kAddr}});
   EXPECT_EQ(h.detector().flows_detected(), 1u);
-  EXPECT_EQ(h.detector().flow_log()[0].lock_id, kOuter);
+  EXPECT_EQ(h.flows()[0].lock_id, kOuter);
 }
 
 TEST(FlowDetectorTest, FlowCallbackFires) {
@@ -367,7 +377,7 @@ TEST(FlowDetectorTest, RegistersClearedBetweenCriticalSections) {
   // Exactly one flow (kB), and it carries t1's context at production
   // time of the third critical section (100, set before third ran).
   bool found = false;
-  for (const auto& ev : h.detector().flow_log()) {
+  for (const auto& ev : h.flows()) {
     if (ev.consumer == 3) {
       found = true;
       EXPECT_EQ(ev.producer, 1u);

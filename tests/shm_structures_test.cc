@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "src/shm/flow_detector.h"
 #include "src/shm/guest_code.h"
@@ -27,7 +28,9 @@ class Harness {
       : detector_([this](ThreadId t) {
           auto it = ctxts_.find(t);
           return it == ctxts_.end() ? CtxtId{0} : it->second;
-        }) {}
+        }) {
+    detector_.set_flow_callback([this](const FlowEvent& ev) { flows_.push_back(ev); });
+  }
 
   void SetCtxt(ThreadId t, CtxtId c) { ctxts_[t] = c; }
 
@@ -41,6 +44,8 @@ class Harness {
   }
 
   FlowDetector& detector() { return detector_; }
+  // Every flow the detector emitted, in order.
+  const std::vector<FlowEvent>& flows() const { return flows_; }
   Memory& mem() { return mem_; }
 
  private:
@@ -49,6 +54,7 @@ class Harness {
   Memory mem_;
   Interpreter interp_;
   FlowDetector detector_;
+  std::vector<FlowEvent> flows_;
 };
 
 TEST(TailqTest, InsertTailRemoveHeadFifoWithContexts) {
@@ -66,8 +72,8 @@ TEST(TailqTest, InsertTailRemoveHeadFifoWithContexts) {
   EXPECT_EQ(c2.regs[2], 22u);
 
   ASSERT_EQ(h.detector().flows_detected(), 2u);
-  EXPECT_EQ(h.detector().flow_log()[0].ctxt, 100u);
-  EXPECT_EQ(h.detector().flow_log()[1].ctxt, 101u);
+  EXPECT_EQ(h.flows()[0].ctxt, 100u);
+  EXPECT_EQ(h.flows()[1].ctxt, 101u);
 }
 
 TEST(TailqTest, InsertHeadGivesLifoOrder) {
@@ -83,8 +89,8 @@ TEST(TailqTest, InsertHeadGivesLifoOrder) {
   EXPECT_EQ(c2.regs[2], 11u);
   // LIFO: the first pop carries the SECOND insert's context.
   ASSERT_GE(h.detector().flows_detected(), 2u);
-  EXPECT_EQ(h.detector().flow_log()[0].ctxt, 101u);
-  EXPECT_EQ(h.detector().flow_log()[1].ctxt, 100u);
+  EXPECT_EQ(h.flows()[0].ctxt, 101u);
+  EXPECT_EQ(h.flows()[1].ctxt, 100u);
 }
 
 TEST(TailqTest, EmptyRemoveIsNotFlow) {
@@ -113,9 +119,9 @@ TEST(TailqTest, MixedInsertHeadAndTail) {
   EXPECT_EQ(c2.regs[2], 1u);
   CpuState& c3 = h.Run(TailqRemoveHead(kLock), 3, {{0, kQ}});
   EXPECT_EQ(c3.regs[2], 3u);
-  ASSERT_EQ(h.detector().flow_log().size(), 3u);
-  EXPECT_EQ(h.detector().flow_log()[0].producer, 2u);
-  EXPECT_EQ(h.detector().flow_log()[1].producer, 1u);
+  ASSERT_EQ(h.flows().size(), 3u);
+  EXPECT_EQ(h.flows()[0].producer, 2u);
+  EXPECT_EQ(h.flows()[1].producer, 1u);
 }
 
 TEST(RingTest, WrapsAroundAndCarriesContexts) {
@@ -136,8 +142,8 @@ TEST(RingTest, WrapsAroundAndCarriesContexts) {
   }
   // One flow per dequeue, each with the matching producer context.
   ASSERT_EQ(h.detector().flows_detected(), 3u * kRingCapacity);
-  for (size_t i = 0; i < h.detector().flow_log().size(); ++i) {
-    EXPECT_EQ(h.detector().flow_log()[i].ctxt, 100u + i);
+  for (size_t i = 0; i < h.flows().size(); ++i) {
+    EXPECT_EQ(h.flows()[i].ctxt, 100u + i);
   }
 }
 
@@ -159,8 +165,8 @@ TEST(RingTest, SlotReuseDoesNotLeakOldContext) {
   h.Run(enq, 3, {{0, kQ}, {1, 99}});
   CpuState& c = h.Run(deq, 2, {{0, kQ}});
   EXPECT_EQ(c.regs[1], 99u);
-  EXPECT_EQ(h.detector().flow_log().back().ctxt, 300u);
-  EXPECT_EQ(h.detector().flow_log().back().producer, 3u);
+  EXPECT_EQ(h.flows().back().ctxt, 300u);
+  EXPECT_EQ(h.flows().back().producer, 3u);
 }
 
 TEST(HeapTest, ElementMovesCarryContexts) {
@@ -179,7 +185,7 @@ TEST(HeapTest, ElementMovesCarryContexts) {
   EXPECT_EQ(c1.regs[1], 10u);
   EXPECT_EQ(c1.regs[2], 0xBBBu);
   ASSERT_GE(h.detector().flows_detected(), 1u);
-  EXPECT_EQ(h.detector().flow_log()[0].ctxt, 101u);
+  EXPECT_EQ(h.flows()[0].ctxt, 101u);
 
   CpuState& c2 = h.Run(HeapExtractMin(kLock), 3, {{0, kQ}});
   EXPECT_EQ(c2.regs[1], 50u);
@@ -187,8 +193,8 @@ TEST(HeapTest, ElementMovesCarryContexts) {
   // The element moved twice (sift-up swap, then move-to-root), yet its
   // original producer context survived both moves.
   ASSERT_GE(h.detector().flows_detected(), 2u);
-  EXPECT_EQ(h.detector().flow_log()[1].ctxt, 100u);
-  EXPECT_EQ(h.detector().flow_log()[1].consumer, 3u);
+  EXPECT_EQ(h.flows()[1].ctxt, 100u);
+  EXPECT_EQ(h.flows()[1].consumer, 3u);
 }
 
 TEST(HeapTest, NoSiftWhenInsertedInOrder) {
@@ -199,10 +205,10 @@ TEST(HeapTest, NoSiftWhenInsertedInOrder) {
   h.Run(HeapInsert(kLock), 1, {{0, kQ}, {1, 50}, {2, 0xBBB}});  // stays put
   CpuState& c1 = h.Run(HeapExtractMin(kLock), 2, {{0, kQ}});
   EXPECT_EQ(c1.regs[1], 10u);
-  EXPECT_EQ(h.detector().flow_log()[0].ctxt, 100u);
+  EXPECT_EQ(h.flows()[0].ctxt, 100u);
   CpuState& c2 = h.Run(HeapExtractMin(kLock), 2, {{0, kQ}});
   EXPECT_EQ(c2.regs[1], 50u);
-  EXPECT_EQ(h.detector().flow_log()[1].ctxt, 101u);
+  EXPECT_EQ(h.flows()[1].ctxt, 101u);
 }
 
 }  // namespace

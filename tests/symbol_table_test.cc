@@ -1,8 +1,9 @@
-// SymbolTable (src/obs/live/symbol_table.h): the interning contract,
-// the single-writer / lock-free-reader concurrency claim, MergeFrom's
-// remap stability, and a golden proving the name-sorted exports are
-// byte-identical to what the pre-interning string-keyed pipeline
-// produced.
+// SymbolTable (src/util/symbol_table.h), the one name interner: the
+// interning contract, Find, copies, the single-writer /
+// lock-free-reader concurrency claim, MergeFrom's remap stability over
+// live-pipeline and function names, and a golden proving the
+// name-sorted exports are byte-identical to what the pre-interning
+// string-keyed pipeline produced.
 #include <atomic>
 #include <string>
 #include <string_view>
@@ -11,22 +12,27 @@
 
 #include <gtest/gtest.h>
 
+#include "src/callpath/function_registry.h"
 #include "src/obs/live/aggregator.h"
-#include "src/obs/live/symbol_table.h"
 #include "src/obs/live/txn_event.h"
 #include "src/obs/metrics.h"
+#include "src/util/symbol_table.h"
 
-namespace whodunit::obs::live {
+namespace whodunit::util {
 namespace {
 
 using obs::MetricsRegistry;
 using obs::ScopedMetricsRegistry;
+using obs::live::LiveAggregator;
+using obs::live::TxnEvent;
+using obs::live::WaitState;
 
 TEST(SymbolTableTest, EmptyStringIsIdZero) {
   SymbolTable table;
   EXPECT_EQ(table.size(), 1u);  // "" pre-interned at construction
   EXPECT_EQ(table.Intern(""), 0u);
   EXPECT_EQ(table.Name(0), "");
+  EXPECT_EQ(table.Find(""), 0u);
 }
 
 TEST(SymbolTableTest, IdsAssignedInFirstInternOrderAndStable) {
@@ -44,6 +50,10 @@ TEST(SymbolTableTest, IdsAssignedInFirstInternOrderAndStable) {
   EXPECT_EQ(table.Name(squid), "squid");
   EXPECT_EQ(table.Name(tomcat), "tomcat");
   EXPECT_EQ(table.Name(mysql), "mysql");
+  // Find resolves without interning; a miss leaves the table alone.
+  EXPECT_EQ(table.Find("tomcat"), tomcat);
+  EXPECT_EQ(table.Find("apache"), SymbolTable::kNotFound);
+  EXPECT_EQ(table.size(), 4u);
 }
 
 TEST(SymbolTableTest, OutOfRangeIdsResolveToEmpty) {
@@ -56,14 +66,38 @@ TEST(SymbolTableTest, OutOfRangeIdsResolveToEmpty) {
 TEST(SymbolTableTest, InterningCrossesChunkBoundaries) {
   SymbolTable table;
   std::vector<SymId> ids;
-  const size_t n = SymbolTable::kChunkSize * 2 + 17;
+  // Chunks hold 16, 32, 64, ... names: this spans the first six.
+  const size_t n = 1000;
   ids.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    ids.push_back(table.Intern("sym_" + std::to_string(i)));
+    ids.push_back(table.Intern("fn_" + std::to_string(i)));
+    EXPECT_EQ(ids.back(), i + 1);
   }
   for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(table.Name(ids[i]), "sym_" + std::to_string(i));
+    EXPECT_EQ(table.Name(ids[i]), "fn_" + std::to_string(i));
+    EXPECT_EQ(table.Find("fn_" + std::to_string(i)), ids[i]);
   }
+}
+
+TEST(SymbolTableTest, CopyPreservesIds) {
+  SymbolTable table;
+  for (size_t i = 0; i < 100; ++i) {
+    table.Intern("fn_" + std::to_string(i));
+  }
+  SymbolTable copy(table);
+  SymbolTable assigned;
+  assigned.Intern("stale");
+  assigned = table;
+  for (const SymbolTable* t : {&copy, &assigned}) {
+    ASSERT_EQ(t->size(), table.size());
+    for (SymId id = 0; id < table.size(); ++id) {
+      EXPECT_EQ(t->Name(id), table.Name(id)) << "id " << id;
+    }
+    EXPECT_EQ(t->Find("stale"), SymbolTable::kNotFound);
+  }
+  // The copy is independent: interning into it leaves the source alone.
+  EXPECT_EQ(copy.Intern("new"), table.size());
+  EXPECT_EQ(table.Find("new"), SymbolTable::kNotFound);
 }
 
 TEST(SymbolTableTest, ScopedTableRedirectsSymsAndRestores) {
@@ -88,7 +122,7 @@ TEST(SymbolTableTest, ScopedTableRedirectsSymsAndRestores) {
 // TSan preset this also proves the release/acquire pairing is real.
 TEST(SymbolTableTest, ConcurrentReadersSeeConsistentNames) {
   SymbolTable table;
-  constexpr size_t kNames = 2000;  // crosses several 256-entry chunks
+  constexpr size_t kNames = 2000;  // crosses seven chunks
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> resolved{0};
 
@@ -124,29 +158,37 @@ TEST(SymbolTableTest, ConcurrentReadersSeeConsistentNames) {
 }
 
 TEST(SymbolTableTest, MergeFromRemapsIdsToSameNames) {
-  SymbolTable mine;
-  mine.Intern("squid");
-  mine.Intern("tomcat");
+  // Live-pipeline stage names, and function names as a shard
+  // deployment's FunctionRegistry holds them.
+  for (const auto& names : std::vector<std::vector<std::string>>{
+           {"squid", "tomcat", "mysql", "apache"},
+           {"ap_queue_push", "ap_queue_pop", "apr_socket_accept", "http_parse"}}) {
+    callpath::FunctionRegistry mine;
+    mine.Intern(names[0]);
+    mine.Intern(names[1]);
 
-  SymbolTable other;
-  other.Intern("mysql");   // new to mine
-  other.Intern("tomcat");  // already interned here, different id there
-  other.Intern("apache");  // new to mine
+    SymbolTable other;
+    other.Intern(names[2]);  // new to mine
+    other.Intern(names[1]);  // already interned here, different id there
+    other.Intern(names[3]);  // new to mine
 
-  const std::vector<SymId> remap = mine.MergeFrom(other);
-  ASSERT_EQ(remap.size(), other.size());
-  // Every id of `other` resolves to the same name through the remap.
-  for (SymId id = 0; id < other.size(); ++id) {
-    EXPECT_EQ(mine.Name(remap[id]), other.Name(id)) << "other id " << id;
+    const std::vector<SymId> remap = mine.MergeFrom(other);
+    ASSERT_EQ(remap.size(), other.size());
+    // Every id of `other` resolves to the same name through the remap.
+    for (SymId id = 0; id < other.size(); ++id) {
+      EXPECT_EQ(mine.Name(remap[id]), other.Name(id)) << "other id " << id;
+    }
+    // Pre-existing ids on this side are untouched.
+    EXPECT_EQ(remap[0], 0u);
+    EXPECT_EQ(mine.Name(1), names[0]);
+    EXPECT_EQ(mine.Name(2), names[1]);
+    // Shared names fold onto the existing id; new names append in the
+    // other table's id order (the deterministic shard-merge order).
+    EXPECT_EQ(remap[other.Find(names[1])], 2u);
+    EXPECT_EQ(mine.Name(3), names[2]);
+    EXPECT_EQ(mine.Name(4), names[3]);
+    EXPECT_EQ(mine.size(), 5u);
   }
-  // Pre-existing ids on this side are untouched.
-  EXPECT_EQ(mine.Name(1), "squid");
-  EXPECT_EQ(mine.Name(2), "tomcat");
-  // Shared names fold onto the existing id; new names append in the
-  // other table's id order (the deterministic shard-merge order).
-  EXPECT_EQ(remap[other.Intern("tomcat")], 2u);
-  EXPECT_EQ(mine.Name(3), "mysql");
-  EXPECT_EQ(mine.Name(4), "apache");
 }
 
 TEST(SymbolTableTest, MergeFromIsIdempotent) {
@@ -202,4 +244,4 @@ TEST(SymbolTableGoldenTest, AttrFoldedExportIsInternOrderInvariant) {
 }
 
 }  // namespace
-}  // namespace whodunit::obs::live
+}  // namespace whodunit::util
