@@ -38,13 +38,13 @@ Table& Database::CreateTable(std::string_view name, uint64_t rows,
 }
 
 Table& Database::table(std::string_view name) {
-  auto it = tables_.find(std::string(name));
+  auto it = tables_.find(name);
   assert(it != tables_.end() && "unknown table");
   return *it->second;
 }
 
 bool Database::HasTable(std::string_view name) const {
-  return tables_.contains(std::string(name));
+  return tables_.contains(name);
 }
 
 void Database::SetLockObserver(sim::LockObserver* observer) {
@@ -104,7 +104,10 @@ sim::Task<sim::SimTime> Database::Execute(const Query& query, uint64_t tag,
     bool writes = false;
     std::vector<uint64_t> rows;  // rows updated (row-lock mode)
   };
-  std::map<std::string, Need> needs;  // ordered: deadlock-free acquisition
+  // Ordered by name: deadlock-free acquisition. The keys view the
+  // query's step names; the query outlives the call, as the plan loop
+  // below already requires.
+  std::map<std::string_view, Need> needs;
   for (const QueryStep& step : query.steps) {
     if (step.table.empty()) {
       continue;  // pure CPU step (sort / temp table)

@@ -19,6 +19,7 @@
 #define SRC_DB_DATABASE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -146,7 +147,16 @@ class Database {
   sim::Scheduler& sched_;
   sim::CpuResource& cpu_;
   CostModel costs_;
-  std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
+  // Transparent hash and equality: table(name) looks up a string_view
+  // without building a std::string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  std::unordered_map<std::string, std::unique_ptr<Table>, NameHash, std::equal_to<>>
+      tables_;
   uint64_t queries_executed_ = 0;
 };
 

@@ -225,7 +225,12 @@ std::string OfflineStitch(const std::vector<LoadedProfile>& profiles,
         text += " # ";
       }
       auto it = dictionary.find(part);
-      text += it == dictionary.end() ? "?" + std::to_string(part) : it->second;
+      if (it == dictionary.end()) {
+        text += '?';
+        text += std::to_string(part);
+      } else {
+        text += it->second;
+      }
     }
     return text;
   };

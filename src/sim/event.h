@@ -16,20 +16,17 @@
 
 #include <coroutine>
 #include <cstddef>
-#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
 
-#include "src/sim/time.h"
 #include "src/util/arena.h"
 
 namespace whodunit::sim {
 
 class Event {
  public:
-  // Sized so ScheduledEvent (time + seq + Event) stays within 80 bytes;
-  // covers every capture list in the simulator's hot paths.
+  // Covers every capture list in the simulator's hot paths.
   static constexpr size_t kInlineBytes = 48;
   static constexpr size_t kInlineAlign = 16;
 
@@ -155,26 +152,6 @@ class Event {
   };
   const VTable* vt_ = nullptr;
 };
-
-// A calendar entry. The (time, seq) pair is a total order — seq is a
-// scheduler-global insertion counter — so ANY correct priority queue
-// executes the same sequence, which is what keeps shard merges
-// byte-identical no matter which queue implementation runs underneath.
-struct ScheduledEvent {
-  SimTime time;
-  uint64_t seq;
-  Event ev;
-};
-
-inline bool EventBefore(SimTime at, uint64_t aseq, SimTime bt,
-                        uint64_t bseq) noexcept {
-  return at != bt ? at < bt : aseq < bseq;
-}
-
-inline bool EventBefore(const ScheduledEvent& a,
-                        const ScheduledEvent& b) noexcept {
-  return EventBefore(a.time, a.seq, b.time, b.seq);
-}
 
 }  // namespace whodunit::sim
 

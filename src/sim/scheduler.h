@@ -2,7 +2,6 @@
 #ifndef SRC_SIM_SCHEDULER_H_
 #define SRC_SIM_SCHEDULER_H_
 
-#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <utility>
@@ -21,13 +20,18 @@ namespace whodunit::sim {
 // deliberately minimal: coroutine awaitables (Delay, locks, channels,
 // CPU) build on ScheduleAt/ScheduleAfter.
 //
-// The calendar is a binary min-heap on the (time, seq) key. That key
-// is a total order, so the execution order is fully determined by the
-// events scheduled, which keeps the shard merge determinism contract.
+// The calendar is an index heap. Callbacks are stored as sim::Event
+// records in a slot vector and never move while queued; a 4-ary
+// min-heap orders 24-byte (time, seq, slot) keys, so a sift moves keys,
+// not payloads. seq is the scheduler's insertion counter, so (time,
+// seq) is a total order: the execution order is fully determined by
+// the events scheduled, which keeps the shard merge determinism
+// contract. Step frees an event's slot before firing it, so the pushes
+// the callback makes can reuse it, and a warm calendar never allocates.
 //
-// Callbacks are stored as sim::Event records: coroutine resumes carry
-// no allocation at all, small lambdas live inline, and oversized ones
-// come from the per-thread arena pool instead of malloc.
+// Event records make coroutine resumes carry no allocation at all,
+// keep small lambdas inline, and take oversized ones from the
+// per-thread arena pool instead of malloc.
 class Scheduler {
  public:
   Scheduler() = default;
@@ -80,12 +84,17 @@ class Scheduler {
     if (heap_.empty()) {
       return false;
     }
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    ScheduledEvent item = std::move(heap_.back());
+    const Key top = heap_.front();
+    const Key last = heap_.back();
     heap_.pop_back();
-    now_ = item.time;
+    if (!heap_.empty()) {
+      SiftDown(0, last);
+    }
+    Event ev = std::move(slots_[top.slot]);
+    free_slots_.push_back(top.slot);
+    now_ = top.time;
     ++events_executed_;
-    item.ev.Fire();
+    ev.Fire();
     return true;
   }
 
@@ -126,26 +135,84 @@ class Scheduler {
     uint64_t executed = 0;
   };
 
-  // Heap order: the earliest (time, seq) key sits at the front.
-  struct Later {
-    bool operator()(const ScheduledEvent& a, const ScheduledEvent& b) const {
-      return EventBefore(b, a);
-    }
+  // A calendar entry: when the event runs, its insertion order, and
+  // the slots_ index of its payload.
+  struct Key {
+    SimTime time;
+    uint64_t seq;
+    uint32_t slot;
   };
+  static_assert(sizeof(Key) == 24);
+  static bool Before(const Key& a, const Key& b) {
+    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+  }
+
+  static constexpr size_t kArity = 4;
 
   void PushEvent(SimTime t, Event ev) {
     if (t < now_) {
       t = now_;
     }
-    heap_.push_back(ScheduledEvent{t, next_seq_++, std::move(ev)});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    uint32_t slot;
+    if (free_slots_.empty()) {
+      slot = static_cast<uint32_t>(slots_.size());
+      slots_.push_back(std::move(ev));
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      slots_[slot] = std::move(ev);
+    }
+    heap_.push_back(Key{t, next_seq_++, slot});
+    SiftUp(heap_.size() - 1);
     if (heap_.size() > peak_depth_) {
       peak_depth_ = heap_.size();
     }
     ++events_scheduled_;
   }
 
-  std::vector<ScheduledEvent> heap_;
+  // Moves the key at index i up to its place, shifting parents down
+  // into the hole instead of swapping.
+  void SiftUp(size_t i) {
+    const Key key = heap_[i];
+    while (i > 0) {
+      const size_t parent = (i - 1) / kArity;
+      if (!Before(key, heap_[parent])) {
+        break;
+      }
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = key;
+  }
+
+  // Places `key` into the subtree whose root, index i, is a hole,
+  // shifting the earliest child up while it runs before `key`.
+  void SiftDown(size_t i, Key key) {
+    const size_t n = heap_.size();
+    for (;;) {
+      const size_t first = i * kArity + 1;
+      if (first >= n) {
+        break;
+      }
+      const size_t end = first + kArity < n ? first + kArity : n;
+      size_t best = first;
+      for (size_t c = first + 1; c < end; ++c) {
+        if (Before(heap_[c], heap_[best])) {
+          best = c;
+        }
+      }
+      if (!Before(heap_[best], key)) {
+        break;
+      }
+      heap_[i] = heap_[best];
+      i = best;
+    }
+    heap_[i] = key;
+  }
+
+  std::vector<Key> heap_;
+  std::vector<Event> slots_;
+  std::vector<uint32_t> free_slots_;
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_executed_ = 0;

@@ -321,7 +321,9 @@ TEST(WhodunitdTest, SpanRingKeepsNewest) {
     Whodunitd d(sched, options);
     for (int i = 0; i < 5; ++i) {
       const uint64_t txn = d.BeginTxn("s", d.now());
-      d.SetTxnType(txn, "t" + std::to_string(i));
+      std::string type = "t";
+      type += std::to_string(i);
+      d.SetTxnType(txn, type);
       d.CompleteTxn(txn, d.now());
     }
     sched.Run();

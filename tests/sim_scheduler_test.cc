@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <map>
 #include <new>
 #include <utility>
@@ -201,15 +203,27 @@ TEST(SchedulerTest, SteadyStateStepsDoNotAllocate) {
 // order is the specification the heap must match.
 class ReferenceScheduler {
  public:
+  SimTime now() const { return now_; }
+  bool empty() const { return events_.empty(); }
+  uint64_t peak_queue_depth() const { return peak_depth_; }
+
   void ScheduleAt(SimTime t, std::function<void()> cb) {
     events_.emplace(std::make_pair(std::max(t, now_), next_seq_++),
                     std::move(cb));
+    peak_depth_ = std::max<uint64_t>(peak_depth_, events_.size());
   }
   void ScheduleAfter(SimTime dt, std::function<void()> cb) {
     ScheduleAt(now_ + std::max<SimTime>(dt, 0), std::move(cb));
   }
-  void Run() {
-    while (!events_.empty()) {
+  void Run() { Drain(std::numeric_limits<SimTime>::max()); }
+  void RunUntil(SimTime t) {
+    Drain(t);
+    now_ = std::max(now_, t);
+  }
+
+ private:
+  void Drain(SimTime t) {
+    while (!events_.empty() && events_.begin()->first.first <= t) {
       auto head = events_.begin();
       now_ = head->first.first;
       std::function<void()> cb = std::move(head->second);
@@ -218,51 +232,103 @@ class ReferenceScheduler {
     }
   }
 
- private:
   std::multimap<std::pair<SimTime, uint64_t>, std::function<void()>> events_;
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
+  uint64_t peak_depth_ = 0;
 };
 
-// Runs an identical randomized workload — events rescheduling further
-// events with heavy timestamp collisions — on the given scheduler and
-// returns the execution order of event ids.
+struct Fired {
+  int id;  // -1 marks the end of a RunUntil call
+  SimTime now;
+  bool operator==(const Fired&) const = default;
+};
+
+struct WorkloadRun {
+  std::vector<Fired> order;
+  uint64_t peak_depth = 0;
+};
+
+// Runs an identical randomized workload on the given scheduler and
+// records every firing with its virtual time. Events reschedule further
+// events with heavy timestamp collisions, over a queue deep enough for
+// 8+ levels of the 4-ary heap, with bursts of hundreds of zero-delay
+// pushes, negative delays, and payloads too large for Event's inline
+// buffer (so arena-backed events land in reused slots). The outer loop runs
+// to random RunUntil cut points and records the clock after each.
 template <typename S>
-std::vector<int> RandomWorkloadOrder(uint64_t seed) {
+WorkloadRun RandomWorkloadRun(uint64_t seed) {
   S s;
   util::Rng rng(seed);
-  std::vector<int> order;
+  WorkloadRun run;
   int next_id = 0;
-  constexpr int kMaxEvents = 20000;
-  std::function<void(int)> fire = [&](int id) {
-    order.push_back(id);
-    const uint64_t kids = rng.NextBelow(3);
-    for (uint64_t k = 0; k < kids && next_id < kMaxEvents; ++k) {
-      const int cid = next_id++;
-      // Mix zero/near-tie deltas with far jumps.
-      const auto dt = static_cast<SimTime>(
-          rng.NextBelow(4) == 0 ? rng.NextBelow(3) : rng.NextBelow(50000));
-      s.ScheduleAfter(dt, [&fire, cid] { fire(cid); });
+  constexpr int kInitial = 60000;
+  constexpr int kMaxEvents = 200000;
+  std::function<void(int)> fire;
+  auto schedule_after = [&](SimTime dt) {
+    const int id = next_id++;
+    if (rng.NextBelow(2) == 0) {
+      s.ScheduleAfter(dt, [&fire, id] { fire(id); });
+    } else {
+      std::array<uint64_t, 8> pad{};
+      pad[0] = static_cast<uint64_t>(id);
+      static_assert(sizeof(pad) > Event::kInlineBytes);
+      s.ScheduleAfter(dt, [&fire, pad] { fire(static_cast<int>(pad[0])); });
     }
   };
-  while (next_id < 2000) {
+  fire = [&](int id) {
+    run.order.push_back({id, s.now()});
+    if (next_id >= kMaxEvents) {
+      return;
+    }
+    // About one child per firing, so the queue stays deep while it
+    // churns: a rare burst, a negative delay, a near-tie or far forward
+    // delay, or none.
+    const uint64_t roll = rng.NextBelow(1024);
+    if (roll == 0) {
+      const uint64_t burst = 100 + rng.NextBelow(400);
+      for (uint64_t k = 0; k < burst && next_id < kMaxEvents; ++k) {
+        schedule_after(0);
+      }
+    } else if (roll < 256) {
+      schedule_after(-1 - static_cast<SimTime>(rng.NextBelow(100000)));
+    } else if (roll < 512) {
+      schedule_after(static_cast<SimTime>(rng.NextBelow(3)));
+    } else if (roll < 768) {
+      schedule_after(static_cast<SimTime>(rng.NextBelow(100000)));
+    }
+  };
+  while (next_id < kInitial) {
     const int id = next_id++;
-    const auto t = static_cast<SimTime>(rng.NextBelow(20000));
+    const auto t = static_cast<SimTime>(rng.NextBelow(1000000));
     s.ScheduleAt(t, [&fire, id] { fire(id); });
   }
-  s.Run();
-  return order;
+  SimTime cut = 0;
+  while (!s.empty()) {
+    cut += static_cast<SimTime>(rng.NextBelow(40000));
+    s.RunUntil(cut);
+    run.order.push_back({-1, s.now()});
+  }
+  run.peak_depth = s.peak_queue_depth();
+  return run;
 }
 
 TEST(SchedulerTest, MatchesSortedReferenceOnRandomWorkloads) {
   // Differential check: the heap scheduler and the sorted reference
-  // must execute identical event sequences, including events scheduled
-  // from inside callbacks.
+  // must execute identical event sequences at identical times, including
+  // events scheduled from inside callbacks, and agree on the clock after
+  // every RunUntil and on the peak depth.
   for (const uint64_t seed : {1ULL, 42ULL, 1234ULL}) {
-    const std::vector<int> heap = RandomWorkloadOrder<Scheduler>(seed);
-    const std::vector<int> ref = RandomWorkloadOrder<ReferenceScheduler>(seed);
-    ASSERT_GE(heap.size(), 2000u) << "seed " << seed;
-    EXPECT_EQ(heap, ref) << "seed " << seed;
+    const WorkloadRun heap = RandomWorkloadRun<Scheduler>(seed);
+    const WorkloadRun ref = RandomWorkloadRun<ReferenceScheduler>(seed);
+    ASSERT_GE(heap.peak_depth, 50000u) << "seed " << seed;
+    EXPECT_EQ(heap.peak_depth, ref.peak_depth) << "seed " << seed;
+    ASSERT_EQ(heap.order.size(), ref.order.size()) << "seed " << seed;
+    const auto diverge =
+        std::mismatch(heap.order.begin(), heap.order.end(), ref.order.begin());
+    EXPECT_EQ(diverge.first - heap.order.begin(),
+              static_cast<std::ptrdiff_t>(heap.order.size()))
+        << "seed " << seed << ": first divergence at that position";
   }
 }
 
