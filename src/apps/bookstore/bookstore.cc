@@ -177,7 +177,7 @@ class Bookstore {
           treq.syn = squid_.PrepareSend(tp);
           squid_.AccountMessage(kRequestBytes, treq.syn.WireBytes());
           treq.sent_ns = sched_.now();
-          tomcat_ch_.Send(treq);
+          tomcat_ch_.Send(std::move(treq));
           auto rep = co_await reply_ch.Receive();
           if (!rep) {
             break;
@@ -231,7 +231,7 @@ class Bookstore {
             dreq.syn = tomcat_.PrepareSend(tp);
             tomcat_.AccountMessage(kRequestBytes, dreq.syn.WireBytes());
             dreq.sent_ns = sched_.now();
-            db_ch_.Send(dreq);
+            db_ch_.Send(std::move(dreq));
             auto drep = co_await reply_ch.Receive();
             if (!drep) {
               break;
@@ -252,7 +252,7 @@ class Bookstore {
       rep.syn = tomcat_.PrepareSend(tp, /*expect_response=*/false);
       tomcat_.AccountMessage(rep.body_bytes, rep.syn.WireBytes());
       tomcat_.LiveLeave(tp);
-      req->reply->Send(rep);
+      req->reply->Send(std::move(rep));
     }
   }
 
@@ -342,7 +342,7 @@ class Bookstore {
       rep.syn = mysql_.PrepareSend(tp, /*expect_response=*/false);
       mysql_.AccountMessage(2048, rep.syn.WireBytes());
       mysql_.LiveLeave(tp);
-      req->reply->Send(rep);
+      req->reply->Send(std::move(rep));
     }
   }
 
@@ -351,8 +351,9 @@ class Bookstore {
   // One generator coroutine stands in for ~10k logical clients: it
   // draws aggregate interarrival gaps and spawns one short-lived
   // request process per arrival. Reply channels are pooled (a freelist
-  // of indices into client_reply_), so steady state allocates nothing
-  // per request — frames and channels both recycle.
+  // of indices into client_reply_) and request frames recycle through
+  // the arena, so a request allocates only while the number in flight
+  // reaches a new peak (tests/alloc_law_test.cc bounds the cost).
 
   size_t AcquireReplyChannel() {
     if (!reply_free_.empty()) {

@@ -1,6 +1,7 @@
 #include "src/apps/minihttpd/minihttpd.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -21,7 +22,9 @@
 #include "src/sim/lock.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/task.h"
+#include "src/util/pooled_vec.h"
 #include "src/util/rng.h"
+#include "src/util/robin_hood.h"
 #include "src/util/zipf.h"
 #include "src/vm/interpreter.h"
 #include "src/workload/arrivals.h"
@@ -52,7 +55,7 @@ constexpr uint32_t kOpenLoopClient = 0xFFFFFFFFu;
 
 struct Connection {
   uint32_t client;
-  std::vector<uint32_t> objects;
+  util::PooledVec<uint32_t> objects;
   uint64_t txn = 0;  // live-observability transaction id
   // The listener's per-connection sampling decision, carried to the
   // worker beside the payload (the queue itself carries no synopsis).
@@ -145,14 +148,19 @@ class Server {
   // the virtual CPU time it costs. Whodunit emulates critical sections
   // whose lock still might carry transaction flow; everything else
   // (and every other profiling mode) runs directly.
+  // `regs` are the register values the section starts from.
   // `sampled` is the current transaction's sampling decision: an
   // unsampled section runs directly (no detector, no flow summary),
   // exactly like a non-transactional profiling mode would run it.
+  struct RegValue {
+    size_t reg;
+    uint64_t value;
+  };
   sim::SimTime RunGuest(const vm::Program& prog, vm::ThreadId t, uint64_t lock_id,
-                        const std::map<int, uint64_t>& regs, bool sampled = true) {
+                        std::initializer_list<RegValue> regs, bool sampled = true) {
     vm::CpuState& cpu_state = guest_cpus_[t];
-    for (const auto& [r, v] : regs) {
-      cpu_state.regs[static_cast<size_t>(r)] = v;
+    for (const RegValue& r : regs) {
+      cpu_state.regs[r.reg] = r.value;
     }
     const bool emulate =
         TracksTransactions(options_.mode) && sampled && detector_.ShouldEmulate(lock_id);
@@ -181,7 +189,8 @@ class Server {
       }
       // Each accepted connection begins a fresh transaction.
       prof_.ResetTransaction(tp);
-      conn->sampled = prof_.IsSampled(tp);
+      const bool sampled = prof_.IsSampled(tp);
+      conn->sampled = sampled;
       if (daemon_ != nullptr) {
         // Type the live transaction by the connection's weight; the
         // origin span stays open until a worker completes it, so its
@@ -201,14 +210,14 @@ class Server {
       {
         auto f = prof_.EnterFrame(tp, push_fn);
         co_await queue_mutex_.Acquire(/*tag=*/0);
-        const uint64_t handle = StashConnection(*conn);
+        const uint64_t handle = StashConnection(std::move(*conn));
         const sim::SimTime cost =
             RunGuest(push_prog_, /*t=*/0, queue_mutex_.id(),
-                     {{0, kQueueBase}, {1, handle}, {2, handle + 1}}, conn->sampled);
+                     {{0, kQueueBase}, {1, handle}, {2, handle + 1}}, sampled);
         co_await cpu_.Consume(prof_.ChargeCpu(tp, cost));
         queue_mutex_.Release(0);
       }
-      if (conn->sampled) {
+      if (sampled) {
         ++sampled_in_queue_;
       }
       items_.Send(1);
@@ -219,10 +228,9 @@ class Server {
   // The VM queue carries a small integer handle; connection metadata
   // lives beside it (as Apache's fd + pool pointers reference heap
   // state).
-  uint64_t StashConnection(const Connection& conn) {
+  uint64_t StashConnection(Connection&& conn) {
     const uint64_t handle = next_handle_++;
-    in_flight_[handle] = conn;
-    in_flight_[handle].enqueued_ns = sched_.now();
+    in_flight_.Upsert(handle, std::move(conn)).enqueued_ns = sched_.now();
     return handle;
   }
 
@@ -259,12 +267,12 @@ class Server {
         queue_mutex_.Release(0);
         handle = guest_cpus_[vm_thread].regs[7];
       }
-      auto conn_it = in_flight_.find(handle);
-      if (conn_it == in_flight_.end()) {
+      Connection* stashed = in_flight_.Find(handle);
+      if (stashed == nullptr) {
         continue;
       }
-      const Connection conn = conn_it->second;
-      in_flight_.erase(conn_it);
+      const Connection conn = std::move(*stashed);
+      in_flight_.Erase(handle);
       if (conn.sampled) {
         --sampled_in_queue_;
       }
@@ -321,12 +329,11 @@ class Server {
   sim::Task<void> RunAllocatorOp(ThreadProfile& tp, vm::ThreadId vm_thread,
                                  const vm::Program& prog, uint64_t blk) {
     co_await alloc_mutex_.Acquire(0);
-    std::map<int, uint64_t> regs{{0, kFreeListHead}};
-    if (blk != 0) {
-      regs[1] = blk;
-    }
+    const bool sampled = prof_.IsSampled(tp);
     const sim::SimTime cost =
-        RunGuest(prog, vm_thread, alloc_mutex_.id(), regs, prof_.IsSampled(tp));
+        blk != 0 ? RunGuest(prog, vm_thread, alloc_mutex_.id(),
+                            {{0, kFreeListHead}, {1, blk}}, sampled)
+                 : RunGuest(prog, vm_thread, alloc_mutex_.id(), {{0, kFreeListHead}}, sampled);
     co_await cpu_.Consume(prof_.ChargeCpu(tp, cost));
     alloc_mutex_.Release(0);
   }
@@ -364,8 +371,9 @@ class Server {
       if (options_.persistent_connections) {
         // One connection for the whole run: many requests, no churn.
         for (int i = 0; i < 50000; ++i) {
-          const auto piece = trace_.DrawConnection(rng);
-          conn.objects.insert(conn.objects.end(), piece.begin(), piece.end());
+          for (uint32_t object : trace_.DrawConnection(rng)) {
+            conn.objects.push_back(object);
+          }
         }
       } else {
         conn.objects = trace_.DrawConnection(rng);
@@ -405,7 +413,7 @@ class Server {
   std::map<vm::ThreadId, vm::CpuState> guest_cpus_;
   std::vector<ThreadProfile*> thread_profiles_;
   std::vector<std::unique_ptr<sim::Channel<uint8_t>>> client_done_;
-  std::map<uint64_t, Connection> in_flight_;
+  util::RobinHoodMap<uint64_t, Connection> in_flight_;
   uint64_t next_handle_ = 1;
   // Sampled connections currently queued; gates the pop emulation.
   uint64_t sampled_in_queue_ = 0;

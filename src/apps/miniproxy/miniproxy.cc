@@ -1,10 +1,7 @@
 #include "src/apps/miniproxy/miniproxy.h"
 
 #include <algorithm>
-#include <list>
-#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/events/event_loop.h"
@@ -18,7 +15,10 @@
 #include "src/sim/cpu.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/task.h"
+#include "src/util/lru_set.h"
+#include "src/util/pooled_vec.h"
 #include "src/util/rng.h"
+#include "src/util/robin_hood.h"
 #include "src/util/zipf.h"
 #include "src/workload/arrivals.h"
 #include "src/workload/calibration.h"
@@ -32,45 +32,13 @@ using events::EventLoop;
 using profiler::StageProfiler;
 using profiler::ThreadProfile;
 
-// A small LRU object cache (Squid's in-memory store).
-class LruCache {
- public:
-  explicit LruCache(size_t capacity) : capacity_(capacity) {}
-
-  bool Lookup(uint32_t object) {
-    auto it = index_.find(object);
-    if (it == index_.end()) {
-      return false;
-    }
-    order_.splice(order_.begin(), order_, it->second);
-    return true;
-  }
-
-  void Insert(uint32_t object) {
-    if (index_.contains(object)) {
-      return;
-    }
-    order_.push_front(object);
-    index_[object] = order_.begin();
-    if (order_.size() > capacity_) {
-      index_.erase(order_.back());
-      order_.pop_back();
-    }
-  }
-
- private:
-  size_t capacity_;
-  std::list<uint32_t> order_;
-  std::unordered_map<uint32_t, std::list<uint32_t>::iterator> index_;
-};
-
 // Connections injected by an open-loop generator carry this sentinel
 // client id: no closed-loop coroutine is waiting on client_done_.
 constexpr uint32_t kOpenLoopClient = 0xFFFFFFFFu;
 
 struct ClientConn {
   uint32_t client;
-  std::vector<uint32_t> objects;  // Zipf-drawn, one per request
+  util::PooledVec<uint32_t> objects;  // Zipf-drawn, one per request
 };
 
 struct OriginRequest {
@@ -127,9 +95,14 @@ class Proxy {
   struct ReqState {
     uint32_t client;
     uint32_t object = 0;
-    std::vector<uint32_t> objects;
+    util::PooledVec<uint32_t> objects;
     size_t next_index = 0;
   };
+
+  // A connection's state. requests_ is an open-addressing table, so
+  // the reference is valid only until the next insert or erase: a
+  // handler looks its state up again after every co_await.
+  ReqState& Req(uint64_t handle) { return *requests_.Find(handle); }
 
   void RegisterHandlers() {
     accept_h_ = loop_.RegisterHandler(
@@ -140,10 +113,9 @@ class Proxy {
 
     read_h_ = loop_.RegisterHandler(
         "clientReadRequest", [this](EventLoop::HandlerContext& hc) -> sim::Task<void> {
-          ReqState& st = requests_.at(hc.payload);
           co_await Charge(workload::kHttpParseCost + workload::kCacheLookupCost +
                           TrackingCost());
-          if (cache_.Lookup(st.object)) {
+          if (cache_.Lookup(Req(hc.payload).object)) {
             ++hits_;
             hc.loop.AddEvent(write_h_, hc.payload);
           } else {
@@ -154,33 +126,31 @@ class Proxy {
 
     connect_h_ = loop_.RegisterHandler(
         "commConnectHandle", [this](EventLoop::HandlerContext& hc) -> sim::Task<void> {
-          ReqState& st = requests_.at(hc.payload);
           co_await Charge(sim::Micros(40) + TrackingCost());
           // Register interest in the origin's reply NOW (this is where
           // the transaction context is captured), then fire the I/O.
-          events::Event ev = hc.loop.MakeEvent(reply_h_, hc.payload);
-          pending_replies_.emplace(hc.payload, std::move(ev));
-          origin_ch_.Send(OriginRequest{hc.payload, st.object});
+          pending_replies_.Upsert(hc.payload, hc.loop.MakeEvent(reply_h_, hc.payload));
+          origin_ch_.Send(OriginRequest{hc.payload, Req(hc.payload).object});
         });
 
     reply_h_ = loop_.RegisterHandler(
         "httpReadReply", [this](EventLoop::HandlerContext& hc) -> sim::Task<void> {
-          ReqState& st = requests_.at(hc.payload);
-          const uint64_t bytes = trace_.ObjectBytes(st.object);
+          const uint32_t object = Req(hc.payload).object;
+          const uint64_t bytes = trace_.ObjectBytes(object);
           co_await Charge(static_cast<sim::SimTime>(static_cast<double>(bytes) *
                                                     workload::kProxyNsPerByte / 2) +
                           TrackingCost());
-          cache_.Insert(st.object);
+          cache_.Insert(object);
           hc.loop.AddEvent(write_h_, hc.payload);
         });
 
     write_h_ = loop_.RegisterHandler(
         "commHandleWrite", [this](EventLoop::HandlerContext& hc) -> sim::Task<void> {
-          ReqState& st = requests_.at(hc.payload);
-          const uint64_t bytes = trace_.ObjectBytes(st.object);
+          const uint64_t bytes = trace_.ObjectBytes(Req(hc.payload).object);
           co_await Charge(static_cast<sim::SimTime>(static_cast<double>(bytes) *
                                                     workload::kProxyNsPerByte) +
                           TrackingCost());
+          ReqState& st = Req(hc.payload);
           bytes_served_ += bytes;
           ++requests_served_;
           if (st.next_index < st.objects.size()) {
@@ -193,7 +163,7 @@ class Proxy {
             if (st.client != kOpenLoopClient) {
               client_done_[st.client]->Send(1);
             }
-            requests_.erase(hc.payload);
+            requests_.Erase(hc.payload);
           }
           co_return;
         });
@@ -211,7 +181,7 @@ class Proxy {
       st.objects = std::move(conn->objects);
       st.object = st.objects.empty() ? 0 : st.objects[0];
       st.next_index = 1;
-      requests_.emplace(handle, std::move(st));
+      requests_.Upsert(handle, std::move(st));
       // The sampling decision is drawn once per connection, here at
       // the transaction's origin; it rides on every event the
       // connection spawns.
@@ -238,10 +208,9 @@ class Proxy {
         static_cast<sim::SimTime>(static_cast<double>(bytes) * 2.0));
     // Network latency back to the proxy, then fire the armed event.
     co_await sim::Delay{sched_, workload::kLanLatency};
-    auto it = pending_replies_.find(req.req_handle);
-    if (it != pending_replies_.end()) {
-      loop_.Post(std::move(it->second));
-      pending_replies_.erase(it);
+    if (events::Event* armed = pending_replies_.Find(req.req_handle)) {
+      loop_.Post(*armed);
+      pending_replies_.Erase(req.req_handle);
     }
   }
 
@@ -291,12 +260,14 @@ class Proxy {
   ThreadProfile* loop_tp_ = nullptr;
   sim::Channel<OriginRequest> origin_ch_;
   sim::Channel<ClientConn> accept_ch_;
-  LruCache cache_;
+  util::LruSet cache_;  // Squid's in-memory object store
   workload::WebTrace trace_;
 
   events::HandlerId accept_h_ = 0, read_h_ = 0, connect_h_ = 0, reply_h_ = 0, write_h_ = 0;
-  std::map<uint64_t, ReqState> requests_;
-  std::map<uint64_t, events::Event> pending_replies_;
+  // Keyed by connection handle. Neither table is iterated, so their
+  // order never reaches an output.
+  util::RobinHoodMap<uint64_t, ReqState> requests_;
+  util::RobinHoodMap<uint64_t, events::Event> pending_replies_;
   std::vector<std::unique_ptr<sim::Channel<uint8_t>>> client_done_;
   uint64_t next_handle_ = 1;
 

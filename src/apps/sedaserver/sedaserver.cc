@@ -1,11 +1,9 @@
 #include "src/apps/sedaserver/sedaserver.h"
 
 #include <algorithm>
-#include <list>
 #include <map>
 #include <memory>
 #include <sstream>
-#include <unordered_map>
 #include <vector>
 
 #include "src/http/http.h"
@@ -18,7 +16,10 @@
 #include "src/seda/stage.h"
 #include "src/sim/channel.h"
 #include "src/sim/cpu.h"
+#include "src/util/lru_set.h"
+#include "src/util/pooled_vec.h"
 #include "src/util/rng.h"
+#include "src/util/robin_hood.h"
 #include "src/util/zipf.h"
 #include "src/workload/arrivals.h"
 #include "src/workload/calibration.h"
@@ -40,7 +41,7 @@ constexpr uint32_t kOpenLoopClient = 0xFFFFFFFFu;
 struct ReqState {
   uint32_t client;
   uint32_t object = 0;
-  std::vector<uint32_t> objects;
+  util::PooledVec<uint32_t> objects;
   size_t next_index = 0;
   uint64_t txn = 0;  // live-observability transaction id
 };
@@ -111,9 +112,13 @@ class Haboob {
   // transaction's spans are opened/closed against the stage's name
   // directly rather than through StageProfiler's (single) stage name.
   uint64_t TxnOf(uint64_t handle) const {
-    auto it = requests_.find(handle);
-    return it == requests_.end() ? 0 : it->second.txn;
+    const ReqState* st = requests_.Find(handle);
+    return st == nullptr ? 0 : st->txn;
   }
+  // A request's state. requests_ is an open-addressing table, so the
+  // reference is valid only until the next insert or erase: a stage
+  // looks its state up again after every co_await.
+  ReqState& Req(uint64_t handle) { return *requests_.Find(handle); }
   void LiveJoinStage(const StageGraph::WorkerContext& wc) {
     if (daemon_ != nullptr) {
       daemon_->JoinSpan(TxnOf(wc.payload), stage_syms_[wc.stage], /*link=*/0,
@@ -129,7 +134,7 @@ class Haboob {
   void BuildStages() {
     listen_ = graph_.AddStage("ListenStage", 1, [this](auto& wc) -> sim::Task<void> {
       if (daemon_ != nullptr && wc.sampled) {
-        ReqState& st = requests_.at(wc.payload);
+        ReqState& st = Req(wc.payload);
         st.txn = daemon_->BeginTxn(stage_syms_[listen_], daemon_->now());
         daemon_->SetTxnType(st.txn, http_request_sym_);
       }
@@ -161,9 +166,9 @@ class Haboob {
     cache_ = graph_.AddStage("CacheStage", options_.workers_per_stage,
                              [this](auto& wc) -> sim::Task<void> {
                                LiveJoinStage(wc);
-                               ReqState& st = requests_.at(wc.payload);
                                co_await Charge(wc, workload::kCacheLookupCost);
-                               const bool hit = InCache(st.object);
+                               const ReqState& st = Req(wc.payload);
+                               const bool hit = object_cache_.Lookup(st.object);
                                if (daemon_ != nullptr) {
                                  // The cache outcome is this request's real
                                  // type; re-label the live transaction.
@@ -189,25 +194,25 @@ class Haboob {
     file_io_ = graph_.AddStage("FileIoStage", options_.workers_per_stage,
                                [this](auto& wc) -> sim::Task<void> {
                                  LiveJoinStage(wc);
-                                 ReqState& st = requests_.at(wc.payload);
+                                 const uint32_t object = Req(wc.payload).object;
                                  // Disk read, then populate the cache.
                                  co_await sim::Delay{sched_, sim::Micros(400)};
-                                 const uint64_t bytes = trace_.ObjectBytes(st.object);
+                                 const uint64_t bytes = trace_.ObjectBytes(object);
                                  co_await Charge(
                                      wc, static_cast<sim::SimTime>(
                                              static_cast<double>(bytes) * 1.5));
-                                 InsertCache(st.object);
+                                 object_cache_.Insert(object);
                                  LiveLeaveStage(wc);
                                  wc.EnqueueTo(write_, wc.payload);
                                });
     write_ = graph_.AddStage("WriteStage", options_.workers_per_stage,
                              [this](auto& wc) -> sim::Task<void> {
                                LiveJoinStage(wc);
-                               ReqState& st = requests_.at(wc.payload);
-                               const uint64_t bytes = trace_.ObjectBytes(st.object);
+                               const uint64_t bytes = trace_.ObjectBytes(Req(wc.payload).object);
                                co_await Charge(
                                    wc, static_cast<sim::SimTime>(static_cast<double>(bytes) *
                                                                  workload::kSedaSendNsPerByte));
+                               ReqState& st = Req(wc.payload);
                                bytes_served_ += bytes;
                                ++requests_served_;
                                if (st.next_index < st.objects.size()) {
@@ -219,7 +224,7 @@ class Haboob {
                                  if (st.client != kOpenLoopClient) {
                                    client_done_[st.client]->Send(1);
                                  }
-                                 requests_.erase(wc.payload);
+                                 requests_.Erase(wc.payload);
                                  if (daemon_ != nullptr) {
                                    // Closes the write span too.
                                    daemon_->CompleteTxn(txn, daemon_->now());
@@ -227,26 +232,6 @@ class Haboob {
                                }
                                co_return;
                              });
-  }
-
-  bool InCache(uint32_t object) {
-    auto it = cache_index_.find(object);
-    if (it == cache_index_.end()) {
-      return false;
-    }
-    cache_order_.splice(cache_order_.begin(), cache_order_, it->second);
-    return true;
-  }
-  void InsertCache(uint32_t object) {
-    if (cache_index_.contains(object)) {
-      return;
-    }
-    cache_order_.push_front(object);
-    cache_index_[object] = cache_order_.begin();
-    if (cache_order_.size() > workload::kProxyCacheObjects) {
-      cache_index_.erase(cache_order_.back());
-      cache_order_.pop_back();
-    }
   }
 
   sim::Process AcceptPump() {
@@ -276,7 +261,7 @@ class Haboob {
       st.objects = trace_.DrawConnection(rng);
       st.object = st.objects[0];
       st.next_index = 1;
-      requests_.emplace(handle, std::move(st));
+      requests_.Upsert(handle, std::move(st));
       accept_ch_.Send(handle);
       auto done = co_await client_done_[index]->Receive();
       if (!done) {
@@ -303,7 +288,7 @@ class Haboob {
       st.objects = trace_.DrawConnection(draw);
       st.object = st.objects[0];
       st.next_index = 1;
-      requests_.emplace(handle, std::move(st));
+      requests_.Upsert(handle, std::move(st));
       accept_ch_.Send(handle);
     }
   }
@@ -328,10 +313,11 @@ class Haboob {
   util::SymId cache_hit_sym_ = 0;
   util::SymId cache_miss_sym_ = 0;
   std::map<StageId, std::vector<ThreadProfile*>> worker_tps_;
-  std::map<uint64_t, ReqState> requests_;
+  // Keyed by request handle; never iterated, so its order never
+  // reaches an output.
+  util::RobinHoodMap<uint64_t, ReqState> requests_;
   std::vector<std::unique_ptr<sim::Channel<uint8_t>>> client_done_;
-  std::list<uint32_t> cache_order_;
-  std::unordered_map<uint32_t, std::list<uint32_t>::iterator> cache_index_;
+  util::LruSet object_cache_{workload::kProxyCacheObjects};
   uint64_t next_handle_ = 1;
 
   uint64_t bytes_served_ = 0;

@@ -20,7 +20,10 @@ bool Synopsis::HasPrefix(const Synopsis& p) const {
 
 Synopsis Synopsis::Extend(const Synopsis& tail) const {
   Synopsis out = *this;
-  out.parts.insert(out.parts.end(), tail.parts.begin(), tail.parts.end());
+  out.parts.reserve(parts.size() + tail.parts.size());
+  for (uint32_t p : tail.parts) {
+    out.parts.push_back(p);
+  }
   return out;
 }
 

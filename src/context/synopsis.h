@@ -17,13 +17,16 @@
 #include "src/context/context_tree.h"
 #include "src/context/transaction_context.h"
 #include "src/obs/metrics.h"
+#include "src/util/pooled_vec.h"
 #include "src/util/robin_hood.h"
 
 namespace whodunit::context {
 
-// A synopsis: one or more 4-byte context ids joined by '#'.
+// A synopsis: one or more 4-byte context ids joined by '#'. Up to four
+// parts live inline, so copying a synopsis onto a message or into a
+// thread's saved state does not allocate.
 struct Synopsis {
-  std::vector<uint32_t> parts;
+  util::PooledVec<uint32_t, 4> parts;
 
   friend bool operator==(const Synopsis&, const Synopsis&) = default;
 

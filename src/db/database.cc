@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <map>
+#include <functional>
 #include <utility>
 
 namespace whodunit::db {
@@ -92,58 +92,60 @@ sim::SimTime Database::EstimateDiskTime(const Query& query) const {
   return disk;
 }
 
-sim::Task<sim::SimTime> Database::Execute(const Query& query, uint64_t tag,
-                                          const ChargeHook& charge,
-                                          const StepHook& step_hook,
-                                          const LockWaitHook& lock_wait) {
+sim::Task<sim::SimTime> Database::Execute(const Query& query, uint64_t tag, ChargeHook charge,
+                                          StepHook step_hook, LockWaitHook lock_wait) {
   ++queries_executed_;
 
-  // Work out the lock set: per table, the strongest access the plan
-  // performs. MySQL 4's MyISAM path acquires all table locks up front.
-  struct Need {
-    bool writes = false;
-    std::vector<uint64_t> rows;  // rows updated (row-lock mode)
+  // Work out the lock set. MySQL 4's MyISAM path acquires all table
+  // locks up front: per table, the strongest access the plan performs.
+  // InnoDB readers are MVCC (no lock); its writers lock the row stripes
+  // they update. The set is kept sorted by (table name, stripe
+  // address): ordered acquisition is deadlock-free. A lock the plan
+  // names twice is held once, exclusive if any step writes.
+  struct Lock {
+    const Table* table;
+    sim::SimMutex* mutex;
+    sim::LockMode mode;
   };
-  // Ordered by name: deadlock-free acquisition. The keys view the
-  // query's step names; the query outlives the call, as the plan loop
-  // below already requires.
-  std::map<std::string_view, Need> needs;
+  // Most plans lock one or two tables; a larger set spills to the
+  // arena pool.
+  util::PooledVec<Lock, 2> locks;
   for (const QueryStep& step : query.steps) {
     if (step.table.empty()) {
       continue;  // pure CPU step (sort / temp table)
     }
-    Need& need = needs[step.table];
-    if (step.kind == QueryStep::Kind::kUpdateRow) {
-      need.writes = true;
-      need.rows.push_back(step.row);
+    Table& t = table(step.table);
+    const bool writes = step.kind == QueryStep::Kind::kUpdateRow;
+    sim::SimMutex* mutex = nullptr;
+    if (t.granularity() == LockGranularity::kTableLocks) {
+      mutex = &t.table_lock();
+    } else if (writes) {
+      mutex = &t.row_lock(step.row);
+    } else {
+      continue;
     }
+    const sim::LockMode mode = writes ? sim::LockMode::kExclusive : sim::LockMode::kShared;
+    size_t at = 0;
+    while (at < locks.size() &&
+           (locks[at].table->name() < t.name() ||
+            (locks[at].table == &t && std::less<>{}(locks[at].mutex, mutex)))) {
+      ++at;
+    }
+    if (at < locks.size() && locks[at].mutex == mutex) {
+      if (writes) {
+        locks[at].mode = sim::LockMode::kExclusive;
+      }
+      continue;
+    }
+    locks.push_back(Lock{&t, mutex, mode});
+    std::rotate(locks.begin() + at, locks.end() - 1, locks.end());
   }
 
   // Acquire. The virtual time this loop blocks is the query's lock
   // wait, reported through `lock_wait` for latency attribution.
   const sim::SimTime acquire_start = sched_.now();
-  std::vector<std::pair<sim::SimMutex*, uint64_t>> held;
-  for (auto& [table_name, need] : needs) {
-    Table& t = table(table_name);
-    if (t.granularity() == LockGranularity::kTableLocks) {
-      co_await t.table_lock().Acquire(
-          tag, need.writes ? sim::LockMode::kExclusive : sim::LockMode::kShared);
-      held.emplace_back(&t.table_lock(), tag);
-    } else if (need.writes) {
-      // InnoDB: readers are MVCC (no lock); writers lock row stripes.
-      std::vector<sim::SimMutex*> stripes;
-      for (uint64_t row : need.rows) {
-        sim::SimMutex* stripe = &t.row_lock(row);
-        if (std::find(stripes.begin(), stripes.end(), stripe) == stripes.end()) {
-          stripes.push_back(stripe);
-        }
-      }
-      std::sort(stripes.begin(), stripes.end());
-      for (sim::SimMutex* stripe : stripes) {
-        co_await stripe->Acquire(tag, sim::LockMode::kExclusive);
-        held.emplace_back(stripe, tag);
-      }
-    }
+  for (const Lock& lock : locks) {
+    co_await lock.mutex->Acquire(tag, lock.mode);
   }
 
   const sim::SimTime lock_wait_ns = sched_.now() - acquire_start;
@@ -172,8 +174,8 @@ sim::Task<sim::SimTime> Database::Execute(const Query& query, uint64_t tag,
   }
   co_await cpu_.Consume(charged);
 
-  for (auto it = held.rbegin(); it != held.rend(); ++it) {
-    it->first->Release(it->second);
+  for (size_t i = locks.size(); i-- > 0;) {
+    locks[i].mutex->Release(tag);
   }
   co_return raw_cost;
 }

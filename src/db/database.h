@@ -30,6 +30,8 @@
 #include "src/sim/lock.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/task.h"
+#include "src/util/function_ref.h"
+#include "src/util/pooled_vec.h"
 
 namespace whodunit::db {
 
@@ -62,6 +64,12 @@ class Table {
 };
 
 // One step of a query plan.
+//
+// A plan borrows its names: QueryStep::table and Query::name view
+// strings the plan does not own, so building a plan copies no string.
+// The viewed characters must outlive every Execute of the plan (the
+// TPC-W plans in src/workload/tpcw.cc name string literals, which
+// live for the whole program).
 struct QueryStep {
   enum class Kind {
     kScan,       // read rows_touched rows of `table` (shared access)
@@ -71,14 +79,16 @@ struct QueryStep {
     kUpdateRow,  // write one row (exclusive access on table or row)
   };
   Kind kind;
-  std::string table;
+  std::string_view table;  // empty for CPU-only steps
   uint64_t rows_touched = 1;
   uint64_t row = 0;  // for kUpdateRow / kPointRead
 };
 
 struct Query {
-  std::string name;
-  std::vector<QueryStep> steps;
+  std::string_view name;
+  // Arena-backed: a plan's steps recycle a pool block instead of
+  // calling malloc, and moving a plan between messages moves a pointer.
+  util::PooledVec<QueryStep> steps;
 };
 
 // Cost model constants (per step kind); see workload/calibration.h for
@@ -99,18 +109,22 @@ struct CostModel {
 
 class Database {
  public:
+  // The hooks are borrowed for one Execute (util::FunctionRef): each
+  // must outlive the co_await of the call, as a lambda written in the
+  // call expression does.
+  //
   // charge_cpu: maps raw CPU cost to the cost actually consumed (the
   // profiler's overhead hook); identity by default.
-  using ChargeHook = std::function<sim::SimTime(sim::SimTime)>;
+  using ChargeHook = util::FunctionRef<sim::SimTime(sim::SimTime)>;
   // Per-step hook: invoked once per plan step with the step and its
   // raw cost; returns the cost to consume. Lets the profiler attribute
   // CPU to per-step call-path frames (row_scan, sort_records, ...) —
   // the paper's §1 example of blaming the database sort routine.
-  using StepHook = std::function<sim::SimTime(const QueryStep&, sim::SimTime)>;
+  using StepHook = util::FunctionRef<sim::SimTime(const QueryStep&, sim::SimTime)>;
   // Invoked with the virtual time the plan spent blocked acquiring its
   // lock set (only when > 0) — the kLockWait attribution feed
   // (docs/OBSERVABILITY.md).
-  using LockWaitHook = std::function<void(sim::SimTime)>;
+  using LockWaitHook = util::FunctionRef<void(sim::SimTime)>;
 
   Database(sim::Scheduler& sched, sim::CpuResource& cpu, CostModel costs);
 
@@ -122,14 +136,13 @@ class Database {
   void SetLockObserver(sim::LockObserver* observer);
 
   // Executes a query on behalf of transaction type `tag` (the
-  // crosstalk tag). Acquires the locks the plan needs, performs the
-  // plan's disk I/O, charges the CPU resource (through `charge` if
-  // provided), releases, and co_returns the raw (pre-overhead) CPU
-  // cost consumed.
-  sim::Task<sim::SimTime> Execute(const Query& query, uint64_t tag,
-                                  const ChargeHook& charge = nullptr,
-                                  const StepHook& step_hook = nullptr,
-                                  const LockWaitHook& lock_wait = nullptr);
+  // crosstalk tag). Acquires the locks the plan needs in (table name,
+  // row stripe) order, performs the plan's disk I/O, charges the CPU
+  // resource (through `charge` if provided), releases in reverse
+  // order, and co_returns the raw (pre-overhead) CPU cost consumed.
+  sim::Task<sim::SimTime> Execute(const Query& query, uint64_t tag, ChargeHook charge = nullptr,
+                                  StepHook step_hook = nullptr,
+                                  LockWaitHook lock_wait = nullptr);
 
   // Raw CPU cost of one plan step.
   sim::SimTime StepCost(const QueryStep& step) const;

@@ -7,8 +7,10 @@
 #ifndef SRC_HTTP_HTTP_H_
 #define SRC_HTTP_HTTP_H_
 
+#include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "src/context/synopsis.h"
 
@@ -33,16 +35,27 @@ struct Response {
 };
 
 // Deterministic synthetic content store: object sizes follow a
-// bounded Pareto-like distribution derived from the object id, so any
-// stage can compute an object's size without shared state.
+// bounded Pareto-like distribution derived from the object id. They are
+// computed once at construction, because SizeOf sits on every request
+// path and std::pow would be its whole cost.
 class ObjectStore {
  public:
-  ObjectStore(uint64_t objects, uint64_t min_bytes, uint64_t max_bytes)
-      : objects_(objects), min_bytes_(min_bytes), max_bytes_(max_bytes) {}
+  ObjectStore(uint64_t objects, uint64_t min_bytes, uint64_t max_bytes) {
+    sizes_.reserve(objects);
+    for (uint64_t id = 0; id < objects; ++id) {
+      sizes_.push_back(ComputeSize(static_cast<uint32_t>(id), min_bytes, max_bytes));
+    }
+  }
 
-  uint64_t objects() const { return objects_; }
+  uint64_t objects() const { return sizes_.size(); }
 
   uint64_t SizeOf(uint32_t object_id) const {
+    assert(object_id < sizes_.size());
+    return sizes_[object_id];
+  }
+
+ private:
+  static uint64_t ComputeSize(uint32_t object_id, uint64_t min_bytes, uint64_t max_bytes) {
     // splitmix64 of the id -> heavy-tailed size in [min, max].
     uint64_t x = object_id + 0x9e3779b97f4a7c15ULL;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -51,17 +64,14 @@ class ObjectStore {
     // Map to a Pareto-ish tail: most objects small, a few large.
     const double u = static_cast<double>(x >> 11) * 0x1.0p-53;
     const double alpha = 1.2;
-    double size = static_cast<double>(min_bytes_) / std::pow(1.0 - u, 1.0 / alpha);
-    if (size > static_cast<double>(max_bytes_)) {
-      size = static_cast<double>(max_bytes_);
+    double size = static_cast<double>(min_bytes) / std::pow(1.0 - u, 1.0 / alpha);
+    if (size > static_cast<double>(max_bytes)) {
+      size = static_cast<double>(max_bytes);
     }
     return static_cast<uint64_t>(size);
   }
 
- private:
-  uint64_t objects_;
-  uint64_t min_bytes_;
-  uint64_t max_bytes_;
+  std::vector<uint64_t> sizes_;
 };
 
 }  // namespace whodunit::http

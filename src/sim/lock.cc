@@ -111,17 +111,9 @@ void SimMutex::PumpQueue() {
   // Grant the front waiter; if it is shared, grant the whole adjacent
   // shared batch.
   const LockMode front_mode = waiters_.front().mode;
-  std::vector<Waiter> granted;
-  if (front_mode == LockMode::kExclusive) {
-    granted.push_back(waiters_.front());
+  do {
+    const Waiter w = waiters_.front();
     waiters_.pop_front();
-  } else {
-    while (!waiters_.empty() && waiters_.front().mode == LockMode::kShared) {
-      granted.push_back(waiters_.front());
-      waiters_.pop_front();
-    }
-  }
-  for (const Waiter& w : granted) {
     GrantTo(w.tag, w.mode);
     const SimTime wait = sched_.now() - w.enqueued_at;
     total_wait_ += wait;
@@ -129,7 +121,8 @@ void SimMutex::PumpQueue() {
       observer_->OnAcquired(*this, w.tag, w.blocking_tag, wait);
     }
     sched_.ResumeAfter(0, w.handle);
-  }
+  } while (front_mode == LockMode::kShared && !waiters_.empty() &&
+           waiters_.front().mode == LockMode::kShared);
 }
 
 }  // namespace whodunit::sim

@@ -18,11 +18,21 @@
 // thread's pool. A block may be freed on a different thread than the
 // one that allocated it — pool blocks are plain heap memory, so they
 // simply join the freeing thread's freelist.
+//
+// PooledVec<T, N> with N > 0 keeps its first N elements inline, in the
+// bytes that otherwise hold the block pointer, and draws a pool block
+// only once it grows past N. context::Synopsis is a
+// PooledVec<uint32_t, 4>: 24 bytes like the std::vector it replaces,
+// and no allocation at all for the synopses the applications send
+// (none has more than four parts). An inline vector moves by moving
+// its elements, so its moves cost O(N) rather than a pointer swap.
 #ifndef SRC_UTIL_POOLED_VEC_H_
 #define SRC_UTIL_POOLED_VEC_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -32,7 +42,7 @@
 
 namespace whodunit::util {
 
-template <typename T>
+template <typename T, size_t N = 0>
 class PooledVec {
   static_assert(std::is_nothrow_move_constructible_v<T>,
                 "PooledVec elements must be nothrow-movable (growth moves)");
@@ -42,33 +52,29 @@ class PooledVec {
  public:
   PooledVec() = default;
 
+  PooledVec(std::initializer_list<T> init) {
+    reserve(init.size());
+    for (const T& value : init) {
+      emplace_back(value);
+    }
+  }
+
   PooledVec(const PooledVec& other) { CopyFrom(other); }
 
   PooledVec& operator=(const PooledVec& other) {
     if (this != &other) {
-      DestroyElements();
-      size_ = 0;
+      clear();
       CopyFrom(other);
     }
     return *this;
   }
 
-  PooledVec(PooledVec&& other) noexcept
-      : data_(other.data_), size_(other.size_), cap_(other.cap_) {
-    other.data_ = nullptr;
-    other.size_ = 0;
-    other.cap_ = 0;
-  }
+  PooledVec(PooledVec&& other) noexcept { StealFrom(other); }
 
   PooledVec& operator=(PooledVec&& other) noexcept {
     if (this != &other) {
       Release();
-      data_ = other.data_;
-      size_ = other.size_;
-      cap_ = other.cap_;
-      other.data_ = nullptr;
-      other.size_ = 0;
-      other.cap_ = 0;
+      StealFrom(other);
     }
     return *this;
   }
@@ -79,17 +85,20 @@ class PooledVec {
   size_t size() const { return size_; }
   size_t capacity() const { return cap_; }
 
-  T* begin() { return data_; }
-  T* end() { return data_ + size_; }
-  const T* begin() const { return data_; }
-  const T* end() const { return data_ + size_; }
+  T* data() { return IsInline() ? InlineData() : heap_; }
+  const T* data() const { return IsInline() ? InlineData() : heap_; }
 
-  T& operator[](size_t i) { return data_[i]; }
-  const T& operator[](size_t i) const { return data_[i]; }
-  T& front() { return data_[0]; }
-  const T& front() const { return data_[0]; }
-  T& back() { return data_[size_ - 1]; }
-  const T& back() const { return data_[size_ - 1]; }
+  T* begin() { return data(); }
+  T* end() { return data() + size_; }
+  const T* begin() const { return data(); }
+  const T* end() const { return data() + size_; }
+
+  T& operator[](size_t i) { return data()[i]; }
+  const T& operator[](size_t i) const { return data()[i]; }
+  T& front() { return data()[0]; }
+  const T& front() const { return data()[0]; }
+  T& back() { return data()[size_ - 1]; }
+  const T& back() const { return data()[size_ - 1]; }
 
   void reserve(size_t n) {
     if (n > cap_) {
@@ -105,7 +114,7 @@ class PooledVec {
     if (size_ == cap_) {
       Grow(size_ + 1);
     }
-    T* slot = data_ + size_;
+    T* slot = data() + size_;
     ::new (static_cast<void*>(slot)) T(std::forward<Args>(args)...);
     ++size_;
     return *slot;
@@ -113,7 +122,7 @@ class PooledVec {
 
   void pop_back() {
     --size_;
-    data_[size_].~T();
+    data()[size_].~T();
   }
 
   // Destroys the elements but keeps the block for reuse.
@@ -122,15 +131,48 @@ class PooledVec {
     size_ = 0;
   }
 
+  friend bool operator==(const PooledVec& a, const PooledVec& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+  // Lexicographic, like std::vector's.
+  friend bool operator<(const PooledVec& a, const PooledVec& b) {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
+  }
+
  private:
   static constexpr uint32_t kMinCapacity = 4;
 
+  bool IsInline() const { return N > 0 && cap_ == N; }
+  T* InlineData() { return std::launder(reinterpret_cast<T*>(inline_)); }
+  const T* InlineData() const { return std::launder(reinterpret_cast<const T*>(inline_)); }
+
   void CopyFrom(const PooledVec& other) {
     reserve(other.size_);
+    T* dst = data();
     for (size_t i = 0; i < other.size_; ++i) {
-      ::new (static_cast<void*>(data_ + i)) T(other.data_[i]);
+      ::new (static_cast<void*>(dst + i)) T(other[i]);
     }
     size_ = other.size_;
+  }
+
+  // Takes `other`'s elements, leaving it empty: a pool block changes
+  // owner, inline elements are moved one by one.
+  void StealFrom(PooledVec& other) noexcept {
+    if (other.IsInline()) {
+      T* dst = InlineData();
+      T* src = other.InlineData();
+      for (size_t i = 0; i < other.size_; ++i) {
+        ::new (static_cast<void*>(dst + i)) T(std::move(src[i]));
+        src[i].~T();
+      }
+    } else {
+      heap_ = other.heap_;
+      cap_ = other.cap_;
+      other.heap_ = nullptr;
+      other.cap_ = N;
+    }
+    size_ = other.size_;
+    other.size_ = 0;
   }
 
   void Grow(size_t need) {
@@ -139,36 +181,42 @@ class PooledVec {
       next *= 2;
     }
     T* block = static_cast<T*>(ArenaPool::ThisThread().Allocate(next * sizeof(T)));
+    T* old = data();
     for (size_t i = 0; i < size_; ++i) {
-      ::new (static_cast<void*>(block + i)) T(std::move(data_[i]));
-      data_[i].~T();
+      ::new (static_cast<void*>(block + i)) T(std::move(old[i]));
+      old[i].~T();
     }
-    if (data_ != nullptr) {
-      ArenaPool::ThisThread().Deallocate(data_, static_cast<size_t>(cap_) * sizeof(T));
+    if (!IsInline() && heap_ != nullptr) {
+      ArenaPool::ThisThread().Deallocate(heap_, static_cast<size_t>(cap_) * sizeof(T));
     }
-    data_ = block;
+    heap_ = block;
     cap_ = static_cast<uint32_t>(next);
   }
 
   void DestroyElements() {
+    T* elems = data();
     for (size_t i = size_; i-- > 0;) {
-      data_[i].~T();
+      elems[i].~T();
     }
   }
 
   void Release() {
     DestroyElements();
-    if (data_ != nullptr) {
-      ArenaPool::ThisThread().Deallocate(data_, static_cast<size_t>(cap_) * sizeof(T));
+    if (!IsInline() && heap_ != nullptr) {
+      ArenaPool::ThisThread().Deallocate(heap_, static_cast<size_t>(cap_) * sizeof(T));
     }
-    data_ = nullptr;
+    heap_ = nullptr;
     size_ = 0;
-    cap_ = 0;
+    cap_ = N;
   }
 
-  T* data_ = nullptr;
+  // The block pointer, or (N > 0, cap_ == N) the inline elements.
+  union {
+    T* heap_ = nullptr;
+    alignas(T) unsigned char inline_[N == 0 ? 1 : N * sizeof(T)];
+  };
   uint32_t size_ = 0;
-  uint32_t cap_ = 0;
+  uint32_t cap_ = N;
 };
 
 }  // namespace whodunit::util

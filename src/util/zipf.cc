@@ -1,6 +1,7 @@
 #include "src/util/zipf.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace whodunit::util {
@@ -15,11 +16,26 @@ ZipfSampler::ZipfSampler(uint64_t n, double theta) {
   for (auto& v : cdf_) {
     v /= acc;
   }
+  const size_t buckets = std::bit_ceil(static_cast<size_t>(n));
+  bucket_start_.resize(buckets + 1);
+  size_t rank = 0;
+  for (size_t b = 0; b < buckets; ++b) {
+    const double edge = static_cast<double>(b) / static_cast<double>(buckets);
+    while (rank < n && cdf_[rank] < edge) {
+      ++rank;
+    }
+    bucket_start_[b] = static_cast<uint32_t>(rank);
+  }
+  bucket_start_[buckets] = static_cast<uint32_t>(n);
 }
 
-uint64_t ZipfSampler::Sample(Rng& rng) const {
-  const double u = rng.NextDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+uint64_t ZipfSampler::RankOf(double u) const {
+  const size_t buckets = bucket_count();
+  const size_t b =
+      std::min(static_cast<size_t>(u * static_cast<double>(buckets)), buckets - 1);
+  const auto first = cdf_.begin() + bucket_start_[b];
+  const auto last = cdf_.begin() + bucket_start_[b + 1];
+  const auto it = std::lower_bound(first, last, u);
   if (it == cdf_.end()) {
     return cdf_.size() - 1;
   }

@@ -13,9 +13,9 @@
 
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "src/http/http.h"
+#include "src/util/pooled_vec.h"
 #include "src/util/rng.h"
 #include "src/util/zipf.h"
 #include "src/workload/calibration.h"
@@ -40,12 +40,14 @@ class WebTrace {
   // The object ids requested over one connection: geometric length
   // with exactly the configured mean (the exponential's rate is
   // corrected for the floor: E[1 + floor(Exp(mu))] = 1 + 1/(e^(1/mu)-1),
-  // solved for the target), objects Zipf-popular.
-  std::vector<uint32_t> DrawConnection(util::Rng& rng) const {
+  // solved for the target), objects Zipf-popular. The list is
+  // arena-backed, so a connection's request list recycles a pool block
+  // instead of calling malloc.
+  util::PooledVec<uint32_t> DrawConnection(util::Rng& rng) const {
     const double target = static_cast<double>(model_.requests_per_connection_mean);
     const double mu = 1.0 / std::log(1.0 + 1.0 / (target - 1.0));
     const int n = 1 + static_cast<int>(rng.NextExponential(mu));
-    std::vector<uint32_t> objects;
+    util::PooledVec<uint32_t> objects;
     objects.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
       objects.push_back(static_cast<uint32_t>(zipf_.Sample(rng)));

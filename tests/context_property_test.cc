@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "src/context/synopsis.h"
 #include "src/context/transaction_context.h"
@@ -13,6 +15,41 @@ namespace {
 Element RandomElement(util::Rng& rng, uint32_t universe) {
   return Element{static_cast<ElementKind>(rng.NextBelow(3)),
                  static_cast<uint32_t>(rng.NextBelow(universe))};
+}
+
+// Synopses keep up to four parts inline in the 24 bytes a
+// std::vector<uint32_t> took.
+static_assert(sizeof(Synopsis) == 24);
+
+// A random synopsis of 0..8 parts (so half of them spill past the
+// inline four) and the same parts in a std::vector reference.
+std::pair<Synopsis, std::vector<uint32_t>> RandomSynopsis(util::Rng& rng) {
+  Synopsis syn;
+  std::vector<uint32_t> ref;
+  const auto len = rng.NextBelow(9);
+  for (uint64_t i = 0; i < len; ++i) {
+    const auto part = static_cast<uint32_t>(rng.NextBelow(4));  // small: many ties
+    syn.parts.push_back(part);
+    ref.push_back(part);
+  }
+  return {syn, ref};
+}
+
+std::vector<uint32_t> PartsOf(const Synopsis& syn) {
+  return std::vector<uint32_t>(syn.parts.begin(), syn.parts.end());
+}
+
+// FNV-1a over the parts' little-endian bytes: Synopsis::Hash's
+// definition, applied to the reference vector.
+uint64_t ReferenceHash(const std::vector<uint32_t>& parts) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (uint32_t p : parts) {
+    for (int i = 0; i < 4; ++i) {
+      h ^= (p >> (i * 8)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
 }
 
 class ContextPropertyTest : public ::testing::TestWithParam<uint64_t> {};
@@ -127,6 +164,82 @@ TEST_P(ContextPropertyTest, DictionaryInternIsStable) {
   for (size_t i = 0; i < ctxts.size(); ++i) {
     EXPECT_EQ(dict.Intern(ctxts[i]), ids[i]);
     EXPECT_EQ(dict.Lookup(ids[i]), ctxts[i]);
+  }
+}
+
+TEST_P(ContextPropertyTest, SynopsisOrderEqualityAndHashMatchVector) {
+  util::Rng rng(GetParam() ^ 8);
+  for (int i = 0; i < 2000; ++i) {
+    const auto [a, ref_a] = RandomSynopsis(rng);
+    const auto [b, ref_b] = RandomSynopsis(rng);
+    ASSERT_EQ(PartsOf(a), ref_a);
+    EXPECT_EQ(a.parts < b.parts, ref_a < ref_b);
+    EXPECT_EQ(b.parts < a.parts, ref_b < ref_a);
+    EXPECT_EQ(a == b, ref_a == ref_b);
+    EXPECT_EQ(a.Hash(), ReferenceHash(ref_a));
+    if (a == b) {
+      EXPECT_EQ(a.Hash(), b.Hash());
+    }
+  }
+}
+
+TEST_P(ContextPropertyTest, SynopsisCopyMoveAndSelfAssignment) {
+  util::Rng rng(GetParam() ^ 9);
+  for (int i = 0; i < 500; ++i) {
+    const auto [src, ref] = RandomSynopsis(rng);
+    auto [target, target_ref] = RandomSynopsis(rng);
+
+    Synopsis copy(src);
+    EXPECT_EQ(PartsOf(copy), ref);
+    target = src;
+    EXPECT_EQ(PartsOf(target), ref);
+    EXPECT_EQ(PartsOf(src), ref);
+
+    Synopsis moved(std::move(copy));
+    EXPECT_EQ(PartsOf(moved), ref);
+    EXPECT_TRUE(copy.empty());  // a moved-from synopsis is empty
+    auto [other, other_ref] = RandomSynopsis(rng);
+    other = std::move(moved);
+    EXPECT_EQ(PartsOf(other), ref);
+    EXPECT_TRUE(moved.empty());
+
+    // Self-assignment through an alias keeps the parts.
+    Synopsis& alias = other;
+    other = alias;
+    EXPECT_EQ(PartsOf(other), ref);
+    other = std::move(alias);
+    EXPECT_EQ(PartsOf(other), ref);
+
+    // A moved-from synopsis is reusable.
+    copy.parts.push_back(7);
+    EXPECT_EQ(PartsOf(copy), std::vector<uint32_t>{7});
+  }
+}
+
+TEST_P(ContextPropertyTest, SynopsisGrowsPastInlinePartsAndBack) {
+  util::Rng rng(GetParam() ^ 10);
+  for (int round = 0; round < 3; ++round) {
+    Synopsis syn;
+    std::vector<uint32_t> ref;
+    const int peak = 1 + static_cast<int>(rng.NextBelow(12));
+    for (int i = 0; i < peak; ++i) {
+      const auto part = static_cast<uint32_t>(rng.NextU64());
+      syn.parts.push_back(part);
+      ref.push_back(part);
+      ASSERT_EQ(syn.parts.back(), part);
+      ASSERT_EQ(PartsOf(syn), ref);
+      ASSERT_EQ(syn.Extend(Synopsis{{1, 2}}).parts.size(), ref.size() + 2);
+    }
+    while (!ref.empty()) {
+      syn.parts.pop_back();
+      ref.pop_back();
+      ASSERT_EQ(PartsOf(syn), ref);
+      ASSERT_EQ(syn.WireBytes(), ref.empty() ? 0 : ref.size() * 5 - 1);
+    }
+    EXPECT_TRUE(syn.empty());
+    EXPECT_EQ(syn, Synopsis{});
+    syn.parts.push_back(3);
+    EXPECT_EQ(syn, (Synopsis{{3}}));
   }
 }
 

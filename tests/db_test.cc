@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/crosstalk/crosstalk.h"
@@ -144,6 +147,70 @@ TEST(DatabaseTest, MultiTableLocksAcquiredInNameOrder) {
   EXPECT_EQ(done, 2);
   EXPECT_FALSE(f.database.table("a").table_lock().held());
   EXPECT_FALSE(f.database.table("b").table_lock().held());
+}
+
+// Records every acquire and release in order, with the mode held.
+class LockLog : public sim::LockObserver {
+ public:
+  struct Entry {
+    const sim::SimMutex* lock;
+    bool acquired;   // false: released
+    bool exclusive;  // mode held at acquire
+  };
+  void OnAcquired(const sim::SimMutex& lock, uint64_t, uint64_t, sim::SimTime) override {
+    entries.push_back({&lock, true, lock.held_exclusive()});
+  }
+  void OnReleased(const sim::SimMutex& lock, uint64_t) override {
+    entries.push_back({&lock, false, false});
+  }
+  std::vector<Entry> entries;
+};
+
+TEST(DatabaseTest, LockSetTakesEachLockOnceInNameThenStripeOrder) {
+  Fixture f;
+  Table& zeta = f.database.CreateTable("zeta", 100, LockGranularity::kTableLocks);
+  Table& alpha = f.database.CreateTable("alpha", 100, LockGranularity::kRowLocks);
+  Table& mid = f.database.CreateTable("mid", 100, LockGranularity::kTableLocks);
+  LockLog log;
+  f.database.SetLockObserver(&log);
+
+  // Steps name "mid" twice (both reads) and update alpha's stripe of
+  // row 3 twice (rows 3 and 19 share it under 16 stripes).
+  Query q{"q",
+          {{Kind::kUpdateRow, "zeta", 1, 0},
+           {Kind::kUpdateRow, "alpha", 1, 19},
+           {Kind::kScan, "mid", 10},
+           {Kind::kUpdateRow, "alpha", 1, 5},
+           {Kind::kPointRead, "alpha", 1, 2},
+           {Kind::kPointRead, "mid", 1, 1},
+           {Kind::kUpdateRow, "alpha", 1, 3}}};
+  ASSERT_EQ(&alpha.row_lock(3), &alpha.row_lock(19));
+  sim::Spawn(f.sched, RunQuery(f, q, /*tag=*/1));
+  f.sched.Run();
+
+  // Name order, then stripe (mutex address) order within a table.
+  std::vector<const sim::SimMutex*> stripes{&alpha.row_lock(3), &alpha.row_lock(5)};
+  std::sort(stripes.begin(), stripes.end(), std::less<>{});
+  const std::vector<std::pair<const sim::SimMutex*, bool>> expected_acquires{
+      {stripes[0], true}, {stripes[1], true}, {&mid.table_lock(), false},
+      {&zeta.table_lock(), true}};
+  ASSERT_EQ(log.entries.size(), 2 * expected_acquires.size());
+  for (size_t i = 0; i < expected_acquires.size(); ++i) {
+    const LockLog::Entry& acquire = log.entries[i];
+    EXPECT_TRUE(acquire.acquired) << i;
+    EXPECT_EQ(acquire.lock, expected_acquires[i].first) << i;
+    EXPECT_EQ(acquire.exclusive, expected_acquires[i].second) << i;
+    // Released in reverse acquisition order.
+    const LockLog::Entry& release = log.entries[log.entries.size() - 1 - i];
+    EXPECT_FALSE(release.acquired) << i;
+    EXPECT_EQ(release.lock, expected_acquires[i].first) << i;
+  }
+  for (const sim::SimMutex* lock :
+       {stripes[0], stripes[1], static_cast<const sim::SimMutex*>(&mid.table_lock()),
+        static_cast<const sim::SimMutex*>(&zeta.table_lock())}) {
+    EXPECT_FALSE(lock->held());
+    EXPECT_EQ(lock->acquire_count(), 1u);
+  }
 }
 
 TEST(DatabaseTest, GranularityCanBeSwitched) {

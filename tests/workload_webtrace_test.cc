@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
+#include <vector>
+
+#include "src/util/zipf.h"
 
 namespace whodunit::workload {
 namespace {
@@ -97,6 +102,75 @@ TEST(WebTraceTest, CustomModelRespected) {
     for (uint32_t obj : trace.DrawConnection(rng)) {
       EXPECT_LT(obj, 10u);
     }
+  }
+}
+
+// The rank the plain binary search over the whole CDF returns: what
+// ZipfSampler::Sample computed before it had a bucket index.
+uint64_t PlainRank(const std::vector<double>& cdf, double u) {
+  const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  return it == cdf.end() ? cdf.size() - 1 : static_cast<uint64_t>(it - cdf.begin());
+}
+
+// Random draws, every bucket edge and its neighbours, and every CDF
+// value and its neighbours all map as the plain search maps them.
+void ExpectMatchesPlainSearch(const util::ZipfSampler& zipf, int draws) {
+  const std::vector<double>& cdf = zipf.cdf();
+  util::Rng rng(2027);
+  for (int i = 0; i < draws; ++i) {
+    const double u = rng.NextDouble();
+    ASSERT_EQ(zipf.RankOf(u), PlainRank(cdf, u)) << "u=" << u;
+  }
+  std::vector<double> probes;
+  const size_t buckets = zipf.bucket_count();
+  for (size_t b = 0; b <= buckets; ++b) {
+    probes.push_back(static_cast<double>(b) / static_cast<double>(buckets));
+  }
+  probes.insert(probes.end(), cdf.begin(), cdf.end());
+  for (const double p : probes) {
+    for (const double u : {std::nextafter(p, 0.0), p, std::nextafter(p, 2.0)}) {
+      ASSERT_EQ(zipf.RankOf(u), PlainRank(cdf, u)) << "u=" << u;
+    }
+  }
+}
+
+// The bucket index must change how a rank is found, never which rank.
+TEST(WebTraceTest, ZipfBucketIndexMatchesPlainSearch) {
+  const util::ZipfSampler trace_zipf(kTraceObjects, kTraceZipfTheta);
+  ASSERT_EQ(trace_zipf.cdf().size(), kTraceObjects);
+  ExpectMatchesPlainSearch(trace_zipf, 1000000);
+  // Uniform universes put CDF values exactly on bucket edges.
+  for (const uint64_t n : {1u, 3u, 4u, 8u, 1000u}) {
+    ExpectMatchesPlainSearch(util::ZipfSampler(n, 0.0), 10000);
+    ExpectMatchesPlainSearch(util::ZipfSampler(n, 1.0), 10000);
+  }
+}
+
+// Draw for draw, Sample is the plain search applied to the Rng's next
+// double.
+TEST(WebTraceTest, ZipfSampleConsumesOneDrawPerRank) {
+  const util::ZipfSampler zipf(kTraceObjects, kTraceZipfTheta);
+  util::Rng a(11), b(11);
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_EQ(zipf.Sample(a), PlainRank(zipf.cdf(), b.NextDouble()));
+  }
+}
+
+// The precomputed object sizes are the per-call expression's values.
+TEST(WebTraceTest, PrecomputedSizesMatchFormula) {
+  const WebTrace trace;
+  const auto formula = [](uint32_t id) {
+    uint64_t x = id + 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    const double u = static_cast<double>(x >> 11) * 0x1.0p-53;
+    double size = static_cast<double>(kTraceMinObjectBytes) / std::pow(1.0 - u, 1.0 / 1.2);
+    size = std::min(size, static_cast<double>(kTraceMaxObjectBytes));
+    return static_cast<uint64_t>(size);
+  };
+  for (uint32_t id = 0; id < kTraceObjects; ++id) {
+    ASSERT_EQ(trace.ObjectBytes(id), formula(id)) << "object " << id;
   }
 }
 
