@@ -1,15 +1,13 @@
 // Ablation: the flow-summary cache (src/shm/section_cache.h).
 //
-// Four configurations of the same steady-state Apache queue workload:
+// Three configurations of the same steady-state Apache queue workload:
 //   interpreted     — warm translation cache, no summary cache
 //   cache (arch)    — summaries replayed, no flow detector attached
 //   cache+detector  — summaries replayed incl. dictionary effects
-//   cache+shadow    — every hit re-verified against full emulation
-//                     (the asan-ubsan configuration; upper cost bound)
 // plus a sweep of the variant ring against queue-depth churn: a
 // section whose fingerprint pins a walking value (the queue depth)
 // needs one variant per distinct depth, so hit rate degrades once the
-// working set outgrows max_variants.
+// working set outgrows SectionCache::kMaxVariants.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -55,9 +53,7 @@ BENCHMARK(BM_Interpreted);
 
 void BM_CacheArchOnly(benchmark::State& state) {
   Fixture f;
-  shm::SectionCache::Config cfg;
-  cfg.shadow_verify = false;
-  shm::SectionCache cache(cfg);
+  shm::SectionCache cache;
   for (auto _ : state) {
     f.cpu.regs[1] = 42;
     f.cpu.regs[2] = 43;
@@ -70,13 +66,10 @@ void BM_CacheArchOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheArchOnly);
 
-template <bool kShadow>
-void CacheWithDetector(benchmark::State& state) {
+void BM_CacheWithDetector(benchmark::State& state) {
   Fixture f;
   shm::FlowDetector detector([](vm::ThreadId t) { return shm::CtxtId{t + 1}; });
-  shm::SectionCache::Config cfg;
-  cfg.shadow_verify = kShadow;
-  shm::SectionCache cache(cfg);
+  shm::SectionCache cache;
   for (auto _ : state) {
     f.cpu.regs[1] = 42;
     f.cpu.regs[2] = 43;
@@ -88,26 +81,18 @@ void CacheWithDetector(benchmark::State& state) {
   state.counters["hit_rate"] =
       static_cast<double>(cache.hits()) / static_cast<double>(cache.hits() + cache.misses());
 }
-
-void BM_CacheWithDetector(benchmark::State& state) { CacheWithDetector<false>(state); }
 BENCHMARK(BM_CacheWithDetector);
-
-void BM_CacheShadowVerified(benchmark::State& state) { CacheWithDetector<true>(state); }
-BENCHMARK(BM_CacheShadowVerified);
 
 // Variant-ring churn: the producer cycles the queue depth through
 // `depth_range` values before the consumer drains it. Every depth is a
 // distinct fingerprint for both sections, so hit rate collapses once a
-// section's depth_range variants outgrow its (program, thread) ring.
-// The ring is pinned to 8 slots here (the production default is 64) so
-// the sweep crosses the cliff inside a small argument range.
+// section's depth_range variants outgrow its kMaxVariants-slot
+// (program, thread) ring; past the cliff the churn guard demotes the
+// ring to plain emulation.
 void BM_VariantChurn(benchmark::State& state) {
   const auto depth_range = static_cast<uint64_t>(state.range(0));
   Fixture f;
-  shm::SectionCache::Config cfg;
-  cfg.shadow_verify = false;
-  cfg.max_variants = 8;
-  shm::SectionCache cache(cfg);
+  shm::SectionCache cache;
   for (auto _ : state) {
     for (uint64_t i = 0; i < depth_range; ++i) {
       f.cpu.regs[1] = 42;
@@ -123,15 +108,15 @@ void BM_VariantChurn(benchmark::State& state) {
       static_cast<double>(cache.hits()) / static_cast<double>(cache.hits() + cache.misses());
   state.counters["variants"] = static_cast<double>(cache.variants());
 }
-BENCHMARK(BM_VariantChurn)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_VariantChurn)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::Header(
       "Ablation: flow-summary cache\n"
-      "interpreted vs arch-only replay vs replay+dictionary vs shadow-verified,\n"
-      "then hit-rate vs queue-depth churn (ring pinned to max_variants=8)");
+      "interpreted vs arch-only replay vs replay+dictionary,\n"
+      "then hit-rate vs queue-depth churn across the 64-variant ring");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

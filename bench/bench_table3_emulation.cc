@@ -110,9 +110,7 @@ void BM_EmulationFromCache(benchmark::State& state) {
   cpu.regs[5] = 0x2000;
   cpu.regs[6] = 0x2008;
   vm::Interpreter interp;
-  shm::SectionCache::Config cfg;
-  cfg.shadow_verify = false;  // measure the production fast path
-  shm::SectionCache cache(cfg);
+  shm::SectionCache cache;
   for (auto _ : state) {
     cpu.regs[1] = 42;
     cpu.regs[2] = 43;
@@ -161,9 +159,7 @@ void BM_SectionCacheWithDetector(benchmark::State& state) {
   cpu.regs[6] = 0x2008;
   vm::Interpreter interp;
   shm::FlowDetector detector([](vm::ThreadId t) { return shm::CtxtId{t}; });
-  shm::SectionCache::Config cfg;
-  cfg.shadow_verify = false;
-  shm::SectionCache cache(cfg);
+  shm::SectionCache cache;
   for (auto _ : state) {
     cpu.regs[1] = 42;
     cpu.regs[2] = 43;

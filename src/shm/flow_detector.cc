@@ -482,14 +482,6 @@ void FlowDetector::ApplySection(const DictEffects& fx, vm::ThreadId t,
   obs_dict_size_->Set(static_cast<int64_t>(dictionary_size()));
 }
 
-FlowDetector FlowDetector::CloneForShadow() const {
-  FlowDetector clone(*this);
-  clone.on_flow_ = nullptr;
-  clone.on_demote_ = nullptr;
-  clone.rec_ = nullptr;
-  return clone;
-}
-
 bool FlowDetector::DeepEquals(const FlowDetector& other) const {
   if (flows_detected_ != other.flows_detected_ || flow_digest_ != other.flow_digest_) {
     return false;

@@ -176,8 +176,8 @@ class FlowDetector {
   explicit FlowDetector(CtxtProvider ctxt_provider)
       : FlowDetector(Config{}, std::move(ctxt_provider)) {}
   ~FlowDetector() { FlushObsTallies(); }
-  FlowDetector(const FlowDetector&) = default;
-  FlowDetector& operator=(const FlowDetector&) = default;
+  FlowDetector(const FlowDetector&) = delete;
+  FlowDetector& operator=(const FlowDetector&) = delete;
 
   void set_flow_callback(FlowCallback cb) { on_flow_ = std::move(cb); }
   void set_demote_callback(DemoteCallback cb) { on_demote_ = std::move(cb); }
@@ -262,9 +262,8 @@ class FlowDetector {
 
   int post_window_config() const { return config_.post_window; }
 
-  // Shadow-verify support: an independent copy whose callbacks (and
-  // recording sink) are detached, and a deep structural comparison.
-  FlowDetector CloneForShadow() const;
+  // Deep structural comparison of two detectors' dictionaries, thread
+  // states, lock roles and flow digests (the differential tests' oracle).
   bool DeepEquals(const FlowDetector& other) const;
 
  private:
@@ -350,8 +349,7 @@ class FlowDetector {
   // Role-list lookup with a one-entry cache. Valid while roles_ has
   // not inserted since the pointer was taken: roles_ never erases, so
   // an unchanged size() proves no insert (and no robin-hood
-  // displacement) happened. The cache resets on copy — a cloned
-  // detector's pointer would dangle into the original's table.
+  // displacement) happened.
   LockRoles& RolesOf(uint64_t lock_id) {
     if (roles_cache_.ptr != nullptr && roles_cache_.lock == lock_id &&
         roles_cache_.gen == roles_.size()) {
@@ -366,21 +364,9 @@ class FlowDetector {
     uint64_t lock = 0;
     size_t gen = 0;
     LockRoles* ptr = nullptr;
-    RolesCache() = default;
-    RolesCache(uint64_t l, size_t g, LockRoles* p) : lock(l), gen(g), ptr(p) {}
-    // Reset on copy: a pointer into another detector's table is stale.
-    RolesCache(const RolesCache&) {}
-    RolesCache& operator=(const RolesCache&) {
-      lock = 0;
-      gen = 0;
-      ptr = nullptr;
-      return *this;
-    }
   };
 
-  // Batched counter deltas (see FlushObsTallies). Reset on copy so a
-  // shadow clone starts from zero instead of double-publishing the
-  // source's pending counts.
+  // Batched counter deltas (see FlushObsTallies).
   struct ObsTallies {
     uint64_t critical_sections = 0;
     uint64_t propagations = 0;
@@ -388,13 +374,6 @@ class FlowDetector {
     uint64_t poisonings = 0;
     uint64_t flushes = 0;
     uint64_t window_dedups = 0;
-    ObsTallies() = default;
-    ObsTallies(const ObsTallies&) {}
-    ObsTallies& operator=(const ObsTallies&) {
-      critical_sections = propagations = associations = 0;
-      poisonings = flushes = window_dedups = 0;
-      return *this;
-    }
   };
 
   // Critical sections between metric publications.

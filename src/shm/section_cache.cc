@@ -1,15 +1,11 @@
 #include "src/shm/section_cache.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <optional>
 #include <utility>
 
 namespace whodunit::shm {
 
-SectionCache::SectionCache(Config config)
-    : config_(config),
-      obs_hits_(&obs::Registry().GetCounter("shm.section_cache.hits")),
+SectionCache::SectionCache()
+    : obs_hits_(&obs::Registry().GetCounter("shm.section_cache.hits")),
       obs_misses_(&obs::Registry().GetCounter("shm.section_cache.misses")),
       obs_fingerprint_misses_(
           &obs::Registry().GetCounter("shm.section_cache.fingerprint_misses")),
@@ -18,7 +14,6 @@ SectionCache::SectionCache(Config config)
       obs_churn_demotions_(
           &obs::Registry().GetCounter("shm.section_cache.churn_demotions")),
       obs_invalidations_(&obs::Registry().GetCounter("shm.section_cache.invalidations")),
-      obs_shadow_checks_(&obs::Registry().GetCounter("shm.section_cache.shadow_checks")),
       obs_sections_(&obs::Registry().GetGauge("shm.section_cache.sections")),
       obs_variants_(&obs::Registry().GetGauge("shm.section_cache.variants")) {}
 
@@ -81,7 +76,7 @@ vm::ExecResult SectionCache::RecordCold(vm::Interpreter& interp, const vm::Progr
     pe.rings.resize(static_cast<size_t>(t) + 1);
   }
   ThreadRing& ring = pe.rings[t];
-  const bool full = ring.summaries.size() >= config_.max_variants;
+  const bool full = ring.summaries.size() >= kMaxVariants;
   if (full) {
     ++ring.evictions;
     if (ring.evictions >= kChurnDemoteRecords && ring.replay_hits < ring.evictions) {
@@ -117,46 +112,6 @@ vm::ExecResult SectionCache::RecordCold(vm::Interpreter& interp, const vm::Progr
   obs_records_->Add();
   obs_sections_->Set(static_cast<int64_t>(table_.size()));
   obs_variants_->Set(static_cast<int64_t>(variant_count_));
-  return res;
-}
-
-vm::ExecResult SectionCache::ShadowVerifyHit(const SectionSummary& s, vm::Interpreter& interp,
-                                             const vm::Program& program, vm::ThreadId t,
-                                             vm::CpuState& cpu, vm::Memory& mem,
-                                             FlowDetector* det) {
-  obs_shadow_checks_->Add();
-  // Replay into copies; the authoritative emulation below runs on the
-  // real state, so a divergence can never corrupt the simulation.
-  vm::CpuState shadow_cpu = cpu;
-  vm::Memory shadow_mem = mem;
-  ApplyArch(s.arch, shadow_cpu, shadow_mem);
-  std::optional<FlowDetector> shadow_det;
-  if (det != nullptr) {
-    shadow_det.emplace(det->CloneForShadow());
-    shadow_det->ApplySection(s.dict, t, resolved_);
-  }
-  const vm::ExecResult res = Plain(interp, program, t, cpu, mem, det);
-
-  const char* divergence = nullptr;
-  if (shadow_cpu.regs != cpu.regs || shadow_cpu.cmp != cpu.cmp) {
-    divergence = "cpu state";
-  } else if (shadow_mem.Snapshot() != mem.Snapshot()) {
-    divergence = "memory";
-  } else if (det != nullptr && !shadow_det->DeepEquals(*det)) {
-    divergence = "flow dictionary";
-  } else if (res.instructions != s.base.instructions ||
-             res.guest_cycles != s.base.guest_cycles ||
-             res.direct_cycles != s.base.direct_cycles || res.translated) {
-    divergence = "exec result";
-  }
-  if (divergence != nullptr) {
-    std::fprintf(stderr,
-                 "shadow-verify: section cache replay diverged from full emulation\n"
-                 "  program: %s (id %llu)  thread: %u  divergence: %s\n",
-                 program.name.c_str(), static_cast<unsigned long long>(program.id), t,
-                 divergence);
-    std::abort();
-  }
   return res;
 }
 

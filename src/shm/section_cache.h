@@ -17,7 +17,7 @@
 //     from the builder, so a rebuilt section simply misses;
 //   * fingerprint mismatch — a pinned value or dictionary shape
 //     differs; the cold run records a new variant into the
-//     (program, thread) ring (`max_variants`);
+//     (program, thread) ring (`kMaxVariants`);
 //   * demotion-state / window state — never stale by construction:
 //     demotion checks, window dedup and flow emission re-execute live
 //     during replay, and summaries whose behavior depended on the
@@ -26,10 +26,12 @@
 //     interpreter still holds the translation (IsTranslated), so the
 //     re-translation cost is paid by a real cold run.
 //
-// Shadow-verify mode (WHODUNIT_SHADOW_VERIFY, on in the asan-ubsan
-// preset) replays every hit against copies of the machine and
-// dictionary state, then runs the authoritative full emulation and
-// aborts on any divergence — the fast path stays honest.
+// Replay must be exact, and runs are deterministic, so exact oracles
+// check it: the lockstep differentials in tests/shm_fuzz_test.cc and
+// tests/shm_section_cache_test.cc compare a cached universe with plain
+// emulation after every section, and the paper goldens
+// (tests/paper_goldens.sh) pin whole-run outputs byte for byte, in
+// every build preset including asan-ubsan.
 #ifndef SRC_SHM_SECTION_CACHE_H_
 #define SRC_SHM_SECTION_CACHE_H_
 
@@ -45,25 +47,15 @@
 
 namespace whodunit::shm {
 
-#ifdef WHODUNIT_SHADOW_VERIFY
-inline constexpr bool kShadowVerifyDefault = true;
-#else
-inline constexpr bool kShadowVerifyDefault = false;
-#endif
-
 class SectionCache {
  public:
-  struct Config {
-    // Fingerprint variants retained per (program, thread) ring; a full
-    // ring evicts the least recently replayed. Sections whose pinned
-    // values walk a bounded set (a table section whose fingerprint pins
-    // the row index, a queue fingerprinting its depth) get one variant
-    // per distinct value, so the default covers a 64-value working set
-    // for each thread before anything is evicted.
-    size_t max_variants = 64;
-    // Re-emulate every hit and assert equivalence (debug).
-    bool shadow_verify = kShadowVerifyDefault;
-  };
+  // Fingerprint variants retained per (program, thread) ring; a full
+  // ring evicts the least recently replayed. Sections whose pinned
+  // values walk a bounded set (a table section whose fingerprint pins
+  // the row index, a queue fingerprinting its depth) get one variant
+  // per distinct value, so a ring covers a 64-value working set for
+  // each thread before anything is evicted.
+  static constexpr size_t kMaxVariants = 64;
 
   // Churn guard: once a full ring has evicted this many summaries
   // while replaying fewer hits than evictions, that (program, thread)
@@ -73,8 +65,7 @@ class SectionCache {
   // turn the cache into a steady-state slowdown.
   static constexpr uint32_t kChurnDemoteRecords = 32;
 
-  SectionCache() : SectionCache(Config{}) {}
-  explicit SectionCache(Config config);
+  SectionCache();
 
   // Executes `program` through the cache. Semantically identical to
   // interp.ExecuteWith(program, t, cpu, mem, det) — including the
@@ -111,9 +102,6 @@ class SectionCache {
           std::swap(sums[0], s);
         }
         SectionSummary& m = sums[0];
-        if (config_.shadow_verify) {
-          return ShadowVerifyHit(m, interp, program, t, cpu, mem, det);
-        }
         ApplyArch(m.arch, cpu, mem);
         if (want_dict) {
           det->ApplySection(m.dict, t, resolved_);
@@ -241,11 +229,7 @@ class SectionCache {
   vm::ExecResult RecordCold(vm::Interpreter& interp, const vm::Program& program,
                             vm::ThreadId t, vm::CpuState& cpu, vm::Memory& mem,
                             FlowDetector* det);
-  vm::ExecResult ShadowVerifyHit(const SectionSummary& s, vm::Interpreter& interp,
-                                 const vm::Program& program, vm::ThreadId t,
-                                 vm::CpuState& cpu, vm::Memory& mem, FlowDetector* det);
 
-  Config config_;
   util::RobinHoodMap<uint64_t, ProgramEntry> table_;
   size_t variant_count_ = 0;
   uint64_t hits_ = 0;
@@ -267,7 +251,6 @@ class SectionCache {
   obs::Counter* obs_uncacheable_;
   obs::Counter* obs_churn_demotions_;
   obs::Counter* obs_invalidations_;
-  obs::Counter* obs_shadow_checks_;
   obs::Gauge* obs_sections_;
   obs::Gauge* obs_variants_;
 };

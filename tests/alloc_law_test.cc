@@ -9,12 +9,6 @@
 // costs. The law bounds that ratio at 0.5 per transaction — a single
 // per-request std::vector, std::function or message copy with a heap
 // member breaks it.
-//
-// Shadow-verify builds (WHODUNIT_SHADOW_VERIFY, the asan-ubsan preset)
-// copy guest memory and the flow detector on every section-cache hit
-// by design. There the workloads still run, under the sanitizers and
-// through the counting operator new, at a tenth of the simulated
-// length, and the ratio is printed, but the bound is not asserted.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,7 +21,6 @@
 #include "src/apps/minihttpd/minihttpd.h"
 #include "src/apps/miniproxy/miniproxy.h"
 #include "src/apps/sedaserver/sedaserver.h"
-#include "src/shm/section_cache.h"
 #include "src/util/arena.h"
 
 // Counts every global operator new in this binary, aligned forms
@@ -80,11 +73,6 @@ namespace {
 
 constexpr double kMaxAllocsPerTxn = 0.5;
 
-// Simulated times of the perfbench configurations, cut to a tenth in
-// shadow-verify builds, where the bound is not asserted and full-length
-// runs take minutes.
-constexpr sim::SimTime Scaled(sim::SimTime t) { return shm::kShadowVerifyDefault ? t / 10 : t; }
-
 struct RunCost {
   uint64_t allocs = 0;
   uint64_t txns = 0;
@@ -120,11 +108,7 @@ double ExtraAllocsPerTxn(const Run& run, sim::SimTime length) {
 
 template <typename Run>
 void ExpectAllocationFree(const Run& run, sim::SimTime length) {
-  const double per_txn = ExtraAllocsPerTxn(run, length);
-  if (shm::kShadowVerifyDefault) {
-    GTEST_SKIP() << "shadow verify allocates on every section-cache hit; measured " << per_txn;
-  }
-  EXPECT_LE(per_txn, kMaxAllocsPerTxn);
+  EXPECT_LE(ExtraAllocsPerTxn(run, length), kMaxAllocsPerTxn);
 }
 
 // The perfbench configurations (perfbench/harness.cc), whodunit arm,
@@ -137,11 +121,11 @@ TEST(AllocLawTest, TpcwClosed) {
     o.servlet_caching = true;
     o.item_granularity = db::LockGranularity::kTableLocks;
     o.duration = length;
-    o.warmup = Scaled(sim::Seconds(60));
+    o.warmup = sim::Seconds(60);
     o.seed = 1;
     return RunBookstore(o).interactions;
   };
-  ExpectAllocationFree(run, Scaled(sim::Seconds(300)));
+  ExpectAllocationFree(run, sim::Seconds(300));
 }
 
 TEST(AllocLawTest, TpcwOpenSampled) {
@@ -155,14 +139,14 @@ TEST(AllocLawTest, TpcwOpenSampled) {
     o.proxy_cores = o.tomcat_cores = o.db_cores = kClients / 25;
     o.proxy_workers = o.tomcat_workers = o.db_workers = kClients / 16;
     o.duration = length;
-    o.warmup = Scaled(sim::Millis(400));
+    o.warmup = sim::Millis(400);
     o.sample_rate = 0.01;
     o.live = true;
     o.live_attribution = true;
     o.seed = 1;
     return RunBookstore(o).interactions;
   };
-  ExpectAllocationFree(run, Scaled(sim::Seconds(1)));
+  ExpectAllocationFree(run, sim::Seconds(1));
 }
 
 TEST(AllocLawTest, HttpdChurn) {
@@ -174,7 +158,7 @@ TEST(AllocLawTest, HttpdChurn) {
     o.seed = 1;
     return RunMinihttpd(o).requests;
   };
-  ExpectAllocationFree(run, Scaled(sim::Seconds(5)));
+  ExpectAllocationFree(run, sim::Seconds(5));
 }
 
 TEST(AllocLawTest, ProxySeda) {
@@ -187,7 +171,7 @@ TEST(AllocLawTest, ProxySeda) {
     so.seed = 1;
     return RunMiniproxy(po).requests + RunSedaServer(so).requests;
   };
-  ExpectAllocationFree(run, Scaled(sim::Seconds(10)));
+  ExpectAllocationFree(run, sim::Seconds(10));
 }
 
 }  // namespace

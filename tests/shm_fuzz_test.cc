@@ -8,7 +8,8 @@
 // programs, random lock interleavings, and random consume-window
 // sizes run through two universes — one via shm::SectionCache, one
 // via plain emulation — which must stay bit-identical in machine
-// state, dictionary state, contexts, and flow events.
+// state, dictionary state, contexts, and flow events after every
+// section.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -183,13 +184,14 @@ TEST_P(SectionCacheFuzzTest, ReplayIsIndistinguishableFromEmulation) {
     std::vector<FlowEvent> flows;
   };
   Universe cached(dcfg), plain(dcfg);
-  SectionCache cache;  // shadow-verify stays at the build default
+  SectionCache cache;
 
   // Program pool: the canonical producer/consumer patterns (distinct
   // locks per pattern family, so roles make sense) plus random bodies.
   struct Pooled {
     vm::Program program;
-    uint64_t base;  // r0 for every run
+    uint64_t base;       // r0 for every run
+    bool table = false;  // r1 is a row index rather than an address
   };
   std::vector<Pooled> pool;
   pool.push_back({ApQueuePush(10), 0x1000});
@@ -199,6 +201,10 @@ TEST_P(SectionCacheFuzzTest, ReplayIsIndistinguishableFromEmulation) {
   pool.push_back({MemAlloc(12), 0x6000});
   pool.push_back({ListEnqueue(13), 0x8000});
   pool.push_back({ListDequeue(13), 0x8000});
+  // The bookstore's and minihttpd's §8.1 table sections: the row index
+  // walks a bounded set of fingerprints, the payload stays symbolic.
+  pool.push_back({TableRead(14), 0xa000, true});
+  pool.push_back({TableWrite(14), 0xa000, true});
   const int n_random = 2 + static_cast<int>(rng.NextBelow(4));
   for (int i = 0; i < n_random; ++i) {
     // Random sections share locks 20/21 to fuzz lock interleavings
@@ -213,6 +219,7 @@ TEST_P(SectionCacheFuzzTest, ReplayIsIndistinguishableFromEmulation) {
   }
 
   CtxtId next_ctxt = 1;
+  uint64_t table_hits = 0;
   for (int step = 0; step < 600; ++step) {
     const Pooled& p = pool[rng.NextBelow(pool.size())];
     const auto t = static_cast<vm::ThreadId>(rng.NextBelow(4));
@@ -223,6 +230,9 @@ TEST_P(SectionCacheFuzzTest, ReplayIsIndistinguishableFromEmulation) {
     uint64_t r1 = 0x6100, r2 = 100 + rng.NextBelow(100);
     if (rng.NextBernoulli(0.5)) {
       r1 = 0x8100 + 0x40 * rng.NextBelow(4);  // list elements
+    }
+    if (p.table) {
+      r1 = rng.NextBelow(16);
     }
     for (Universe* u : {&cached, &plain}) {
       if (fresh_ctxt) {
@@ -235,8 +245,12 @@ TEST_P(SectionCacheFuzzTest, ReplayIsIndistinguishableFromEmulation) {
       cpu.regs[5] = 0x2000 + 0x40u * t;
       cpu.regs[6] = 0x2008 + 0x40u * t;
     }
+    const uint64_t hits_before = cache.hits();
     const vm::ExecResult rc =
         cache.Run(cached.interp, p.program, t, cached.cpus[t], cached.mem, &cached.detector);
+    if (p.table && cache.hits() > hits_before) {
+      ++table_hits;
+    }
     const vm::ExecResult rp =
         plain.interp.ExecuteWith(p.program, t, plain.cpus[t], plain.mem, &plain.detector);
 
@@ -244,13 +258,12 @@ TEST_P(SectionCacheFuzzTest, ReplayIsIndistinguishableFromEmulation) {
     // or miss (summaries never absorb translation cycles).
     ASSERT_EQ(rc.instructions, rp.instructions) << "step " << step;
     ASSERT_EQ(rc.guest_cycles, rp.guest_cycles) << "step " << step;
+    ASSERT_EQ(rc.direct_cycles, rp.direct_cycles) << "step " << step;
     ASSERT_EQ(rc.translated, rp.translated) << "step " << step;
     ASSERT_EQ(cached.cpus[t].regs, plain.cpus[t].regs) << "step " << step;
     ASSERT_EQ(cached.cpus[t].cmp, plain.cpus[t].cmp) << "step " << step;
-    if (step % 50 == 0) {
-      ASSERT_EQ(cached.mem.Snapshot(), plain.mem.Snapshot()) << "step " << step;
-      ASSERT_TRUE(cached.detector.DeepEquals(plain.detector)) << "step " << step;
-    }
+    ASSERT_EQ(cached.mem.Snapshot(), plain.mem.Snapshot()) << "step " << step;
+    ASSERT_TRUE(cached.detector.DeepEquals(plain.detector)) << "step " << step;
   }
 
   EXPECT_EQ(cached.mem.Snapshot(), plain.mem.Snapshot());
@@ -262,6 +275,7 @@ TEST_P(SectionCacheFuzzTest, ReplayIsIndistinguishableFromEmulation) {
   // 600 steps over a dozen-program pool must reach a warm steady
   // state; a cache that never replays is vacuous equivalence.
   EXPECT_GT(cache.hits(), 0u);
+  EXPECT_GT(table_hits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SectionCacheFuzzTest,

@@ -20,12 +20,6 @@ constexpr uint64_t kLock = 7;
 constexpr uint64_t kQueue = 0x1000;
 constexpr uint64_t kCounterAddr = 0x5000;
 
-SectionCache::Config NoShadow() {
-  SectionCache::Config cfg;
-  cfg.shadow_verify = false;
-  return cfg;
-}
-
 // Two universes run the same schedule: one through the cache, one
 // through plain emulation. They must stay indistinguishable.
 struct Universe {
@@ -59,7 +53,7 @@ void ExpectSame(Universe& a, Universe& b) {
 TEST(SectionCacheTest, CounterHitsAfterWarmup) {
   vm::Program cnt = CounterIncrement(kLock);
   Universe u;
-  SectionCache cache(NoShadow());
+  SectionCache cache;
   vm::CpuState& cpu = u.cpus[0];
   cpu.regs[0] = kCounterAddr;
   for (int i = 0; i < 10; ++i) {
@@ -76,7 +70,7 @@ TEST(SectionCacheTest, QueueSteadyStateHitsAndMatchesPlainEmulation) {
   vm::Program push = ApQueuePush(kLock);
   vm::Program pop = ApQueuePop(kLock);
   Universe cached, plain;
-  SectionCache cache(NoShadow());
+  SectionCache cache;
   CtxtId next_ctxt = 1;
   for (int i = 0; i < 50; ++i) {
     const CtxtId c = next_ctxt++;
@@ -115,7 +109,7 @@ TEST(SectionCacheTest, QueueSteadyStateHitsAndMatchesPlainEmulation) {
 TEST(SectionCacheTest, DepthChangeRecordsNewVariant) {
   vm::Program push = ApQueuePush(kLock);
   Universe u;
-  SectionCache cache(NoShadow());
+  SectionCache cache;
   vm::CpuState& cpu = u.cpus[0];
   // Pushes at strictly increasing depth: nelts feeds the element
   // address computation, so every depth is a distinct fingerprint.
@@ -137,16 +131,16 @@ TEST(SectionCacheTest, DepthChangeRecordsNewVariant) {
 TEST(SectionCacheTest, ChurnGuardDemotesWalkingSection) {
   vm::Program push = ApQueuePush(kLock);
   Universe cached, plain;
-  SectionCache::Config cfg = NoShadow();
-  cfg.max_variants = 8;
-  SectionCache cache(cfg);
+  SectionCache cache;
   // A queue that only ever grows pins a fresh depth on every push:
   // each run re-records and the full ring evicts, and recording costs
   // several plain emulations. After the ring has evicted
   // kChurnDemoteRecords summaries with no replays to show for them,
   // the (program, thread) ring must fall back to plain emulation for
-  // good. 48 runs = 1 translate + 8 ring fills + 32 evictions + tail.
-  for (int i = 0; i < 48; ++i) {
+  // good. 1 translate + 64 ring fills + 32 evictions + a tail of 7.
+  constexpr int kRuns = 1 + static_cast<int>(SectionCache::kMaxVariants) +
+                        static_cast<int>(SectionCache::kChurnDemoteRecords) + 7;
+  for (int i = 0; i < kRuns; ++i) {
     for (Universe* u : {&cached, &plain}) {
       vm::CpuState& cpu = u->cpus[0];
       cpu.regs[0] = kQueue;
@@ -157,7 +151,7 @@ TEST(SectionCacheTest, ChurnGuardDemotesWalkingSection) {
     plain.interp.ExecuteWith(push, 0, plain.cpus[0], plain.mem, &plain.detector);
   }
   EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 48u);
+  EXPECT_EQ(cache.misses(), static_cast<uint64_t>(kRuns));
   EXPECT_EQ(cache.variants(), 0u);  // demoted: summaries dropped
   ExpectSame(cached, plain);
   // Demotion is sticky — later runs stop recording entirely.
@@ -171,24 +165,23 @@ TEST(SectionCacheTest, ChurnGuardDemotesWalkingSection) {
 }
 
 TEST(SectionCacheTest, PerThreadRingsSurviveMultiThreadThrash) {
-  // Two server threads walk the same 8 row indices of a shared table.
-  // With rings keyed per (program, thread) each thread's 8 variants
-  // fit its own ring even at max_variants = 8; a shared ring would
-  // thrash — 16 live fingerprints in 8 slots, near-zero hits.
+  // Two server threads walk the same 64 row indices of a shared table.
+  // With rings keyed per (program, thread) each thread's 64 variants
+  // fit its own kMaxVariants-slot ring; a shared ring would thrash —
+  // 128 live fingerprints in 64 slots, near-zero hits.
   constexpr uint64_t kTableBase = 0x9000;
+  constexpr uint64_t kRows = SectionCache::kMaxVariants;
   vm::Program read = TableRead(kLock);
   Universe cached, plain;
-  SectionCache::Config cfg = NoShadow();
-  cfg.max_variants = 8;
-  SectionCache cache(cfg);
+  SectionCache cache;
   for (Universe* u : {&cached, &plain}) {
-    for (uint64_t row = 0; row < 8; ++row) {
+    for (uint64_t row = 0; row < kRows; ++row) {
       u->mem.Write(kTableBase + 8 * row, 1000 + row);
     }
   }
   for (int round = 0; round < 10; ++round) {
     for (vm::ThreadId t : {vm::ThreadId{0}, vm::ThreadId{1}}) {
-      for (uint64_t row = 0; row < 8; ++row) {
+      for (uint64_t row = 0; row < kRows; ++row) {
         for (Universe* u : {&cached, &plain}) {
           vm::CpuState& cpu = u->cpus[t];
           cpu.regs[0] = kTableBase;
@@ -204,9 +197,10 @@ TEST(SectionCacheTest, PerThreadRingsSurviveMultiThreadThrash) {
     }
   }
   ExpectSame(cached, plain);
-  // 160 runs: 1 translation, 16 recordings, everything else replays.
-  EXPECT_GT(cache.hits(), 120u);
-  EXPECT_EQ(cache.variants(), 16u);
+  // 1280 runs: 1 translation, 128 recordings (thread 0's first row is
+  // recorded on its second visit), everything else replays.
+  EXPECT_EQ(cache.hits(), 10 * 2 * kRows - 1 - 2 * kRows);
+  EXPECT_EQ(cache.variants(), 2 * kRows);
 }
 
 TEST(SectionCacheTest, WalkingRowIndexReplaysWithSymbolicPayload) {
@@ -219,7 +213,7 @@ TEST(SectionCacheTest, WalkingRowIndexReplaysWithSymbolicPayload) {
   constexpr uint64_t kTableBase = 0x9000;
   vm::Program read = TableRead(kLock);
   Universe u;
-  SectionCache cache(NoShadow());
+  SectionCache cache;
   vm::CpuState& cpu = u.cpus[0];
   for (uint64_t row = 0; row < 16; ++row) {
     u.mem.Write(kTableBase + 8 * row, 500 + row);
@@ -253,7 +247,7 @@ TEST(SectionCacheTest, WalkingRowIndexReplaysWithSymbolicPayload) {
 
 TEST(SectionCacheTest, GuestCodeChangeMisses) {
   Universe u;
-  SectionCache cache(NoShadow());
+  SectionCache cache;
   vm::CpuState& cpu = u.cpus[0];
   cpu.regs[0] = kCounterAddr;
   vm::Program cnt = CounterIncrement(kLock);
@@ -277,7 +271,7 @@ TEST(SectionCacheTest, GuestCodeChangeMisses) {
 
 TEST(SectionCacheTest, TranslationFlushForcesColdRun) {
   Universe u;
-  SectionCache cache(NoShadow());
+  SectionCache cache;
   vm::CpuState& cpu = u.cpus[0];
   cpu.regs[0] = kCounterAddr;
   vm::Program cnt = CounterIncrement(kLock);
@@ -301,7 +295,7 @@ TEST(SectionCacheTest, WindowConfigMismatchNeverReplays) {
   // replay into a detector configured differently.
   vm::Program pop = ApQueuePop(kLock);
   vm::Program push = ApQueuePush(kLock);
-  SectionCache cache(NoShadow());
+  SectionCache cache;
   FlowDetector::Config wide;
   wide.post_window = 128;
   FlowDetector::Config narrow;
@@ -336,7 +330,7 @@ TEST(SectionCacheTest, DemotionEquivalence) {
   vm::Program mem_free = MemFree(kLock);
   vm::Program mem_alloc = MemAlloc(kLock);
   Universe cached, plain;
-  SectionCache cache(NoShadow());
+  SectionCache cache;
   for (int i = 0; i < 12; ++i) {
     const uint64_t block = 0x7000 + 0x100 * static_cast<uint64_t>(i % 3);
     for (Universe* u : {&cached, &plain}) {
@@ -357,27 +351,10 @@ TEST(SectionCacheTest, DemotionEquivalence) {
   EXPECT_TRUE(cached.detector.IsDemoted(kLock));
 }
 
-TEST(SectionCacheTest, ShadowVerifyPassesOnHits) {
-  SectionCache::Config cfg;
-  cfg.shadow_verify = true;
-  SectionCache cache(cfg);
-  Universe u;
-  vm::CpuState& cpu = u.cpus[0];
-  cpu.regs[0] = kCounterAddr;
-  vm::Program cnt = CounterIncrement(kLock);
-  for (int i = 0; i < 10; ++i) {
-    cache.Run(u.interp, cnt, 0, cpu, u.mem, &u.detector);
-  }
-  // Every hit re-ran the full emulation and compared; reaching here
-  // means zero divergences. State is the authoritative run's.
-  EXPECT_EQ(cache.hits(), 8u);
-  EXPECT_EQ(u.mem.Read(kCounterAddr), 10u);
-}
-
 TEST(SectionCacheTest, ArchOnlyRunsCacheWithoutDetector) {
   // det == nullptr: pure architectural memoization (the Table 3
   // "emulate cached" regime without observation).
-  SectionCache cache(NoShadow());
+  SectionCache cache;
   vm::Interpreter interp;
   vm::Memory mem;
   vm::CpuState cpu;
@@ -408,7 +385,7 @@ TEST(SectionCacheTest, UncacheableSectionStaysCorrect) {
   b.IncM(0, 0);
   b.Halt();
   vm::Program prog = b.Build();
-  SectionCache cache(NoShadow());
+  SectionCache cache;
   Universe u;
   vm::CpuState& cpu = u.cpus[0];
   cpu.regs[0] = kCounterAddr;
