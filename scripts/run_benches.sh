@@ -148,7 +148,10 @@ out = {
 }
 
 # google-benchmark per-op timings: median across runs, per benchmark.
+# A benchmark's own hit_rate counter (the section-cache ablation sets
+# one per case) is kept as its lowest value across runs.
 gbench = {}
+hit_rates = {}
 for run in range(1, runs + 1):
     path = os.path.join(workdir, f"gbench_{run}.json")
     if not os.path.exists(path):
@@ -160,6 +163,8 @@ for run in range(1, runs + 1):
             continue
         gbench.setdefault(b["name"], []).append(
             (b["real_time"], b["cpu_time"], b["iterations"]))
+        if "hit_rate" in b:
+            hit_rates.setdefault(b["name"], []).append(b["hit_rate"])
 if gbench:
     out["google_benchmark"] = {
         bname: {
@@ -169,6 +174,8 @@ if gbench:
         }
         for bname, rows in sorted(gbench.items())
     }
+    for bname, rates in hit_rates.items():
+        out["google_benchmark"][bname]["hit_rate"] = round(min(rates), 6)
 
 # Obs-layer metrics of the last run (deltas: each process starts at 0).
 metrics_path = os.path.join(workdir, f"BENCH_{name}.metrics.json")

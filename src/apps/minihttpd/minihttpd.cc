@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <initializer_list>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -410,7 +409,7 @@ class Server {
   util::SymId conn_large_sym_ = 0;
 
   vm::Program push_prog_, pop_prog_, alloc_prog_, free_prog_, counter_prog_;
-  std::map<vm::ThreadId, vm::CpuState> guest_cpus_;
+  std::vector<vm::CpuState> guest_cpus_;  // indexed by vm::ThreadId
   std::vector<ThreadProfile*> thread_profiles_;
   std::vector<std::unique_ptr<sim::Channel<uint8_t>>> client_done_;
   util::RobinHoodMap<uint64_t, Connection> in_flight_;
@@ -432,6 +431,7 @@ MinihttpdResult Server::Run(profiler::ShardProfile* out_profile) {
   for (int w = 0; w < options_.workers; ++w) {
     thread_profiles_.push_back(&prof_.CreateThread("worker_" + std::to_string(w)));
   }
+  guest_cpus_.resize(thread_profiles_.size());
   const bool open_loop =
       options_.arrivals.kind != workload::ArrivalKind::kClosed;
   if (!open_loop) {
@@ -619,7 +619,7 @@ MysqlShmValidationResult RunMysqlShmValidation(int threads, int rounds, uint64_t
   constexpr uint64_t kCounter = 0x5000;
   util::Rng rng(seed);
   MysqlShmValidationResult result;
-  std::map<vm::ThreadId, vm::CpuState> cpus;
+  std::vector<vm::CpuState> cpus(static_cast<size_t>(threads));
   for (int round = 0; round < rounds; ++round) {
     const auto t = static_cast<vm::ThreadId>(rng.NextBelow(static_cast<uint64_t>(threads)));
     vm::CpuState& cpu = cpus[t];

@@ -227,7 +227,12 @@ void StageProfiler::LiveJoin(ThreadProfile& tp, uint64_t txn, sim::SimTime queue
   }
   FlushLiveCost(tp);
   tp.live_txn_ = txn;
-  tp.live_ctxt_node_ = LiveCtxtNode(tp);
+  // An unsampled thread charges no live cost, and UpdateCct already
+  // recomputes the node on every context change, so only a sampled
+  // join needs the concatenation.
+  if (tp.sampled_) {
+    tp.live_ctxt_node_ = LiveCtxtNode(tp);
+  }
   tp.live_span_service_ = 0;
   tp.live_span_lock_ = 0;
   if (txn == 0) {

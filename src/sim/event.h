@@ -1,11 +1,9 @@
 // Scheduled-event record: a small-buffer-optimized, move-only callable
 // that replaces std::function<void()> in the scheduler's calendar.
 //
-// Three representations, discriminated by vt_:
-//   * coroutine resume (vt_ == nullptr): just a coroutine_handle —
-//     the overwhelmingly common case (Delay, locks, channels, CPU all
-//     suspend/resume coroutines). Zero allocation, zero indirection
-//     beyond the resume itself.
+// An Event only ever holds a callable; coroutine resumes never become
+// Events (the scheduler keys them by frame address, scheduler.h). Two
+// representations, discriminated by vt_->heap:
 //   * inline callable: lambdas up to kInlineBytes construct directly
 //     in the event's storage. Zero allocation.
 //   * overflow callable: larger lambdas (e.g. a Channel::Send carrying
@@ -14,7 +12,6 @@
 #ifndef SRC_SIM_EVENT_H_
 #define SRC_SIM_EVENT_H_
 
-#include <coroutine>
 #include <cstddef>
 #include <new>
 #include <type_traits>
@@ -30,7 +27,7 @@ class Event {
   static constexpr size_t kInlineBytes = 48;
   static constexpr size_t kInlineAlign = 16;
 
-  Event() noexcept { h_ = nullptr; }
+  Event() noexcept = default;
   Event(Event&& other) noexcept { MoveFrom(other); }
   Event& operator=(Event&& other) noexcept {
     if (this != &other) {
@@ -42,12 +39,6 @@ class Event {
   Event(const Event&) = delete;
   Event& operator=(const Event&) = delete;
   ~Event() { Reset(); }
-
-  static Event Resume(std::coroutine_handle<> h) noexcept {
-    Event e;
-    e.h_ = h;
-    return e;
-  }
 
   template <typename F>
   static Event Of(F&& f) {
@@ -69,22 +60,13 @@ class Event {
 
   // Runs the payload and releases it; the event is empty afterwards.
   void Fire() {
-    if (vt_ == nullptr) {
-      std::coroutine_handle<> h = h_;
-      h_ = nullptr;
-      if (h) h.resume();
-      return;
-    }
     const VTable* vt = vt_;
     vt->invoke(*this);
     vt->destroy(*this);
     vt_ = nullptr;
-    h_ = nullptr;
   }
 
-  explicit operator bool() const noexcept {
-    return vt_ != nullptr || h_ != nullptr;
-  }
+  explicit operator bool() const noexcept { return vt_ != nullptr; }
   // True when the payload lives in an arena-pooled overflow block.
   bool overflow() const noexcept { return vt_ != nullptr && vt_->heap; }
 
@@ -128,13 +110,10 @@ class Event {
 
   void MoveFrom(Event& other) noexcept {
     vt_ = other.vt_;
-    if (vt_ == nullptr) {
-      h_ = other.h_;
-    } else {
+    if (vt_ != nullptr) {
       vt_->relocate(*this, other);
+      other.vt_ = nullptr;
     }
-    other.vt_ = nullptr;
-    other.h_ = nullptr;
   }
 
   void Reset() noexcept {
@@ -142,11 +121,9 @@ class Event {
       vt_->destroy(*this);
       vt_ = nullptr;
     }
-    h_ = nullptr;
   }
 
   union {
-    std::coroutine_handle<> h_;
     void* heap_;
     alignas(kInlineAlign) unsigned char inline_[kInlineBytes];
   };

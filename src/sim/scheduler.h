@@ -2,6 +2,7 @@
 #ifndef SRC_SIM_SCHEDULER_H_
 #define SRC_SIM_SCHEDULER_H_
 
+#include <cassert>
 #include <coroutine>
 #include <cstdint>
 #include <utility>
@@ -18,20 +19,23 @@ namespace whodunit::sim {
 // Ties are broken by insertion order (FIFO), which keeps simulations
 // deterministic when many events share a timestamp. The scheduler is
 // deliberately minimal: coroutine awaitables (Delay, locks, channels,
-// CPU) build on ScheduleAt/ScheduleAfter.
+// CPU) build on ResumeAt/ResumeAfter and ScheduleAt/ScheduleAfter.
 //
-// The calendar is an index heap. Callbacks are stored as sim::Event
-// records in a slot vector and never move while queued; a 4-ary
-// min-heap orders 24-byte (time, seq, slot) keys, so a sift moves keys,
-// not payloads. seq is the scheduler's insertion counter, so (time,
-// seq) is a total order: the execution order is fully determined by
-// the events scheduled, which keeps the shard merge determinism
-// contract. Step frees an event's slot before firing it, so the pushes
-// the callback makes can reuse it, and a warm calendar never allocates.
+// The calendar is an index heap: a 4-ary min-heap of 24-byte
+// (time, seq, ref) keys, so a sift moves keys, not payloads. seq is the
+// scheduler's insertion counter, so (time, seq) is a total order: the
+// execution order is fully determined by the events scheduled, which
+// keeps the shard merge determinism contract.
 //
-// Event records make coroutine resumes carry no allocation at all,
-// keep small lambdas inline, and take oversized ones from the
-// per-thread arena pool instead of malloc.
+// ref is a tagged word. A coroutine resume, the common entry, stores
+// the frame address itself (frames are at least 2-byte aligned, so
+// bit 0 is clear): pushing it touches nothing but the heap, and Step
+// resumes it straight from the popped key. A callback is a sim::Event
+// in a slot vector and ref holds (slot << 1) | 1; the event never
+// moves while queued, and Step frees its slot before firing it, so the
+// pushes the callback makes can reuse it and a warm calendar never
+// allocates. Small lambdas stay inline in the Event, oversized ones
+// come from the per-thread arena pool instead of malloc.
 class Scheduler {
  public:
   Scheduler() = default;
@@ -53,10 +57,12 @@ class Scheduler {
     ScheduleAt(now_ + (dt < 0 ? 0 : dt), std::forward<F>(cb));
   }
 
-  // Convenience: resume a coroutine at/after a time. These take the
-  // allocation-free fast path through Event::Resume.
+  // Resumes a coroutine at/after a time. The calendar entry is the key
+  // alone: no slot, no Event.
   void ResumeAt(SimTime t, std::coroutine_handle<> h) {
-    PushEvent(t, Event::Resume(h));
+    const auto frame = reinterpret_cast<uintptr_t>(h.address());
+    assert(frame != 0 && (frame & kSlotTag) == 0);
+    PushKey(t, frame);
   }
   void ResumeAfter(SimTime dt, std::coroutine_handle<> h) {
     ResumeAt(now_ + (dt < 0 ? 0 : dt), h);
@@ -90,10 +96,15 @@ class Scheduler {
     if (!heap_.empty()) {
       SiftDown(0, last);
     }
-    Event ev = std::move(slots_[top.slot]);
-    free_slots_.push_back(top.slot);
     now_ = top.time;
     ++events_executed_;
+    if ((top.ref & kSlotTag) == 0) {
+      std::coroutine_handle<>::from_address(reinterpret_cast<void*>(top.ref)).resume();
+      return true;
+    }
+    const auto slot = static_cast<uint32_t>(top.ref >> 1);
+    Event ev = std::move(slots_[slot]);
+    free_slots_.push_back(slot);
     ev.Fire();
     return true;
   }
@@ -136,11 +147,12 @@ class Scheduler {
   };
 
   // A calendar entry: when the event runs, its insertion order, and
-  // the slots_ index of its payload.
+  // what runs: a coroutine frame address, or (slots_ index << 1) |
+  // kSlotTag for a callback.
   struct Key {
     SimTime time;
     uint64_t seq;
-    uint32_t slot;
+    uintptr_t ref;
   };
   static_assert(sizeof(Key) == 24);
   static bool Before(const Key& a, const Key& b) {
@@ -148,11 +160,9 @@ class Scheduler {
   }
 
   static constexpr size_t kArity = 4;
+  static constexpr uintptr_t kSlotTag = 1;
 
   void PushEvent(SimTime t, Event ev) {
-    if (t < now_) {
-      t = now_;
-    }
     uint32_t slot;
     if (free_slots_.empty()) {
       slot = static_cast<uint32_t>(slots_.size());
@@ -162,7 +172,14 @@ class Scheduler {
       free_slots_.pop_back();
       slots_[slot] = std::move(ev);
     }
-    heap_.push_back(Key{t, next_seq_++, slot});
+    PushKey(t, (static_cast<uintptr_t>(slot) << 1) | kSlotTag);
+  }
+
+  void PushKey(SimTime t, uintptr_t ref) {
+    if (t < now_) {
+      t = now_;
+    }
+    heap_.push_back(Key{t, next_seq_++, ref});
     SiftUp(heap_.size() - 1);
     if (heap_.size() > peak_depth_) {
       peak_depth_ = heap_.size();

@@ -198,6 +198,57 @@ TEST(SchedulerTest, SteadyStateStepsDoNotAllocate) {
   EXPECT_EQ(s.queue_depth(), 64u);
 }
 
+// A process that sleeps 1-1000 ns per round until told to stop: each
+// round is one bare resume key in the calendar.
+Process Sleeper(Scheduler& sched, util::Rng& rng, const bool& stop) {
+  while (!stop) {
+    co_await Delay{sched, static_cast<SimTime>(1 + rng.NextBelow(1000))};
+  }
+}
+
+TEST(SchedulerTest, SteadyStateResumesDoNotAllocate) {
+  Scheduler s;
+  util::Rng rng(7);
+  bool stop = false;
+  for (int i = 0; i < 64; ++i) {
+    Spawn(s, Sleeper(s, rng, stop));
+  }
+  for (int i = 0; i < 100000; ++i) {
+    ASSERT_TRUE(s.Step());
+  }
+  const uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < 1000000; ++i) {
+    s.Step();
+  }
+  const uint64_t allocs = g_heap_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(s.queue_depth(), 64u);
+  stop = true;
+  s.Run();
+}
+
+Process LogStart(int id, std::vector<int>& log) {
+  log.push_back(id);
+  co_return;
+}
+
+TEST(SchedulerTest, ResumesAndCallbacksShareOneFifo) {
+  // Resume keys and callback slots are ordered by the same (time, seq)
+  // key, so same-time entries run in insertion order whatever their kind.
+  Scheduler s;
+  std::vector<int> log;
+  for (int id = 0; id < 12; ++id) {
+    if (id % 3 == 0) {
+      SpawnAfter(s, 5, LogStart(id, log));
+    } else {
+      s.ScheduleAt(5, [&log, id] { log.push_back(id); });
+    }
+  }
+  s.Run();
+  EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
+  EXPECT_EQ(s.events_executed(), 12u);
+}
+
 // A reference calendar that shares no code with Scheduler: events keyed
 // by (time, insertion seq) in an ordered multimap, so the map's own
 // order is the specification the heap must match.
