@@ -52,6 +52,11 @@ void BM_Interpreted(benchmark::State& state) {
 BENCHMARK(BM_Interpreted);
 
 void BM_CacheArchOnly(benchmark::State& state) {
+  // Cache runs without a detector match no critical section, so they
+  // would break the dump's section-cache law (docs/METRICS.md "Laws"):
+  // count them in a private registry instead.
+  obs::MetricsRegistry arch_only;
+  obs::ScopedMetricsRegistry scope(arch_only);
   Fixture f;
   shm::SectionCache cache;
   for (auto _ : state) {
@@ -91,6 +96,8 @@ BENCHMARK(BM_CacheWithDetector);
 // ring to plain emulation.
 void BM_VariantChurn(benchmark::State& state) {
   const auto depth_range = static_cast<uint64_t>(state.range(0));
+  obs::MetricsRegistry arch_only;  // detector-less, as in BM_CacheArchOnly
+  obs::ScopedMetricsRegistry scope(arch_only);
   Fixture f;
   shm::SectionCache cache;
   for (auto _ : state) {

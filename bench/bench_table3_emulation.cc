@@ -102,6 +102,11 @@ BENCHMARK(BM_EmulationInterpreted);
 // the MiniVM dispatch loop. This is the Table 3 "emulate cached"
 // regime and the headline number for the cache.
 void BM_EmulationFromCache(benchmark::State& state) {
+  // Cache runs without a detector match no critical section, so they
+  // would break the dump's section-cache law (docs/METRICS.md "Laws"):
+  // count them in a private registry instead.
+  obs::MetricsRegistry arch_only;
+  obs::ScopedMetricsRegistry scope(arch_only);
   vm::Program push = shm::ApQueuePush(kLockId);
   vm::Program pop = shm::ApQueuePop(kLockId);
   vm::Memory mem;

@@ -142,15 +142,15 @@ inline std::string MetricsDir() {
 // Writes the profiler's internal counters (src/obs, docs/METRICS.md)
 // to BENCH_<name>.metrics.json under MetricsDir(), so result
 // trajectories carry the self-observability data next to the
-// wall-clock numbers. Call once, at bench exit.
+// wall-clock numbers. Call once, at bench exit. Exits 1 if the dump
+// cannot be written or breaks a counter law (obs::CheckLaws).
 inline void DumpMetrics(const char* bench_name) {
   const std::string path =
       MetricsDir() + "/BENCH_" + bench_name + ".metrics.json";
-  if (obs::DumpGlobalMetrics(path)) {
-    std::printf("\n[obs] internal metrics dumped to %s\n", path.c_str());
-  } else {
-    std::printf("\n[obs] FAILED to write %s\n", path.c_str());
+  if (!obs::DumpGlobalMetrics(path)) {
+    std::exit(1);
   }
+  std::printf("\n[obs] internal metrics dumped to %s\n", path.c_str());
 }
 
 }  // namespace whodunit::bench

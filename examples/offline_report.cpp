@@ -123,7 +123,6 @@ int main(int argc, char** argv) {
   // BENCH_*.metrics.json dump takes.
   const std::filesystem::path metrics_path = dir / "metrics.json";
   if (!obs::DumpGlobalMetrics(metrics_path.string())) {
-    std::fprintf(stderr, "failed to write %s\n", metrics_path.c_str());
     return 1;
   }
   obs::MetricsSnapshot snapshot;

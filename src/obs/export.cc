@@ -351,8 +351,10 @@ std::string ToJson(const MetricsSnapshot& snapshot) {
     for (size_t i = 0; i < util::LogHistogram::kBuckets; ++i) {
       if (h.buckets()[i] != 0) {
         out += sep;
-        out += "\"" + std::to_string(util::LogHistogram::BucketLowerBound(i)) +
-               "\": " + std::to_string(h.buckets()[i]);
+        out += '"';
+        out += std::to_string(util::LogHistogram::BucketLowerBound(i));
+        out += "\": ";
+        out += std::to_string(h.buckets()[i]);
         sep = ", ";
       }
     }
@@ -434,12 +436,18 @@ std::string RenderText(const MetricsSnapshot& snapshot) {
 }
 
 bool DumpGlobalMetrics(const std::string& path) {
+  const MetricsSnapshot snapshot = Registry().Snapshot();
   std::ofstream out(path);
+  out << ToJson(snapshot);
   if (!out) {
+    std::fprintf(stderr, "cannot write metrics dump %s\n", path.c_str());
     return false;
   }
-  out << ToJson(Registry().Snapshot());
-  return static_cast<bool>(out);
+  const std::vector<std::string> violated = CheckLaws(snapshot);
+  for (const std::string& law : violated) {
+    std::fprintf(stderr, "metrics law violated in %s: %s\n", path.c_str(), law.c_str());
+  }
+  return violated.empty();
 }
 
 }  // namespace whodunit::obs

@@ -29,8 +29,10 @@ bool ParseJson(std::string_view json, MetricsSnapshot* out);
 // histograms with percentile estimates) for reports and examples.
 std::string RenderText(const MetricsSnapshot& snapshot);
 
-// Snapshots the global Registry() and writes the JSON dump to `path`.
-// Returns false if the file could not be written.
+// Snapshots the global Registry(), writes the JSON dump to `path` and
+// checks CheckLaws on it. Returns false, after saying why on stderr,
+// if the file could not be written or a law is violated (the dump is
+// still written, for diagnosis).
 bool DumpGlobalMetrics(const std::string& path);
 
 }  // namespace whodunit::obs

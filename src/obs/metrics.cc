@@ -2,48 +2,6 @@
 
 namespace whodunit::obs {
 
-namespace internal {
-std::atomic<size_t> g_next_shard{0};
-}  // namespace internal
-
-uint64_t Counter::Value() const {
-  uint64_t total = 0;
-  for (const auto& s : shards_) {
-    total += s.v.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void Counter::Reset() {
-  for (auto& s : shards_) {
-    s.v.store(0, std::memory_order_relaxed);
-  }
-}
-
-util::LogHistogram Histogram::Snapshot() const {
-  std::array<uint64_t, util::LogHistogram::kBuckets> counts{};
-  for (size_t i = 0; i < counts.size(); ++i) {
-    counts[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return util::LogHistogram(counts, sum_.load(std::memory_order_relaxed));
-}
-
-void Histogram::Merge(const util::LogHistogram& other) {
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    if (other.buckets()[i] != 0) {
-      buckets_[i].fetch_add(other.buckets()[i], std::memory_order_relaxed);
-    }
-  }
-  sum_.fetch_add(other.sum(), std::memory_order_relaxed);
-}
-
-void Histogram::Reset() {
-  for (auto& b : buckets_) {
-    b.store(0, std::memory_order_relaxed);
-  }
-  sum_.store(0, std::memory_order_relaxed);
-}
-
 Counter& MetricsRegistry::GetCounter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
@@ -109,6 +67,51 @@ void MetricsRegistry::MergeFrom(const MetricsSnapshot& other) {
   for (const auto& [name, hist] : other.histograms) {
     GetHistogram(name).Merge(hist);
   }
+}
+
+std::vector<std::string> CheckLaws(const MetricsSnapshot& snapshot) {
+  const auto counter = [&snapshot](const char* name) -> uint64_t {
+    const auto it = snapshot.counters.find(name);
+    return it == snapshot.counters.end() ? 0 : it->second;
+  };
+  const auto gauge = [&snapshot](const char* name) -> int64_t {
+    const auto it = snapshot.gauges.find(name);
+    return it == snapshot.gauges.end() ? 0 : it->second;
+  };
+  std::vector<std::string> violated;
+  const auto law = [&violated](bool holds, const char* what, uint64_t lhs, uint64_t rhs) {
+    if (!holds) {
+      violated.push_back(std::string(what) + " (" + std::to_string(lhs) + " vs " +
+                         std::to_string(rhs) + ")");
+    }
+  };
+
+  const uint64_t executed = counter("sim.events_executed");
+  const uint64_t scheduled = counter("sim.events_scheduled");
+  law(executed <= scheduled, "sim.events_executed <= sim.events_scheduled", executed, scheduled);
+
+  const uint64_t sampled = counter("sampling.txns_sampled");
+  const uint64_t total = counter("sampling.txns_total");
+  law(sampled <= total, "sampling.txns_sampled <= sampling.txns_total", sampled, total);
+
+  // Every cache run with a detector attached is one critical section;
+  // the detector also counts sections it runs without the cache.
+  const uint64_t lookups = counter("shm.section_cache.hits") + counter("shm.section_cache.misses");
+  const uint64_t sections = counter("shm.critical_sections");
+  law(lookups <= sections, "shm.section_cache.hits + misses <= shm.critical_sections", lookups,
+      sections);
+
+  const uint64_t begun = counter("live.txns_begun");
+  const uint64_t published = counter("live.txns_published");
+  const uint64_t settled = published + counter("live.txns_abandoned") +
+                           static_cast<uint64_t>(gauge("live.inflight_txns"));
+  law(begun == settled,
+      "live.txns_begun == live.txns_published + live.txns_abandoned + live.inflight_txns", begun,
+      settled);
+
+  const uint64_t ingested = counter("live.txns_ingested");
+  law(ingested == published, "live.txns_ingested == live.txns_published", ingested, published);
+  return violated;
 }
 
 namespace {

@@ -5,103 +5,72 @@
 // inside: how many samples the sampler fired, how often the §3
 // dictionary propagated a context, how many synopses were recognized
 // as responses. Every subsystem registers named instruments here and
-// a snapshot (merged across threads) is exported as JSON at bench
+// a snapshot (folded across shards) is exported as JSON at bench
 // exit — see docs/METRICS.md for the full catalog and schema.
 //
-// Design: instruments are lock-cheap. A Counter holds a small fixed
-// array of cache-line-padded atomic shards; a thread picks its shard
-// once (thread-local index) and updates it with a relaxed fetch_add —
-// no mutex, no contention between simulator threads or test writer
-// threads. A Histogram is two relaxed fetch_adds (bucket and sum).
-// The registry mutex is touched only at instrument creation and at
-// snapshot time. Instrumented classes cache `Counter*` handles at
-// construction so hot paths never pay a name lookup.
+// Single-writer contract: a registry and its instruments are written
+// by one thread at a time, the thread that has it installed as its
+// Registry() (sim::ShardEnv::Scope / ScopedMetricsRegistry, or the
+// main thread for GlobalRegistry()). Ownership moves between threads
+// only through util::ThreadPool's Submit/Wait, which orders the
+// writes: ShardEnv() builds a shard's registry on the main thread, a
+// pool worker writes it inside the job, and the main thread folds it
+// after pool.Wait(). So every instrument is a plain integer, and an
+// update is one add. The registry mutex guards only the name maps
+// (instrument creation and snapshot); instrumented classes cache
+// `Counter*` handles at construction so hot paths never pay a name
+// lookup.
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/util/stats.h"
 
 namespace whodunit::obs {
 
-// Number of independent shards per Counter. Threads hash onto a
-// shard; 16 is plenty for the simulator (single-threaded) and for the
-// concurrency the tests exercise.
-inline constexpr size_t kShards = 16;
-
-namespace internal {
-struct alignas(64) PaddedAtomic {
-  std::atomic<uint64_t> v{0};
-};
-// Round-robin shard assignment state (defined in metrics.cc).
-extern std::atomic<size_t> g_next_shard;
-}  // namespace internal
-
-// Index of the calling thread's shard, assigned round-robin on first
-// use per thread. Inline: Counter::Add sits on per-instruction paths
-// (the flow detector's hooks), where an out-of-line call per event is
-// measurable.
-inline size_t ThisThreadShard() {
-  thread_local const size_t shard =
-      internal::g_next_shard.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return shard;
-}
-
 // Monotonic event count.
 class Counter {
  public:
-  void Add(uint64_t n = 1) {
-    shards_[ThisThreadShard()].v.fetch_add(n, std::memory_order_relaxed);
-  }
-  uint64_t Value() const;
-  void Reset();
+  void Add(uint64_t n = 1) { value_ += n; }
+  uint64_t Value() const { return value_; }
+  void Reset() { value_ = 0; }
 
  private:
-  std::array<internal::PaddedAtomic, kShards> shards_;
+  uint64_t value_ = 0;
 };
 
 // Last-writer-wins instantaneous value (dictionary sizes, depths).
-// Gauges are updated rarely, so a single atomic suffices.
 class Gauge {
  public:
-  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t d) { value_.fetch_add(d, std::memory_order_relaxed); }
-  int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  void Set(int64_t v) { value_ = v; }
+  void Add(int64_t d) { value_ += d; }
+  int64_t Value() const { return value_; }
+  void Reset() { value_ = 0; }
 
  private:
-  std::atomic<int64_t> value_{0};
+  int64_t value_ = 0;
 };
 
-// Histogram recorder over util::LogHistogram's geometry (values 0..7
-// exact, then 8 sub-buckets per power of two). One relaxed atomic per
-// bucket plus the running sum, unsharded; the count is the sum of the
-// buckets, so a snapshot taken while writers run is still a
-// self-consistent LogHistogram. Snapshots and shard folds are exact,
+// Histogram recorder: a util::LogHistogram (values 0..7 exact, then 8
+// sub-buckets per power of two). Snapshots and shard folds are exact,
 // and quantiles are within the geometry's 12.5%.
 class Histogram {
  public:
-  void Observe(uint64_t value) {
-    buckets_[util::LogHistogram::BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
-  }
-
-  util::LogHistogram Snapshot() const;
+  void Observe(uint64_t value) { hist_.Add(value); }
+  const util::LogHistogram& Snapshot() const { return hist_; }
   // Adds another histogram's buckets and sum (the shard-fold path).
-  void Merge(const util::LogHistogram& other);
-  void Reset();
+  void Merge(const util::LogHistogram& other) { hist_.Merge(other); }
+  void Reset() { hist_ = util::LogHistogram(); }
 
  private:
-  std::array<std::atomic<uint64_t>, util::LogHistogram::kBuckets> buckets_{};
-  std::atomic<uint64_t> sum_{0};
+  util::LogHistogram hist_;
 };
 
 // Point-in-time merged view of every instrument in a registry.
@@ -110,6 +79,12 @@ struct MetricsSnapshot {
   std::map<std::string, int64_t> gauges;
   std::map<std::string, util::LogHistogram> histograms;
 };
+
+// Conservation laws between counters (docs/METRICS.md "Laws"). Returns
+// one line per violated law, naming the law and the values that break
+// it; empty when the snapshot is consistent. An absent instrument
+// reads 0.
+std::vector<std::string> CheckLaws(const MetricsSnapshot& snapshot);
 
 class MetricsRegistry {
  public:

@@ -81,7 +81,7 @@ void FlowDetector::FlushIfForeign(const vm::Loc& loc, uint64_t lock_id) {
   const Entry* e = FindEntry(loc);
   if (e != nullptr && e->lock_id != lock_id) {
     EraseEntry(loc);
-    ++tally_.flushes;
+    obs_flushes_->Add();
     if (rec_ != nullptr) {
       rec_->NoteFlush(loc);
     }
@@ -104,10 +104,7 @@ void FlowDetector::OnLock(vm::ThreadId t, uint64_t lock_id) {
     // over. With the bitmask register file this is one mask reset.
     ClearThreadRegisters(t);
     ts.post_window_left = 0;
-    ++tally_.critical_sections;
-    if (--sections_until_flush_ == 0) {
-      FlushObsTallies();
-    }
+    obs_critical_sections_->Add();
     if (rec_ != nullptr) {
       rec_->NoteLockReset(lock_id);
     }
@@ -162,7 +159,7 @@ void FlowDetector::OnMov(vm::ThreadId t, const vm::Loc& dst, const vm::Loc& src)
     // Propagation: dst inherits src's context, valid or invalid,
     // along with the identity of the value's original producer.
     SetEntry(dst, Entry{e->ctxt, lock_id, e->producer});
-    ++tally_.propagations;
+    obs_propagations_->Add();
     if (rec_ != nullptr) {
       rec_->NotePropagate(dst, src, lock_id);
     }
@@ -174,7 +171,7 @@ void FlowDetector::OnMov(vm::ThreadId t, const vm::Loc& dst, const vm::Loc& src)
   // such a value into *memory* is production of a resource.
   const CtxtId current = ctxt_provider_(t);
   SetEntry(dst, Entry{current, lock_id, t});
-  ++tally_.associations;
+  obs_associations_->Add();
   if (rec_ != nullptr) {
     rec_->NoteAssociate(dst, lock_id, current, dst.is_mem());
   }
@@ -196,7 +193,7 @@ void FlowDetector::OnWriteValue(vm::ThreadId t, const vm::Loc& dst) {
   // location's value no longer carries any transaction's data.
   const uint64_t lock_id = OutermostLock(ts);
   SetEntry(dst, Entry{kInvalidCtxt, lock_id, t});
-  ++tally_.poisonings;
+  obs_poisonings_->Add();
   if (rec_ != nullptr) {
     rec_->NotePoison(dst, lock_id);
   }
@@ -237,7 +234,7 @@ void FlowDetector::OnRead(vm::ThreadId t, const vm::Loc& src) {
     const auto key = std::make_pair(entry.lock_id, entry.ctxt);
     for (const auto& seen : ts.window_flows) {
       if (seen == key) {
-        ++tally_.window_dedups;
+        obs_window_dedups_->Add();
         return;  // same logical flow, another word of the element
       }
     }
@@ -423,10 +420,7 @@ void FlowDetector::ApplySection(const DictEffects& fx, vm::ThreadId t,
       case DictOp::Kind::kLockReset:
         ClearThreadRegisters(t);
         ts.post_window_left = 0;
-        ++tally_.critical_sections;
-        if (--sections_until_flush_ == 0) {
-          FlushObsTallies();
-        }
+        obs_critical_sections_->Add();
         break;
       case DictOp::Kind::kWindowStart:
         ts.post_window_left = config_.post_window;
@@ -453,7 +447,7 @@ void FlowDetector::ApplySection(const DictEffects& fx, vm::ThreadId t,
           }
         }
         if (duplicate) {
-          ++tally_.window_dedups;
+          obs_window_dedups_->Add();
           break;
         }
         ts.window_flows.push_back(key);
@@ -475,10 +469,10 @@ void FlowDetector::ApplySection(const DictEffects& fx, vm::ThreadId t,
     }
   }
   ts.post_window_left = fx.final_post_window;
-  tally_.propagations += fx.n_propagations;
-  tally_.associations += fx.n_associations;
-  tally_.poisonings += fx.n_poisonings;
-  tally_.flushes += fx.n_flushes;
+  obs_propagations_->Add(fx.n_propagations);
+  obs_associations_->Add(fx.n_associations);
+  obs_poisonings_->Add(fx.n_poisonings);
+  obs_flushes_->Add(fx.n_flushes);
   obs_dict_size_->Set(static_cast<int64_t>(dictionary_size()));
 }
 

@@ -175,7 +175,6 @@ class FlowDetector {
   FlowDetector(Config config, CtxtProvider ctxt_provider);
   explicit FlowDetector(CtxtProvider ctxt_provider)
       : FlowDetector(Config{}, std::move(ctxt_provider)) {}
-  ~FlowDetector() { FlushObsTallies(); }
   FlowDetector(const FlowDetector&) = delete;
   FlowDetector& operator=(const FlowDetector&) = delete;
 
@@ -204,16 +203,6 @@ class FlowDetector {
   // only reads delivered *between* batches can consume, so decrementing
   // by the whole batch at once is exact.
   void OnRetireBatch(vm::ThreadId t, int64_t n);
-
-  // Publishes the batched per-event counts (propagations, poisonings,
-  // …) to the metrics registry. Hot hooks stage counts in plain
-  // members — a sharded-atomic fetch_add per dictionary event was a
-  // measurable slice of the per-section budget — and publish every
-  // kObsFlushSections critical sections and at destruction. Totals
-  // are exact; mid-lifetime snapshots lag by bounded staleness
-  // (docs/METRICS.md). Flow/demotion counts and the flow digest are
-  // never batched.
-  void FlushObsTallies();
 
   // False once the lock's resource was demoted (allocator pattern):
   // the performance optimization of §7.2 — run such critical sections
@@ -366,19 +355,6 @@ class FlowDetector {
     LockRoles* ptr = nullptr;
   };
 
-  // Batched counter deltas (see FlushObsTallies).
-  struct ObsTallies {
-    uint64_t critical_sections = 0;
-    uint64_t propagations = 0;
-    uint64_t associations = 0;
-    uint64_t poisonings = 0;
-    uint64_t flushes = 0;
-    uint64_t window_dedups = 0;
-  };
-
-  // Critical sections between metric publications.
-  static constexpr uint32_t kObsFlushSections = 64;
-
   Config config_;
   CtxtProvider ctxt_provider_;
   FlowCallback on_flow_;
@@ -402,10 +378,11 @@ class FlowDetector {
   uint64_t flow_digest_ = 0xcbf29ce484222325ull;
 
   RolesCache roles_cache_;
-  ObsTallies tally_;
-  uint32_t sections_until_flush_ = kObsFlushSections;
 
   // Self-observability handles, resolved once (see docs/METRICS.md).
+  // Hooks bump them directly: a counter is a plain integer owned by
+  // the detector's thread (the single-writer contract in
+  // src/obs/metrics.h), so snapshots taken mid-run are exact.
   obs::Counter* obs_critical_sections_;
   obs::Counter* obs_propagations_;
   obs::Counter* obs_associations_;
@@ -418,34 +395,6 @@ class FlowDetector {
 };
 
 // --- Inline definitions ----------------------------------------------
-
-inline void FlowDetector::FlushObsTallies() {
-  if (tally_.critical_sections != 0) {
-    obs_critical_sections_->Add(tally_.critical_sections);
-    tally_.critical_sections = 0;
-  }
-  if (tally_.propagations != 0) {
-    obs_propagations_->Add(tally_.propagations);
-    tally_.propagations = 0;
-  }
-  if (tally_.associations != 0) {
-    obs_associations_->Add(tally_.associations);
-    tally_.associations = 0;
-  }
-  if (tally_.poisonings != 0) {
-    obs_poisonings_->Add(tally_.poisonings);
-    tally_.poisonings = 0;
-  }
-  if (tally_.flushes != 0) {
-    obs_flushes_->Add(tally_.flushes);
-    tally_.flushes = 0;
-  }
-  if (tally_.window_dedups != 0) {
-    obs_window_dedups_->Add(tally_.window_dedups);
-    tally_.window_dedups = 0;
-  }
-  sections_until_flush_ = kObsFlushSections;
-}
 
 inline void FlowDetector::OnRetireBatch(vm::ThreadId t, int64_t n) {
   // No recording note: window decrements are deterministic given the

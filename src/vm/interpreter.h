@@ -119,45 +119,14 @@ class Interpreter {
 
   uint64_t translations_performed() const { return translations_performed_; }
 
-  ~Interpreter() { FlushObsTallies(); }
-
-  // Publishes batched per-Execute counts (translation-cache hits,
-  // instructions emulated/direct) to the metrics registry. Called
-  // automatically every kObsFlushExecutes executions and at
-  // destruction; explicit calls are only needed when exact counts must
-  // be visible mid-lifetime.
-  void FlushObsTallies() {
-    if (tally_cache_hits_ != 0) {
-      obs_cache_hits_->Add(tally_cache_hits_);
-      tally_cache_hits_ = 0;
-    }
-    if (tally_emulated_ != 0) {
-      obs_emulated_->Add(tally_emulated_);
-      tally_emulated_ = 0;
-    }
-    if (tally_direct_ != 0) {
-      obs_direct_->Add(tally_direct_);
-      tally_direct_ = 0;
-    }
-    obs_flush_countdown_ = kObsFlushExecutes;
-  }
-
  private:
-  // Executions between metric publications. Per-Execute sharded-atomic
-  // updates were a measurable fraction of the short-critical-section
-  // emulation cost; counts are staged in plain members instead and
-  // published in batches (bounded staleness, exact totals).
-  static constexpr uint32_t kObsFlushExecutes = 256;
-
   // Used as a set: presence of the program id means "translated".
   util::RobinHoodMap<uint64_t, uint8_t> translated_;
   uint64_t translations_performed_ = 0;
-  uint64_t tally_cache_hits_ = 0;
-  uint64_t tally_emulated_ = 0;
-  uint64_t tally_direct_ = 0;
-  uint32_t obs_flush_countdown_ = kObsFlushExecutes;
 
-  // Self-observability handles, resolved once (see docs/METRICS.md).
+  // Self-observability handles, resolved once (see docs/METRICS.md) and
+  // bumped directly: counters are plain single-writer integers
+  // (src/obs/metrics.h).
   obs::Counter* obs_translations_ = &obs::Registry().GetCounter("vm.translations");
   obs::Counter* obs_cache_hits_ = &obs::Registry().GetCounter("vm.translation_cache_hits");
   obs::Counter* obs_emulated_ = &obs::Registry().GetCounter("vm.instructions_emulated");
@@ -176,7 +145,7 @@ ExecResult Interpreter::ExecuteWith(const Program& program, ThreadId thread, Cpu
     // One translation-cache probe per Execute, hoisted out of the
     // instruction loop (translation state cannot change mid-run).
     if (translated_.Contains(program.id)) {
-      ++tally_cache_hits_;
+      obs_cache_hits_->Add();
     } else {
       // Translation pass: in the real system this decodes guest code
       // and emits a translated block; here the per-instruction cost
@@ -426,13 +395,9 @@ ExecResult Interpreter::ExecuteWith(const Program& program, ThreadId thread, Cpu
     flush_retires();
   }
 
-  // Aggregated once per Execute so the per-instruction loop stays
-  // free of instrumentation; staged in plain members and published in
-  // batches so short sections don't pay a sharded-atomic update each.
-  (emulate ? tally_emulated_ : tally_direct_) += static_cast<uint64_t>(result.instructions);
-  if (--obs_flush_countdown_ == 0) {
-    FlushObsTallies();
-  }
+  // Counted once per Execute so the per-instruction loop stays free of
+  // instrumentation.
+  (emulate ? obs_emulated_ : obs_direct_)->Add(static_cast<uint64_t>(result.instructions));
   return result;
 }
 

@@ -35,10 +35,15 @@ struct Loc {
   }
 
   std::string ToString() const {
+    std::string out(kind == Kind::kMem ? "[" : "r");
+    out += std::to_string(addr);
     if (kind == Kind::kMem) {
-      return "[" + std::to_string(addr) + "]";
+      out += ']';
+    } else {
+      out += "@t";
+      out += std::to_string(thread);
     }
-    return "r" + std::to_string(addr) + "@t" + std::to_string(thread);
+    return out;
   }
 };
 

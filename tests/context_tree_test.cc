@@ -195,7 +195,9 @@ TEST(ContextTreeTest, SynopsisDictionaryNodeAndValuePathsAgree) {
 
 TEST(ContextTreeTest, ToStringMatchesLegacy) {
   const auto namer = [](ElementKind kind, uint32_t id) {
-    return std::string(kind == ElementKind::kHandler ? "H" : "x") + std::to_string(id);
+    std::string name(kind == ElementKind::kHandler ? "H" : "x");
+    name += std::to_string(id);
+    return name;
   };
   ContextTree tree;
   const TransactionContext ctxt({E(ElementKind::kHandler, 1), E(ElementKind::kHandler, 2)});

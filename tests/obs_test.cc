@@ -1,11 +1,14 @@
 // Tests for the self-observability layer (src/obs): instrument
-// correctness under concurrent writers, snapshot merging across
-// thread shards, and the JSON export round trip and its parser's
-// rejection of malformed dumps.
+// correctness, snapshot folding across shard registries, the counter
+// laws, and the JSON export round trip and its parser's rejection of
+// malformed dumps. Registries are single-writer (src/obs/metrics.h);
+// shard_invariance_test runs the real writers on pool threads.
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +20,9 @@
 
 namespace whodunit::obs {
 namespace {
+
+// A counter is one plain integer, not a striped array of atomics.
+static_assert(sizeof(Counter) == sizeof(uint64_t));
 
 TEST(CounterTest, SingleThreadedAdds) {
   MetricsRegistry reg;
@@ -34,25 +40,6 @@ TEST(CounterTest, SameNameSameInstrument) {
   Counter& a = reg.GetCounter("test.counter");
   Counter& b = reg.GetCounter("test.counter");
   EXPECT_EQ(&a, &b);
-}
-
-TEST(CounterTest, ConcurrentIncrementsAreLossless) {
-  MetricsRegistry reg;
-  Counter& c = reg.GetCounter("test.concurrent");
-  constexpr int kThreads = 8;
-  constexpr uint64_t kPerThread = 100'000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&c] {
-      for (uint64_t i = 0; i < kPerThread; ++i) {
-        c.Add();
-      }
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  EXPECT_EQ(c.Value(), kThreads * kPerThread);
 }
 
 TEST(GaugeTest, SetAndAdd) {
@@ -78,31 +65,6 @@ TEST(HistogramTest, BucketAssignment) {
   }
   h.Reset();
   EXPECT_EQ(h.Snapshot(), util::LogHistogram());
-}
-
-TEST(HistogramTest, ConcurrentObservationsAreLossless) {
-  MetricsRegistry reg;
-  Histogram& h = reg.GetHistogram("test.hist");
-  constexpr int kThreads = 8;
-  constexpr uint64_t kPerThread = 50'000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&h, t] {
-      for (uint64_t i = 0; i < kPerThread; ++i) {
-        h.Observe(static_cast<uint64_t>(t) % 10);
-      }
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  const util::LogHistogram snap = h.Snapshot();
-  EXPECT_EQ(snap.count(), kThreads * kPerThread);
-  uint64_t bucket_total = 0;
-  for (uint64_t c : snap.buckets()) {
-    bucket_total += c;
-  }
-  EXPECT_EQ(bucket_total, kThreads * kPerThread);
 }
 
 // A registry histogram is util::LogHistogram's geometry end to end:
@@ -161,26 +123,74 @@ TEST(SnapshotTest, MergesAllInstrumentKinds) {
   EXPECT_EQ(snap.histograms.at("h.one").count(), 0u);
 }
 
-// A snapshot taken while writers run must see a consistent-enough
-// view: every value it reports was true at some point (no torn or
-// garbage values for a monotonic counter means: <= final total).
-TEST(SnapshotTest, ConcurrentWithWriters) {
-  MetricsRegistry reg;
-  Counter& c = reg.GetCounter("c.racing");
-  std::thread writer([&c] {
-    for (int i = 0; i < 100'000; ++i) {
-      c.Add();
-    }
-  });
-  uint64_t last = 0;
-  for (int i = 0; i < 100; ++i) {
-    const uint64_t v = reg.Snapshot().counters.at("c.racing");
-    EXPECT_GE(v, last);  // monotone
-    last = v;
+// The shape of a finished run: every law holds.
+MetricsSnapshot LawfulSnapshot() {
+  MetricsSnapshot s;
+  s.counters = {{"sim.events_scheduled", 100},   {"sim.events_executed", 90},
+                {"sampling.txns_total", 50},     {"sampling.txns_sampled", 5},
+                {"shm.section_cache.hits", 30},  {"shm.section_cache.misses", 2},
+                {"shm.critical_sections", 40},   {"live.txns_begun", 20},
+                {"live.txns_published", 15},     {"live.txns_abandoned", 2},
+                {"live.txns_ingested", 15}};
+  s.gauges = {{"live.inflight_txns", 3}};
+  return s;
+}
+
+TEST(LawsTest, LawfulAndEmptySnapshotsPass) {
+  EXPECT_TRUE(CheckLaws(LawfulSnapshot()).empty());
+  EXPECT_TRUE(CheckLaws(MetricsSnapshot{}).empty());
+}
+
+TEST(LawsTest, EachBrokenLawIsReportedByName) {
+  struct Case {
+    const char* law;
+    void (*breaks)(MetricsSnapshot&);
+  };
+  const Case cases[] = {
+      {"sim.events_executed <= sim.events_scheduled",
+       [](MetricsSnapshot& s) { s.counters["sim.events_executed"] = 101; }},
+      {"sim.events_executed <= sim.events_scheduled",
+       [](MetricsSnapshot& s) { s.counters.erase("sim.events_scheduled"); }},
+      {"sampling.txns_sampled <= sampling.txns_total",
+       [](MetricsSnapshot& s) { s.counters["sampling.txns_sampled"] = 51; }},
+      {"shm.section_cache.hits + misses <= shm.critical_sections",
+       [](MetricsSnapshot& s) { s.counters["shm.section_cache.hits"] = 39; }},
+      // A detector whose section count lags its cache's lookups.
+      {"shm.section_cache.hits + misses <= shm.critical_sections",
+       [](MetricsSnapshot& s) { s.counters["shm.critical_sections"] = 0; }},
+      {"live.txns_begun == live.txns_published + live.txns_abandoned + live.inflight_txns",
+       [](MetricsSnapshot& s) { s.counters["live.txns_begun"] = 21; }},
+      {"live.txns_begun == live.txns_published + live.txns_abandoned + live.inflight_txns",
+       [](MetricsSnapshot& s) { s.gauges["live.inflight_txns"] = 4; }},
+      {"live.txns_begun == live.txns_published + live.txns_abandoned + live.inflight_txns",
+       [](MetricsSnapshot& s) { s.gauges["live.inflight_txns"] = -3; }},
+      {"live.txns_ingested == live.txns_published",
+       [](MetricsSnapshot& s) { s.counters["live.txns_ingested"] = 14; }},
+  };
+  for (const Case& c : cases) {
+    MetricsSnapshot snapshot = LawfulSnapshot();
+    c.breaks(snapshot);
+    const std::vector<std::string> violated = CheckLaws(snapshot);
+    ASSERT_EQ(violated.size(), 1u) << c.law;
+    EXPECT_EQ(violated[0].rfind(c.law, 0), 0u) << violated[0];
   }
-  writer.join();
-  EXPECT_LE(last, c.Value());
-  EXPECT_EQ(c.Value(), 100'000u);
+}
+
+TEST(LawsTest, DumpWritesButFailsOnAViolation) {
+  MetricsRegistry reg;
+  ScopedMetricsRegistry scope(reg);
+  reg.GetCounter("sim.events_scheduled").Add(1);
+  const std::string path = testing::TempDir() + "obs_test_laws.metrics.json";
+  EXPECT_TRUE(DumpGlobalMetrics(path));
+  reg.GetCounter("sim.events_executed").Add(2);
+  EXPECT_FALSE(DumpGlobalMetrics(path));
+  std::ifstream in(path);
+  std::stringstream json;
+  json << in.rdbuf();
+  MetricsSnapshot dumped;
+  ASSERT_TRUE(ParseJson(json.str(), &dumped));
+  EXPECT_EQ(dumped.counters.at("sim.events_executed"), 2u);
+  std::remove(path.c_str());
 }
 
 // Replaces the one occurrence of `from` in `s` with `to`.

@@ -4,12 +4,21 @@
 // shards. threads == 1 runs every shard inline on the calling thread,
 // so the sweep also proves the parallel runs match a serial fold of
 // the same shard list.
+//
+// The sweeps over minihttpd, miniproxy and the SEDA server also run the
+// flow detector, the VM, the event loop and the SEDA stages on pool
+// threads, each shard writing its own metrics registry; under the tsan
+// preset they are the check of the metrics single-writer contract
+// (src/obs/metrics.h).
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/apps/bookstore/bookstore.h"
+#include "src/apps/minihttpd/minihttpd.h"
+#include "src/apps/miniproxy/miniproxy.h"
+#include "src/apps/sedaserver/sedaserver.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
 #include "src/sim/parallel_runner.h"
@@ -197,6 +206,101 @@ TEST(ShardInvarianceTest, FoldedMetricsExportIsThreadCountInvariant) {
     }
     EXPECT_EQ(json, reference_json) << threads << " threads";
   }
+}
+
+// Runs `o` as 4 shards on 1 and on 4 pool threads, each run folding
+// into a fresh registry, and expects `same` results and byte-identical
+// folded metrics JSON; the dump laws (obs::CheckLaws) hold on every
+// run. Returns the 1-thread result.
+template <typename Options, typename Result, typename Same>
+Result ExpectThreadCountInvariant(Options o, Result (*run)(const Options&), Same same) {
+  o.shards = 4;
+  Result reference;
+  std::string reference_json;
+  for (int threads : {1, 4}) {
+    o.threads = threads;
+    obs::MetricsRegistry registry;
+    Result result;
+    {
+      obs::ScopedMetricsRegistry scope(registry);
+      result = run(o);
+    }
+    const obs::MetricsSnapshot snapshot = registry.Snapshot();
+    for (const std::string& law : obs::CheckLaws(snapshot)) {
+      ADD_FAILURE() << threads << " threads: " << law;
+    }
+    const std::string json = obs::ToJson(snapshot);
+    if (threads == 1) {
+      reference = result;
+      reference_json = json;
+      continue;
+    }
+    same(result, reference);
+    EXPECT_EQ(json, reference_json) << threads << " threads";
+  }
+  return reference;
+}
+
+TEST(ShardInvarianceTest, MinihttpdIsByteIdenticalAcrossThreadCounts) {
+  apps::MinihttpdOptions o;
+  o.clients = 16;
+  o.duration = sim::Seconds(4);
+  const apps::MinihttpdResult reference = ExpectThreadCountInvariant(
+      o, &apps::RunMinihttpd, [](const apps::MinihttpdResult& r, const apps::MinihttpdResult& ref) {
+        EXPECT_EQ(r.profile_text, ref.profile_text);
+        EXPECT_EQ(r.requests, ref.requests);
+        EXPECT_EQ(r.connections, ref.connections);
+        EXPECT_EQ(r.bytes_served, ref.bytes_served);
+        EXPECT_EQ(r.flows_detected, ref.flows_detected);
+        EXPECT_EQ(r.queue_flow_detected, ref.queue_flow_detected);
+        EXPECT_EQ(r.allocator_demoted, ref.allocator_demoted);
+        EXPECT_EQ(r.critical_sections_emulated, ref.critical_sections_emulated);
+        EXPECT_EQ(r.origin_cpu_ns, ref.origin_cpu_ns);
+        EXPECT_EQ(r.total_cpu_ns, ref.total_cpu_ns);
+      });
+  EXPECT_TRUE(reference.queue_flow_detected);
+  EXPECT_GT(reference.critical_sections_emulated, 0u);
+}
+
+TEST(ShardInvarianceTest, MiniproxyIsByteIdenticalAcrossThreadCounts) {
+  apps::MiniproxyOptions o;
+  o.clients = 24;
+  o.duration = sim::Seconds(6);
+  const apps::MiniproxyResult reference = ExpectThreadCountInvariant(
+      o, &apps::RunMiniproxy, [](const apps::MiniproxyResult& r, const apps::MiniproxyResult& ref) {
+        EXPECT_EQ(r.profile_text, ref.profile_text);
+        EXPECT_EQ(r.requests, ref.requests);
+        EXPECT_EQ(r.cache_hits, ref.cache_hits);
+        EXPECT_EQ(r.cache_misses, ref.cache_misses);
+        EXPECT_EQ(r.write_handler_context_count, ref.write_handler_context_count);
+        EXPECT_EQ(r.hit_path_cpu_ns, ref.hit_path_cpu_ns);
+        EXPECT_EQ(r.miss_path_cpu_ns, ref.miss_path_cpu_ns);
+        EXPECT_EQ(r.total_cpu_ns, ref.total_cpu_ns);
+      });
+  EXPECT_EQ(reference.write_handler_context_count, 2u);
+}
+
+TEST(ShardInvarianceTest, SedaServerIsByteIdenticalAcrossThreadCounts) {
+  apps::SedaServerOptions o;
+  o.clients = 24;
+  o.duration = sim::Seconds(6);
+  o.live = true;
+  const apps::SedaServerResult reference = ExpectThreadCountInvariant(
+      o, &apps::RunSedaServer,
+      [](const apps::SedaServerResult& r, const apps::SedaServerResult& ref) {
+        EXPECT_EQ(r.profile_text, ref.profile_text);
+        EXPECT_EQ(r.requests, ref.requests);
+        EXPECT_EQ(r.cache_hits, ref.cache_hits);
+        EXPECT_EQ(r.cache_misses, ref.cache_misses);
+        EXPECT_EQ(r.write_stage_context_count, ref.write_stage_context_count);
+        EXPECT_EQ(r.write_hit_cpu_ns, ref.write_hit_cpu_ns);
+        EXPECT_EQ(r.write_miss_cpu_ns, ref.write_miss_cpu_ns);
+        EXPECT_EQ(r.total_cpu_ns, ref.total_cpu_ns);
+        EXPECT_EQ(r.live_top_text, ref.live_top_text);
+        EXPECT_EQ(r.live_span_json, ref.live_span_json);
+      });
+  EXPECT_EQ(reference.write_stage_context_count, 2u);
+  EXPECT_FALSE(reference.live_span_json.empty());
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/shm/flow_detector.h"
 #include "src/shm/guest_code.h"
 #include "src/shm/section_cache.h"
@@ -64,6 +66,30 @@ TEST(SectionCacheTest, CounterHitsAfterWarmup) {
   EXPECT_EQ(cache.hits(), 8u);
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(u.mem.Read(kCounterAddr), 10u);
+}
+
+// Instruments are plain single-writer integers, so a snapshot taken
+// while the detector is alive is exact: every section that went through
+// the cache has already been counted as a critical section, and the
+// dump laws hold mid-run, not only after the detector is gone.
+TEST(SectionCacheTest, CounterLawsHoldWhileTheDetectorIsAlive) {
+  obs::MetricsRegistry reg;
+  obs::ScopedMetricsRegistry scope(reg);
+  vm::Program cnt = CounterIncrement(kLock);
+  Universe u;
+  SectionCache cache;
+  vm::CpuState& cpu = u.cpus[0];
+  cpu.regs[0] = kCounterAddr;
+  for (int i = 0; i < 10; ++i) {
+    cache.Run(u.interp, cnt, 0, cpu, u.mem, &u.detector);
+  }
+  const obs::MetricsSnapshot snap = reg.Snapshot();
+  EXPECT_EQ(snap.counters.at("shm.section_cache.hits") +
+                snap.counters.at("shm.section_cache.misses"),
+            10u);
+  EXPECT_EQ(snap.counters.at("shm.critical_sections"), 10u);
+  const std::vector<std::string> violated = obs::CheckLaws(snap);
+  EXPECT_TRUE(violated.empty()) << violated.front();
 }
 
 TEST(SectionCacheTest, QueueSteadyStateHitsAndMatchesPlainEmulation) {
