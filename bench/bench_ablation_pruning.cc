@@ -6,17 +6,18 @@
 // contexts (and hence CCTs). Without pruning, every request count
 // yields a new context — profile data fragments and memory grows with
 // trace length.
+#include <algorithm>
 #include <cstdio>
 #include <unordered_set>
 
 #include "bench/bench_util.h"
-#include "src/context/transaction_context.h"
+#include "src/context/context_tree.h"
 
 int main() {
   using namespace whodunit;
   using context::Element;
   using context::ElementKind;
-  using context::TransactionContext;
+  using context::NodeId;
 
   bench::Header("Ablation: context loop pruning on persistent connections (§4.1)");
 
@@ -28,20 +29,21 @@ int main() {
               "len (unpruned)", "ctxts (pruned)", "ctxts (unpruned)");
   std::printf("-------------+-----------------------------------+--------------------"
               "-------------\n");
+  // Hash-consing is canonical, so distinct NodeIds are distinct contexts.
+  context::ContextTree tree;
   for (int requests : {1, 2, 8, 64, 512}) {
-    std::unordered_set<uint64_t> pruned_ctxts, unpruned_ctxts;
-    TransactionContext pruned, unpruned;
-    pruned.Append(accept);
-    unpruned.Append(accept, /*prune=*/false);
+    std::unordered_set<NodeId> pruned_ctxts, unpruned_ctxts;
+    NodeId pruned = tree.Append(context::kEmptyContext, accept);
+    NodeId unpruned = tree.Append(context::kEmptyContext, accept, /*prune=*/false);
     size_t max_pruned = 0, max_unpruned = 0;
     for (int r = 0; r < requests; ++r) {
       for (const Element& h : {read, write}) {
-        pruned.Append(h);
-        unpruned.Append(h, /*prune=*/false);
-        pruned_ctxts.insert(pruned.Hash());
-        unpruned_ctxts.insert(unpruned.Hash());
-        max_pruned = std::max(max_pruned, pruned.size());
-        max_unpruned = std::max(max_unpruned, unpruned.size());
+        pruned = tree.Append(pruned, h);
+        unpruned = tree.Append(unpruned, h, /*prune=*/false);
+        pruned_ctxts.insert(pruned);
+        unpruned_ctxts.insert(unpruned);
+        max_pruned = std::max<size_t>(max_pruned, tree.SizeOf(pruned));
+        max_unpruned = std::max<size_t>(max_unpruned, tree.SizeOf(unpruned));
       }
     }
     std::printf("%12d | %16zu %16zu | %16zu %16zu\n", requests, max_pruned, max_unpruned,

@@ -25,7 +25,7 @@ int main() {
   profiler::StageProfiler prof(deployment, opts);
   profiler::ThreadProfile& tp = prof.CreateThread("event_loop");
 
-  EventLoop loop(sched);
+  EventLoop loop(sched, deployment.contexts());
   // The profiler follows the event library's current transaction
   // context — the only glue an application needs.
   loop.set_context_listener([&](context::NodeId node, bool sampled) {

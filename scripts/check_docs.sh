@@ -4,7 +4,8 @@
 # docs/METRICS.md catalog and schema version must match the metrics src/
 # exports. Run from anywhere; registered with ctest as `check_docs`. Also
 # checks that every benchmark the docs name is registered in bench/, and
-# that every type name the docs name occurs in the code.
+# that every type name and every part of a qualified name (`Type::member`)
+# the docs name occurs in the code.
 set -u
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -127,6 +128,24 @@ for name in $named; do
     echo "check_docs: $name is named in the docs but does not occur in the code" >&2
     status=1
   fi
+done
+
+# Every backticked qualified name (`ContextTree::Append`, `obs::Registry()`)
+# in the same files: each `::`-separated part must occur as a word in the
+# code, so a deleted type or member cannot survive behind its qualifier.
+# Names under `std::` are the library's, not the code's.
+qualified=$(cat "$repo_root"/docs/*.md "$repo_root/README.md" "$repo_root/DESIGN.md" \
+            | grep -oE '`[^`]+`' \
+            | grep -oE '[A-Za-z_][A-Za-z0-9_]*(::~?[A-Za-z_][A-Za-z0-9_]*)+' \
+            | grep -v '^std::' | sort -u)
+for name in $qualified; do
+  for part in $(printf '%s\n' "$name" | sed 's/::~*/ /g'); do
+    if ! grep -rqw -- "$part" "$repo_root/src" "$repo_root/bench" "$repo_root/examples" \
+         "$repo_root/perfbench" "$repo_root/tests"; then
+      echo "check_docs: $name is named in the docs but $part does not occur in the code" >&2
+      status=1
+    fi
+  done
 done
 
 if [ "$status" -eq 0 ]; then

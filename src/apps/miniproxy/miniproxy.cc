@@ -52,7 +52,7 @@ class Proxy {
       : options_(options),
         proxy_cpu_(sched_, workload::kProxyCores, "squid_cpu"),
         origin_cpu_(sched_, 2, "origin_cpu"),
-        loop_(sched_, "comm_poll"),
+        loop_(sched_, dep_.contexts(), "comm_poll"),
         prof_(dep_, MakeProfilerOptions(options)),
         origin_ch_(sched_, workload::kLanLatency),
         accept_ch_(sched_),
@@ -254,8 +254,9 @@ class Proxy {
   sim::Scheduler sched_;
   sim::CpuResource proxy_cpu_;
   sim::CpuResource origin_cpu_;
-  EventLoop loop_;
+  // Declared before loop_, which binds to its context tree.
   profiler::Deployment dep_;
+  EventLoop loop_;
   StageProfiler prof_;
   ThreadProfile* loop_tp_ = nullptr;
   sim::Channel<OriginRequest> origin_ch_;
@@ -348,20 +349,20 @@ MiniproxyResult Proxy::Run(profiler::ShardProfile* out_profile) {
   // Count the contexts in which commHandleWrite executed, and the
   // hit/miss path shares.
   result.total_cpu_ns = prof_.total_cpu_time();
+  const context::ContextTree& tree = dep_.contexts();
   for (const auto& [label, cct] : prof_.LabeledCcts()) {
     if (label.parts.empty()) {
       continue;
     }
-    const context::TransactionContext& ctxt = dep_.synopses().Lookup(label.parts.back());
-    if (ctxt.elements().empty()) {
+    const context::NodeId ctxt = dep_.synopses().Lookup(label.parts.back());
+    if (tree.Empty(ctxt)) {
       continue;
     }
     const bool ends_in_write =
-        ctxt.elements().back() ==
-        context::Element{context::ElementKind::kHandler, write_h_};
+        tree.LastElement(ctxt) == context::Element{context::ElementKind::kHandler, write_h_};
     bool via_reply = false;
-    for (const auto& e : ctxt.elements()) {
-      if (e == context::Element{context::ElementKind::kHandler, reply_h_}) {
+    for (context::NodeId walk = ctxt; !tree.Empty(walk); walk = tree.ParentOf(walk)) {
+      if (tree.LastElement(walk) == context::Element{context::ElementKind::kHandler, reply_h_}) {
         via_reply = true;
       }
     }

@@ -51,7 +51,7 @@ class Haboob {
   explicit Haboob(const SedaServerOptions& options)
       : options_(options),
         cpu_(sched_, workload::kWebServerCores, "haboob_cpu"),
-        graph_(sched_),
+        graph_(sched_, dep_.contexts()),
         prof_(dep_, MakeProfilerOptions(options)),
         accept_ch_(sched_) {
     dep_.sampling().Configure(profiler::SamplingConfig{
@@ -296,8 +296,9 @@ class Haboob {
   SedaServerOptions options_;
   sim::Scheduler sched_;
   sim::CpuResource cpu_;
-  StageGraph graph_;
+  // Declared before graph_, which binds to its context tree.
   profiler::Deployment dep_;
+  StageGraph graph_;
   StageProfiler prof_;
   sim::Channel<uint64_t> accept_ch_;
   workload::WebTrace trace_;
@@ -403,19 +404,19 @@ SedaServerResult Haboob::Run(profiler::ShardProfile* out_profile) {
   result.profile_text = prof_.RenderTransactionalProfile(0.001);
 
   result.total_cpu_ns = prof_.total_cpu_time();
+  const context::ContextTree& tree = dep_.contexts();
   for (const auto& [label, cct] : prof_.LabeledCcts()) {
     if (label.parts.empty()) {
       continue;
     }
-    const context::TransactionContext& ctxt = dep_.synopses().Lookup(label.parts.back());
-    if (ctxt.elements().empty() ||
-        ctxt.elements().back() !=
-            context::Element{context::ElementKind::kStage, write_}) {
+    const context::NodeId ctxt = dep_.synopses().Lookup(label.parts.back());
+    if (tree.Empty(ctxt) ||
+        tree.LastElement(ctxt) != context::Element{context::ElementKind::kStage, write_}) {
       continue;
     }
     bool via_miss = false;
-    for (const auto& e : ctxt.elements()) {
-      if (e == context::Element{context::ElementKind::kStage, miss_}) {
+    for (context::NodeId walk = ctxt; !tree.Empty(walk); walk = tree.ParentOf(walk)) {
+      if (tree.LastElement(walk) == context::Element{context::ElementKind::kStage, miss_}) {
         via_miss = true;
       }
     }

@@ -1,12 +1,10 @@
 #include "src/context/context_tree.h"
 
-#include <algorithm>
-
 namespace whodunit::context {
 namespace {
 
 // One FNV-1a fold step over the 8 bytes of a packed element; chaining
-// these left-to-right reproduces TransactionContext::Hash exactly.
+// these left-to-right hashes the whole packed element sequence.
 uint64_t FnvStep(uint64_t h, uint64_t packed) {
   for (int i = 0; i < 8; ++i) {
     h ^= (packed >> (i * 8)) & 0xff;
@@ -25,7 +23,7 @@ ContextTree::ContextTree()
       obs_nodes_(&obs::Registry().GetGauge("context.tree_nodes")) {
   // Node 0: the empty context (the tree root).
   nodes_.push_back(Node{kEmptyContext, Element{}, 0, kFnvBasis});
-  obs_nodes_->Set(1);
+  obs_nodes_->Add(1);
 }
 
 NodeId ContextTree::Child(NodeId parent, Element e) {
@@ -37,7 +35,7 @@ NodeId ContextTree::Child(NodeId parent, Element e) {
   nodes_.push_back(Node{parent, e, nodes_[parent].depth + 1,
                         FnvStep(nodes_[parent].hash, e.Packed())});
   children_.Upsert(key, id);
-  obs_nodes_->Set(static_cast<int64_t>(nodes_.size()));
+  obs_nodes_->Add(1);
   return id;
 }
 
@@ -57,13 +55,19 @@ NodeId ContextTree::Append(NodeId ctxt, Element e, bool prune) {
   return Child(ctxt, e);
 }
 
-NodeId ContextTree::AppendPath(NodeId onto, NodeId suffix, bool prune) {
-  if (suffix == kEmptyContext) {
-    return onto;
+void ContextTree::PathInto(NodeId ctxt, Element* out) const {
+  uint32_t i = nodes_[ctxt].depth;
+  for (NodeId walk = ctxt; walk != kEmptyContext; walk = nodes_[walk].parent) {
+    out[--i] = nodes_[walk].elem;
   }
-  // Collect the suffix's elements root-to-leaf. Pruned contexts are
-  // short (bounded by the element universe); spill to the heap only
-  // for unpruned debug-mode histories.
+}
+
+NodeId ContextTree::Concat(NodeId prefix, NodeId suffix) {
+  if (suffix == kEmptyContext) {
+    return prefix;
+  }
+  // Pruned contexts are short (bounded by the element universe), so the
+  // suffix's elements fit a stack buffer; spill to the heap otherwise.
   Element stack_buf[64];
   std::vector<Element> heap_buf;
   const uint32_t depth = nodes_[suffix].depth;
@@ -72,19 +76,12 @@ NodeId ContextTree::AppendPath(NodeId onto, NodeId suffix, bool prune) {
     heap_buf.resize(depth);
     elems = heap_buf.data();
   }
-  uint32_t i = depth;
-  for (NodeId walk = suffix; walk != kEmptyContext; walk = nodes_[walk].parent) {
-    elems[--i] = nodes_[walk].elem;
-  }
-  NodeId out = onto;
+  PathInto(suffix, elems);
+  NodeId out = prefix;
   for (uint32_t j = 0; j < depth; ++j) {
-    out = Append(out, elems[j], prune);
+    out = Append(out, elems[j]);
   }
   return out;
-}
-
-NodeId ContextTree::Concat(NodeId prefix, NodeId suffix, bool prune) {
-  return AppendPath(prefix, suffix, prune);
 }
 
 bool ContextTree::HasPrefix(NodeId ctxt, NodeId prefix) const {
@@ -99,59 +96,19 @@ bool ContextTree::HasPrefix(NodeId ctxt, NodeId prefix) const {
   return walk == prefix;
 }
 
-NodeId ContextTree::Intern(const TransactionContext& ctxt) {
-  NodeId node = kEmptyContext;
-  for (const Element& e : ctxt.elements()) {
-    node = Child(node, e);
-  }
-  return node;
-}
-
-TransactionContext ContextTree::Materialize(NodeId ctxt) const {
-  std::vector<Element> elems(nodes_[ctxt].depth);
-  uint32_t i = nodes_[ctxt].depth;
-  for (NodeId walk = ctxt; walk != kEmptyContext; walk = nodes_[walk].parent) {
-    elems[--i] = nodes_[walk].elem;
-  }
-  return TransactionContext(std::move(elems));
-}
-
 std::string ContextTree::ToString(
     NodeId ctxt, const std::function<std::string(ElementKind, uint32_t)>& namer) const {
-  return Materialize(ctxt).ToString(namer);
-}
-
-std::vector<NodeId> ContextTree::MergeFrom(const ContextTree& other) {
-  std::vector<NodeId> remap(other.nodes_.size(), kEmptyContext);
-  // Nodes are append-only, so every parent precedes its children and a
-  // single forward pass suffices.
-  for (NodeId id = 1; id < other.nodes_.size(); ++id) {
-    const Node& node = other.nodes_[id];
-    remap[id] = Child(remap[node.parent], node.elem);
+  std::vector<Element> elems(nodes_[ctxt].depth);
+  PathInto(ctxt, elems.data());
+  std::string out = "[";
+  for (size_t i = 0; i < elems.size(); ++i) {
+    if (i > 0) {
+      out += "|";
+    }
+    out += namer(elems[i].kind, elems[i].id);
   }
-  return remap;
+  out += "]";
+  return out;
 }
-
-namespace {
-
-thread_local ContextTree* current_tree = nullptr;
-
-}  // namespace
-
-ContextTree& ProcessContextTree() {
-  static ContextTree* tree = new ContextTree();
-  return *tree;
-}
-
-ContextTree& GlobalContextTree() {
-  ContextTree* tree = current_tree;
-  return tree != nullptr ? *tree : ProcessContextTree();
-}
-
-ScopedContextTree::ScopedContextTree(ContextTree& tree) : prev_(current_tree) {
-  current_tree = &tree;
-}
-
-ScopedContextTree::~ScopedContextTree() { current_tree = prev_; }
 
 }  // namespace whodunit::context

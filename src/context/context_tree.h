@@ -1,30 +1,33 @@
-// Interned transaction contexts: a global hash-consed context tree.
+// Transaction contexts (paper §2, §4.1) as a hash-consed context tree.
 //
-// A TransactionContext is an ordered element sequence, and the legacy
-// value API (transaction_context.h) copies that vector on every
-// event/SEDA hop — O(n) per append, per enqueue, per message. But the
-// set of contexts a run ever produces is tiny and highly shared (the
-// §4.1 pruning bounds each context by the element universe), so the
+// A transaction context is the execution history of a request across
+// stages: an ordered sequence of elements, each one either a call path
+// (at a message-send point), an event-handler name, or a stage name.
+// Appending applies the paper's §4.1 pruning: consecutive duplicate
+// elements collapse (an event handler re-scheduled to finish an I/O),
+// and loops of length > 1 are pruned by cutting the suffix that closes
+// the loop (requests on a persistent connection, RPC-style ping-pong).
+//
+// The set of contexts a run ever produces is tiny and highly shared
+// (pruning bounds each context by the element universe), so the
 // sequences form a tree: every context is a path from the root, and
-// two contexts that share a prefix share the tree nodes for it.
-//
-// This file interns that tree. A context becomes a 32-bit NodeId whose
-// node stores (parent, last element, depth, running hash), and the
-// context operations become:
+// two contexts that share a prefix share the tree nodes for it. A
+// context is a 32-bit NodeId whose node stores (parent, last element,
+// depth, running hash), and the context operations become:
 //   * Append       — one hash-cons probe, plus an ancestor walk of at
 //                    most the pruned-context length when pruning cuts
 //                    a loop (O(loop window), paper §4.1);
 //   * equality     — NodeId comparison (hash-consing is canonical:
 //                    same element sequence <=> same NodeId);
-//   * Hash         — precomputed at interning, O(1), and bit-for-bit
-//                    identical to TransactionContext::Hash();
+//   * Hash         — FNV-1a over the packed element sequence,
+//                    precomputed at interning, O(1);
 //   * Concat       — appends of the suffix's elements at the seam;
 //   * HasPrefix    — ancestor walk of the depth difference.
 //
-// The tree is append-only and global (GlobalContextTree); like the
-// rest of the profiler runtime it assumes the simulator's
-// single-threaded execution model. The legacy value type remains the
-// interchange/debug format; Intern/Materialize convert losslessly.
+// The tree is append-only and owned by one profiler::Deployment, which
+// hands it to the event library, the SEDA middleware and its stage
+// profilers; like the rest of the profiler runtime it assumes the
+// simulator's single-threaded execution model.
 #ifndef SRC_CONTEXT_CONTEXT_TREE_H_
 #define SRC_CONTEXT_CONTEXT_TREE_H_
 
@@ -33,17 +36,31 @@
 #include <string>
 #include <vector>
 
-#include "src/context/transaction_context.h"
 #include "src/obs/metrics.h"
 #include "src/util/robin_hood.h"
 
 namespace whodunit::context {
 
+enum class ElementKind : uint8_t {
+  kCallPath = 0,  // a node of the deployment's path tree at a produce/send point
+  kHandler = 1,   // an event handler (event-driven stage)
+  kStage = 2,     // a SEDA stage
+};
+
+// One step of a transaction's execution history.
+struct Element {
+  ElementKind kind;
+  uint32_t id;
+
+  friend bool operator==(const Element&, const Element&) = default;
+  uint64_t Packed() const { return (static_cast<uint64_t>(kind) << 32) | id; }
+};
+
 // An interned transaction context. Value 0 is the empty context.
 //
 // shm::CtxtId aliases this type (src/shm/section_summary.h pins the
 // bridge with static_asserts): flow summaries store NodeIds directly,
-// so replaying a cached critical section never materializes a context.
+// so replaying a cached critical section never walks a context.
 // shm reserves 0xffffffff as its invalid-context sentinel — keep
 // NodeIds well below it (the tree is bounded by distinct prefixes,
 // orders of magnitude smaller).
@@ -54,18 +71,18 @@ class ContextTree {
  public:
   ContextTree();
 
-  // The §4.1 append: collapses consecutive duplicates and cuts loops,
-  // exactly like TransactionContext::Append on the materialized
-  // sequence. O(1) hash-cons probe on the no-loop fast path; the
-  // pruning scan walks ancestors instead of a vector.
+  // The §4.1 append: if `e` already occurs in the context, the new
+  // occurrence closes a loop (length 1 when it is the last element —
+  // the consecutive-duplicate collapse), so the suffix after its latest
+  // prior occurrence is cut instead: [accept, read, write] + read ->
+  // [accept, read]. O(1) hash-cons probe on the no-loop fast path.
+  // `prune = false` keeps the complete history (the pruning ablation).
   NodeId Append(NodeId ctxt, Element e, bool prune = true);
 
-  // Prefix-then-suffix with pruning applied at the seam; matches
-  // TransactionContext::Concat on the materialized sequences.
-  NodeId Concat(NodeId prefix, NodeId suffix, bool prune = true);
+  // Prefix-then-suffix with pruning applied at the seam.
+  NodeId Concat(NodeId prefix, NodeId suffix);
 
-  // Precomputed FNV-1a over the packed element sequence — equal to
-  // TransactionContext::Hash() of the materialized context.
+  // Precomputed FNV-1a over the packed element sequence.
   uint64_t HashOf(NodeId ctxt) const { return nodes_[ctxt].hash; }
 
   // Element count of the context (depth of the node).
@@ -80,23 +97,7 @@ class ContextTree {
   Element LastElement(NodeId ctxt) const { return nodes_[ctxt].elem; }
   NodeId ParentOf(NodeId ctxt) const { return nodes_[ctxt].parent; }
 
-  // Interns the exact element sequence of a legacy value context (no
-  // re-pruning: the value API already applied its own policy).
-  NodeId Intern(const TransactionContext& ctxt);
-
-  // The inverse: materializes the node's path as a value context.
-  TransactionContext Materialize(NodeId ctxt) const;
-
-  // Grafts every node of `other` into this tree (exact element
-  // sequences, no re-pruning) and returns the old->new id map:
-  // remap[id_in_other] = id_here. Hash-consing makes the merge
-  // canonical — nodes whose sequences already exist map onto them, so
-  // merging shard trees in canonical shard order yields the same tree
-  // regardless of which threads built the shards. O(|other|).
-  std::vector<NodeId> MergeFrom(const ContextTree& other);
-
-  // Debug form like "[H:accept|H:read]", mirroring
-  // TransactionContext::ToString.
+  // Debug form like "[H:accept|H:read]" given a namer for (kind, id).
   std::string ToString(
       NodeId ctxt,
       const std::function<std::string(ElementKind, uint32_t)>& namer) const;
@@ -131,9 +132,8 @@ class ContextTree {
   // creating it on first use.
   NodeId Child(NodeId parent, Element e);
 
-  // Appends the elements of `suffix` (as a small stack-allocated or
-  // heap spill walk) onto `onto`.
-  NodeId AppendPath(NodeId onto, NodeId suffix, bool prune);
+  // Writes the context's SizeOf(ctxt) elements, root first, to `out`.
+  void PathInto(NodeId ctxt, Element* out) const;
 
   std::vector<Node> nodes_;
   util::RobinHoodMap<ChildKey, NodeId, ChildKeyHash> children_;
@@ -142,28 +142,6 @@ class ContextTree {
   obs::Counter* obs_appends_;
   obs::Counter* obs_prunings_;
   obs::Gauge* obs_nodes_;
-};
-
-// The tree shared by the event library, the SEDA middleware, and the
-// profiler. Normally one process-wide instance (single-threaded
-// simulator); a shard isolate (sim::ShardEnv::Scope) installs a
-// private arena for the calling thread so concurrent shard
-// simulations intern into disjoint trees.
-ContextTree& GlobalContextTree();
-// The process-wide default tree, regardless of any installed scope.
-ContextTree& ProcessContextTree();
-
-// Installs `tree` as the calling thread's GlobalContextTree() for the
-// lifetime of the scope; restores the previous target on destruction.
-class ScopedContextTree {
- public:
-  explicit ScopedContextTree(ContextTree& tree);
-  ~ScopedContextTree();
-  ScopedContextTree(const ScopedContextTree&) = delete;
-  ScopedContextTree& operator=(const ScopedContextTree&) = delete;
-
- private:
-  ContextTree* prev_;
 };
 
 }  // namespace whodunit::context

@@ -70,8 +70,4 @@ uint32_t SynopsisDictionary::Intern(NodeId ctxt) {
   return id;
 }
 
-TransactionContext SynopsisDictionary::Lookup(uint32_t part) const {
-  return GlobalContextTree().Materialize(contexts_.at(part));
-}
-
 }  // namespace whodunit::context

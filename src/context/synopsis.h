@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "src/context/context_tree.h"
-#include "src/context/transaction_context.h"
 #include "src/obs/metrics.h"
 #include "src/util/pooled_vec.h"
 #include "src/util/robin_hood.h"
@@ -56,26 +55,17 @@ struct SynopsisHash {
 
 // Per-stage dictionary: transaction context <-> 4-byte synopsis part.
 // (The paper: "maintains transaction contexts and their synopses in a
-// dictionary".) Contexts are stored as interned context-tree NodeIds,
-// so interning at a send point is one O(1) integer-keyed probe rather
-// than a full-sequence hash and copy.
+// dictionary".) Contexts are stored as NodeIds of the deployment's
+// context tree, so interning at a send point is one O(1) integer-keyed
+// probe rather than a full-sequence hash and copy.
 class SynopsisDictionary {
  public:
   // Returns the synopsis part for the interned context, assigning the
   // next id if new. This is the send-point hot path.
   uint32_t Intern(NodeId ctxt);
 
-  // Legacy value-API entry point: interns into the global context tree
-  // first. Hash-consing guarantees the same element sequence maps to
-  // the same part id either way.
-  uint32_t Intern(const TransactionContext& ctxt) {
-    return Intern(GlobalContextTree().Intern(ctxt));
-  }
-
-  // The context for a previously interned part id, as an interned
-  // node (O(1)) or materialized into the legacy value form.
-  NodeId LookupNode(uint32_t part) const { return contexts_.at(part); }
-  TransactionContext Lookup(uint32_t part) const;
+  // The context a previously interned part id names. O(1).
+  NodeId Lookup(uint32_t part) const { return contexts_.at(part); }
 
   bool Contains(uint32_t part) const { return part < contexts_.size(); }
   size_t size() const { return contexts_.size(); }

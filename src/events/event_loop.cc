@@ -5,8 +5,9 @@
 
 namespace whodunit::events {
 
-EventLoop::EventLoop(sim::Scheduler& sched, std::string name)
+EventLoop::EventLoop(sim::Scheduler& sched, context::ContextTree& contexts, std::string name)
     : sched_(sched),
+      contexts_(contexts),
       name_(std::move(name)),
       queue_(sched),
       obs_dispatched_(&obs::Registry().GetCounter("events.dispatched")),
@@ -54,9 +55,8 @@ sim::Process EventLoop::Run() {
         // its handler; Append prunes consecutive duplicates and loops.
         // With the interned tree this is one hash-cons probe, not a
         // vector copy.
-        curr_node_ = context::GlobalContextTree().Append(
-            ev->tran_ctxt,
-            context::Element{context::ElementKind::kHandler, ev->handler}, pruning_);
+        curr_node_ = contexts_.Append(
+            ev->tran_ctxt, context::Element{context::ElementKind::kHandler, ev->handler});
       } else {
         curr_node_ = context::kEmptyContext;
       }

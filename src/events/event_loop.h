@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "src/context/context_tree.h"
-#include "src/context/transaction_context.h"
 #include "src/obs/metrics.h"
 #include "src/sim/channel.h"
 #include "src/sim/scheduler.h"
@@ -55,13 +54,15 @@ class EventLoop {
 
   // Fired whenever the current transaction context changes (before a
   // handler runs); the profiler glue hangs off this. Receives the
-  // interned node id (materialize via GlobalContextTree() if the
-  // element sequence itself is needed) and the event's sampling
+  // node id in the loop's context tree and the event's sampling
   // decision (the node is kEmptyContext when unsampled — no
   // concatenation was performed).
   using ContextListener = std::function<void(context::NodeId, bool sampled)>;
 
-  explicit EventLoop(sim::Scheduler& sched, std::string name = "event_loop");
+  // `contexts` is the owning deployment's context tree
+  // (profiler::Deployment::contexts()); every dispatch interns into it.
+  EventLoop(sim::Scheduler& sched, context::ContextTree& contexts,
+            std::string name = "event_loop");
 
   HandlerId RegisterHandler(std::string_view name, Handler handler);
   const std::string& HandlerName(HandlerId h) const { return handlers_.Name(h); }
@@ -98,12 +99,8 @@ class EventLoop {
   sim::Process Run();
   void Stop() { queue_.Close(); }
 
-  // The current transaction context as an interned node (the hot-path
-  // representation) and materialized into the legacy value form.
+  // The current transaction context, a node of the loop's context tree.
   context::NodeId current_node() const { return curr_node_; }
-  context::TransactionContext current_context() const {
-    return context::GlobalContextTree().Materialize(curr_node_);
-  }
   // The sampling decision of the event being dispatched.
   bool current_sampled() const { return curr_sampled_; }
   // Queue residency of the event being dispatched (dispatch time
@@ -115,11 +112,6 @@ class EventLoop {
   // library behaves like stock libevent.
   void set_tracking(bool on) { tracking_ = on; }
 
-  // Disables §4.1 loop pruning, keeping the complete handler history.
-  // The paper: "the complete transaction context may be useful for
-  // some applications, e.g., for debugging."
-  void set_pruning(bool on) { pruning_ = on; }
-
   sim::Scheduler& scheduler() { return sched_; }
 
   struct HandlerContext {
@@ -129,6 +121,7 @@ class EventLoop {
 
  private:
   sim::Scheduler& sched_;
+  context::ContextTree& contexts_;
   std::string name_;
   util::SymbolTable handlers_;
   std::vector<Handler> handler_fns_;
@@ -138,7 +131,6 @@ class EventLoop {
   int64_t curr_queue_wait_ns_ = 0;
   ContextListener listener_;
   bool tracking_ = true;
-  bool pruning_ = true;
   uint64_t events_dispatched_ = 0;
 
   // Self-observability handles, resolved once (see docs/METRICS.md).

@@ -67,64 +67,6 @@ void LiveAggregator::IngestWait(uint64_t waiter_tag, uint64_t holder_tag, uint64
   waits_[{waiter_tag, holder_tag}].Add(static_cast<double>(wait_ns));
 }
 
-void LiveAggregator::MergeFrom(const LiveAggregator& other,
-                               const std::vector<context::NodeId>& ctxt_remap) {
-  // Translate the other shard's symbol ids into this table. When both
-  // aggregators share one table (serial runs, tests) the remap is the
-  // identity and interning is a no-op lookup.
-  const std::vector<util::SymId> sym_remap =
-      syms_ == other.syms_ ? std::vector<util::SymId>() : syms_->MergeFrom(*other.syms_);
-  const auto remap_sym = [&](util::SymId id) {
-    return id < sym_remap.size() ? sym_remap[id] : id;
-  };
-  for (const auto& [id, state] : other.by_type_) {
-    TypeState& mine = by_type_[remap_sym(id)];
-    mine.latency_ns.Merge(state.latency_ns);
-    mine.errors += state.errors;
-  }
-  for (const auto& [id, state] : other.by_stage_) {
-    StageState& mine = by_stage_[remap_sym(id)];
-    mine.spans += state.spans;
-    mine.busy_ns += state.busy_ns;
-  }
-  for (const auto& [key, ns] : other.attr_) {
-    const context::NodeId ctxt = std::get<2>(key);
-    const context::NodeId here = ctxt < ctxt_remap.size() ? ctxt_remap[ctxt] : ctxt;
-    attr_[{remap_sym(std::get<0>(key)), remap_sym(std::get<1>(key)), here,
-           std::get<3>(key)}] += ns;
-  }
-  // Re-base the other side's tags above everything already present so
-  // contexts from different shards never alias. std::map iteration is
-  // ordered, so the assignment is deterministic.
-  uint64_t next_tag = 0;
-  if (!tag_names_.empty()) {
-    next_tag = tag_names_.rbegin()->first + 1;
-  }
-  for (const auto& [pair, stat] : waits_) {
-    next_tag = std::max({next_tag, pair.first + 1, pair.second + 1});
-  }
-  std::map<uint64_t, uint64_t> tag_remap;
-  auto remap_tag = [&](uint64_t tag) {
-    auto [it, inserted] = tag_remap.emplace(tag, next_tag);
-    if (inserted) {
-      ++next_tag;
-    }
-    return it->second;
-  };
-  for (const auto& [tag, name] : other.tag_names_) {
-    tag_names_.emplace(remap_tag(tag), name);
-  }
-  for (const auto& [pair, stat] : other.waits_) {
-    waits_[{remap_tag(pair.first), remap_tag(pair.second)}].Merge(stat);
-  }
-  other.cost_by_ctxt_.ForEach([&](const context::NodeId& ctxt, const uint64_t& cost) {
-    const context::NodeId here = ctxt < ctxt_remap.size() ? ctxt_remap[ctxt] : ctxt;
-    cost_by_ctxt_.GetOrInsert(here) += cost;
-  });
-  txns_ += other.txns_;
-  errors_ += other.errors_;
-}
-
 void LiveAggregator::TypeRowsInto(std::vector<TypeRow>& rows) const {
   rows.resize(by_type_.size());
   size_t i = 0;
@@ -224,8 +166,7 @@ std::vector<LiveAggregator::AttrRow> LiveAggregator::AttrRows() const {
                            ns});
   }
   // attr_ is ordered by interned ids (first-seen order); re-sort by
-  // name so the rows are deterministic regardless of ingest or merge
-  // order. Interning is injective, so no two rows tie on all four.
+  // name so the rows are deterministic regardless of ingest order. Interning is injective, so no two rows tie on all four.
   std::sort(rows.begin(), rows.end(), [](const AttrRow& a, const AttrRow& b) {
     if (const int c = a.type.compare(b.type)) return c < 0;
     if (const int c = a.stage.compare(b.stage)) return c < 0;

@@ -19,7 +19,7 @@
 // and no steady-state allocation. Ids are per-shard first-intern
 // order, so every user-facing view (TypeRows, AttrRows,
 // ExportAttrFolded) re-sorts by resolved name to stay deterministic
-// across ingest interleavings and shard merge orders.
+// across ingest interleavings.
 #ifndef SRC_OBS_LIVE_AGGREGATOR_H_
 #define SRC_OBS_LIVE_AGGREGATOR_H_
 
@@ -134,17 +134,6 @@ class LiveAggregator {
   // The symbol table this aggregator's SymIds resolve through (the
   // thread-current table at construction).
   const util::SymbolTable& syms() const { return *syms_; }
-
-  // Folds another aggregator (a shard's) into this one. `ctxt_remap`
-  // translates the other aggregator's ContextTree NodeIds into this
-  // side's tree (the vector ContextTree::MergeFrom returns); the other
-  // side's SymIds are remapped through SymbolTable::MergeFrom the same
-  // way. The other side's crosstalk tags — arbitrary per-shard ids —
-  // are re-based onto fresh ids here so distinct shard contexts never
-  // collide; their names carry over, so name-folded views (the
-  // crosstalk matrix) merge exactly. Deterministic given a fixed
-  // merge order.
-  void MergeFrom(const LiveAggregator& other, const std::vector<context::NodeId>& ctxt_remap);
 
  private:
   struct TypeState {

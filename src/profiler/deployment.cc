@@ -3,7 +3,6 @@
 #include <sstream>
 #include <utility>
 
-#include "src/context/context_tree.h"
 #include "src/obs/live/daemon.h"
 #include "src/profiler/stage_profiler.h"
 
@@ -31,9 +30,9 @@ std::string Deployment::DescribeElement(context::ElementKind kind, uint32_t id) 
   return out.str();
 }
 
-std::string Deployment::DescribeContext(const context::TransactionContext& ctxt) const {
-  return ctxt.ToString(
-      [this](context::ElementKind kind, uint32_t id) { return DescribeElement(kind, id); });
+std::string Deployment::DescribeContext(context::NodeId ctxt) const {
+  return contexts_.ToString(
+      ctxt, [this](context::ElementKind kind, uint32_t id) { return DescribeElement(kind, id); });
 }
 
 std::string Deployment::DescribeSynopsis(const context::Synopsis& synopsis) const {
@@ -72,7 +71,7 @@ void Deployment::AttachLive(obs::live::Whodunitd* live) {
     if (node == context::kEmptyContext) {
       return std::string("(origin)");
     }
-    return DescribeContext(context::GlobalContextTree().Materialize(node));
+    return DescribeContext(node);
   });
 }
 

@@ -2,8 +2,8 @@
 //
 // A Deployment models one profiled multi-tier application: the shared
 // name spaces (function names, the call-path tree every thread's shadow
-// stack walks, the transaction context <-> synopsis dictionary) plus
-// every stage's profiler.
+// stack walks, the transaction-context tree, the context <-> synopsis
+// dictionary) plus every stage's profiler.
 //
 // In the real system each stage keeps these tables privately and the
 // presentation phase merges them post mortem (paper §7.1); sharing the
@@ -20,8 +20,8 @@
 
 #include "src/callpath/cct.h"
 #include "src/callpath/function_registry.h"
+#include "src/context/context_tree.h"
 #include "src/context/synopsis.h"
-#include "src/context/transaction_context.h"
 #include "src/profiler/sampling.h"
 
 namespace whodunit::obs::live {
@@ -47,6 +47,11 @@ class Deployment {
   // The call-path interner: a CCT whose counters are never charged. A
   // node index in it is the id of a kCallPath context element.
   callpath::CallingContextTree& paths() { return paths_; }
+  // The transaction-context tree: the event library, the SEDA
+  // middleware and every stage profiler of this deployment intern into
+  // it, and synopsis parts name its NodeIds.
+  context::ContextTree& contexts() { return contexts_; }
+  const context::ContextTree& contexts() const { return contexts_; }
   context::SynopsisDictionary& synopses() { return synopses_; }
   const context::SynopsisDictionary& synopses() const { return synopses_; }
 
@@ -61,7 +66,7 @@ class Deployment {
 
   // Human-readable rendering of a context element / context / synopsis.
   std::string DescribeElement(context::ElementKind kind, uint32_t id) const;
-  std::string DescribeContext(const context::TransactionContext& ctxt) const;
+  std::string DescribeContext(context::NodeId ctxt) const;
   std::string DescribeSynopsis(const context::Synopsis& synopsis) const;
 
   // Stage registry (for the post-mortem stitcher).
@@ -92,6 +97,7 @@ class Deployment {
  private:
   callpath::FunctionRegistry functions_;
   callpath::CallingContextTree paths_;
+  context::ContextTree contexts_;
   context::SynopsisDictionary synopses_;
   SamplingPolicy sampling_;
   ElementNamer element_namer_;

@@ -117,7 +117,7 @@ context::Synopsis StageProfiler::PrepareSend(ThreadProfile& tp, bool expect_resp
   // Transaction context at the send point: the locally accumulated
   // elements plus the call path leading to the send (§5). Two O(1)
   // probes: one hash-cons append, one synopsis-dictionary lookup.
-  const context::NodeId send_node = context::GlobalContextTree().Append(
+  const context::NodeId send_node = deployment_.contexts().Append(
       tp.local_node_, context::Element{context::ElementKind::kCallPath, tp.stack_.path_id()});
   const uint32_t part = deployment_.synopses().Intern(send_node);
   context::Synopsis wire = tp.incoming_.Extend(context::Synopsis{{part}});
@@ -295,10 +295,10 @@ void StageProfiler::FlushLive() {
 }
 
 context::NodeId StageProfiler::LiveCtxtNode(const ThreadProfile& tp) const {
-  context::ContextTree& tree = context::GlobalContextTree();
+  context::ContextTree& tree = deployment_.contexts();
   context::NodeId node = context::kEmptyContext;
   for (uint32_t part : tp.incoming_.parts) {
-    node = tree.Concat(node, deployment_.synopses().LookupNode(part));
+    node = tree.Concat(node, deployment_.synopses().Lookup(part));
   }
   if (tp.local_node_ != context::kEmptyContext) {
     node = tree.Concat(node, tp.local_node_);
@@ -427,7 +427,7 @@ void StageProfiler::UpdateCct(ThreadProfile& tp) {
 }
 
 context::Synopsis StageProfiler::FullSynopsis(ThreadProfile& tp) {
-  const context::NodeId full = context::GlobalContextTree().Append(
+  const context::NodeId full = deployment_.contexts().Append(
       tp.local_node_, context::Element{context::ElementKind::kCallPath, tp.stack_.path_id()});
   return tp.incoming_.Extend(context::Synopsis{{deployment_.synopses().Intern(full)}});
 }

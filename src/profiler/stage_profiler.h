@@ -32,7 +32,6 @@
 #include "src/callpath/shadow_stack.h"
 #include "src/context/context_tree.h"
 #include "src/context/synopsis.h"
-#include "src/context/transaction_context.h"
 #include "src/profiler/deployment.h"
 #include "src/sim/time.h"
 
@@ -68,7 +67,7 @@ class ThreadProfile {
   // κ: transaction context inherited from other stages, as a synopsis.
   context::Synopsis incoming_;
   // Locally accumulated context elements (handlers, stages, adopted
-  // shared-memory flows), interned into the global context tree.
+  // shared-memory flows), interned into the deployment's context tree.
   context::NodeId local_node_ = context::kEmptyContext;
   // Outstanding requests: sent synopsis -> state to restore when the
   // matching response arrives.
@@ -153,12 +152,8 @@ class StageProfiler {
 
   // ---- Transaction contexts (events / SEDA / fresh requests) ---------
   // Replaces the thread's locally accumulated context (the event/SEDA
-  // libraries feed their current node through this). The NodeId form is
-  // the hot path; the value form interns first.
+  // libraries feed their current node through this).
   void SetLocalContext(ThreadProfile& tp, context::NodeId node);
-  void SetLocalContext(ThreadProfile& tp, const context::TransactionContext& ctxt) {
-    SetLocalContext(tp, context::GlobalContextTree().Intern(ctxt));
-  }
   // Begins a fresh top-level transaction at an origin stage. Draws the
   // deployment's per-transaction sampling decision: an unsampled
   // transaction pays only that coin flip — PrepareSend emits no

@@ -74,10 +74,9 @@ sim::Process Stage::WorkerLoop(int worker) {
       if (elem->sampled) {
         // Figure 5, lines 5-6: current context = element's context
         // concatenated with the current stage (loops pruned by Append).
-        // One hash-cons probe against the global context tree.
-        wc.curr_node = context::GlobalContextTree().Append(
-            elem->tran_ctxt, context::Element{context::ElementKind::kStage, id_},
-            graph_.pruning());
+        // One hash-cons probe against the graph's context tree.
+        wc.curr_node = graph_.contexts_.Append(
+            elem->tran_ctxt, context::Element{context::ElementKind::kStage, id_});
         obs_concats_->Add();
       }
       if (graph_.listener_) {

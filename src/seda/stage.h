@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/context/context_tree.h"
-#include "src/context/transaction_context.h"
 #include "src/obs/metrics.h"
 #include "src/sim/channel.h"
 #include "src/sim/scheduler.h"
@@ -28,7 +27,7 @@ using StageId = uint32_t;
 
 struct QueueElem {
   uint64_t payload;
-  // The interned transaction context (a 4-byte handle into the global
+  // The interned transaction context (a 4-byte handle into the graph's
   // context tree), so enqueueing never copies an element sequence.
   context::NodeId tran_ctxt = context::kEmptyContext;
   // Production sampling (docs/PRODUCTION.md): the transaction's
@@ -46,7 +45,10 @@ class Stage;
 // One SEDA application: a set of stages wired by queues.
 class StageGraph {
  public:
-  explicit StageGraph(sim::Scheduler& sched) : sched_(sched) {}
+  // `contexts` is the owning deployment's context tree
+  // (profiler::Deployment::contexts()); every worker interns into it.
+  StageGraph(sim::Scheduler& sched, context::ContextTree& contexts)
+      : sched_(sched), contexts_(contexts) {}
 
   // Creates a stage with `workers` worker threads running `body`.
   // Returns its id. Stages are started with Start().
@@ -73,15 +75,12 @@ class StageGraph {
 
   void set_tracking(bool on) { tracking_ = on; }
   bool tracking() const { return tracking_; }
-  // Disables §4.1 loop pruning (full history, for debugging).
-  void set_pruning(bool on) { pruning_ = on; }
-  bool pruning() const { return pruning_; }
 
   // Fired when a worker's current transaction context changes;
-  // the worker index is global across stages. Receives the interned
-  // node id (materialize via GlobalContextTree() for the sequence)
-  // and the element's sampling decision (node is kEmptyContext when
-  // unsampled — no concatenation was performed).
+  // the worker index is global across stages. Receives the node id in
+  // the graph's context tree and the element's sampling decision
+  // (node is kEmptyContext when unsampled — no concatenation was
+  // performed).
   using ContextListener =
       std::function<void(StageId, int worker, context::NodeId, bool sampled)>;
   void set_context_listener(ContextListener listener) { listener_ = std::move(listener); }
@@ -98,9 +97,6 @@ class StageGraph {
     // transaction context.
     void EnqueueTo(StageId next, uint64_t next_payload);
     context::NodeId current_node() const { return curr_node; }
-    context::TransactionContext current_context() const {
-      return context::GlobalContextTree().Materialize(curr_node);
-    }
 
     context::NodeId curr_node = context::kEmptyContext;
     // The element's sampling decision, propagated to every element
@@ -115,9 +111,9 @@ class StageGraph {
   friend class Stage;
 
   sim::Scheduler& sched_;
+  context::ContextTree& contexts_;
   std::vector<std::unique_ptr<Stage>> stages_;
   bool tracking_ = true;
-  bool pruning_ = true;
   ContextListener listener_;
 };
 

@@ -6,18 +6,11 @@ namespace whodunit::sim {
 
 ShardEnv::ShardEnv()
     : metrics_(std::make_unique<obs::MetricsRegistry>()),
-      syms_(std::make_unique<util::SymbolTable>()) {
-  // The ContextTree constructor registers its gauges with the current
-  // metrics registry, so build it with this shard's registry installed
-  // — regardless of which thread constructs the env.
-  obs::ScopedMetricsRegistry scope(*metrics_);
-  tree_ = std::make_unique<context::ContextTree>();
-}
+      syms_(std::make_unique<util::SymbolTable>()) {}
 
 ShardEnv::Scope::Scope(ShardEnv& env)
     : saved_counters_(util::SaveShardCounters()),
       metrics_scope_(env.metrics()),
-      tree_scope_(env.context_tree()),
       syms_scope_(env.symbols()) {
   util::ResetShardCounters();
 }

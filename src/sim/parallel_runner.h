@@ -3,7 +3,7 @@
 // A workload that decomposes into independent jobs — fig12's client-
 // count sweep points, a fixed partition of a client population — can
 // run each job as its own fully self-contained deployment: a private
-// Scheduler, ContextTree arena, flow dictionaries, metrics registry,
+// Scheduler, context tree, flow dictionaries, metrics registry,
 // and (optionally) live daemon. Nothing is shared between shards while
 // they run, so shards are embarrassingly parallel; the only cross-shard
 // step is the merge, and the merge runs serially on the caller's
@@ -25,15 +25,16 @@
 #include <utility>
 #include <vector>
 
-#include "src/context/context_tree.h"
-#include "src/util/symbol_table.h"
 #include "src/obs/metrics.h"
+#include "src/util/symbol_table.h"
 #include "src/util/thread_pool.h"
 
 namespace whodunit::sim {
 
 // One shard's private process-globals: everything the profiler
-// pipeline would otherwise reach through process-wide statics.
+// pipeline would otherwise reach through process-wide statics. (The
+// context tree is not one of them: each profiler::Deployment owns its
+// own.)
 class ShardEnv {
  public:
   ShardEnv();
@@ -42,13 +43,11 @@ class ShardEnv {
 
   obs::MetricsRegistry& metrics() { return *metrics_; }
   const obs::MetricsRegistry& metrics() const { return *metrics_; }
-  context::ContextTree& context_tree() { return *tree_; }
-  const context::ContextTree& context_tree() const { return *tree_; }
   util::SymbolTable& symbols() { return *syms_; }
   const util::SymbolTable& symbols() const { return *syms_; }
 
   // Installs this env as the calling thread's current metrics
-  // registry, context tree, and symbol table, and restarts the shard-
+  // registry and symbol table, and restarts the shard-
   // registered thread-local id allocators (lock ids, program ids)
   // from their fresh seeds. Restores everything on destruction.
   class Scope {
@@ -61,7 +60,6 @@ class ShardEnv {
    private:
     std::vector<uint64_t> saved_counters_;
     obs::ScopedMetricsRegistry metrics_scope_;
-    context::ScopedContextTree tree_scope_;
     util::ScopedSymbolTable syms_scope_;
   };
 
@@ -72,15 +70,13 @@ class ShardEnv {
 
  private:
   std::unique_ptr<obs::MetricsRegistry> metrics_;
-  std::unique_ptr<context::ContextTree> tree_;
   // Per-shard symbol table: each shard interns its own SymIds; the
   // merge remaps them through SymbolTable::MergeFrom.
   std::unique_ptr<util::SymbolTable> syms_;
 };
 
-// A completed shard: the job's result plus the env it ran in. The env
-// is kept alive so merge steps that need the shard's ContextTree
-// (NodeId remapping) can still reach it.
+// A completed shard: the job's result plus the env it ran in, whose
+// metrics registry the caller folds (ShardEnv::FoldMetricsInto).
 template <typename R>
 struct ShardRun {
   R result{};

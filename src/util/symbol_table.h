@@ -63,8 +63,8 @@ class SymbolTable {
 
   // Interns every symbol of `other` into this table, in the other
   // table's id order (deterministic), and returns the translation:
-  // remap[other_id] == the id here. The shard-merge counterpart of
-  // ContextTree::MergeFrom.
+  // remap[other_id] == the id here (the shard merge's name-based id
+  // translation).
   std::vector<SymId> MergeFrom(const SymbolTable& other);
 
  private:

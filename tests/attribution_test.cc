@@ -1,8 +1,7 @@
 // Critical-path wait-state attribution (src/obs/live/attribution.cc,
 // docs/OBSERVABILITY.md): golden decomposition of a hand-built 3-tier
 // DAG, the exact-sum invariant, overlap/orphan edge cases, and the
-// aggregator's attribution fold (MergeFrom ctxt remapping, folded
-// export).
+// aggregator's attribution rows (per context) and folded export.
 #include "src/obs/live/attribution.h"
 
 #include <gtest/gtest.h>
@@ -242,17 +241,14 @@ TxnEvent AttributedEvent(const std::string& type, context::NodeId ctxt,
   return ev;
 }
 
-TEST(AttributionTest, AggregatorMergeRemapsAttrContexts) {
-  LiveAggregator a, b;
+TEST(AttributionTest, AggregatorKeepsAttrContextsApart) {
+  LiveAggregator a;
   a.Ingest(AttributedEvent("checkout", /*ctxt=*/1, 100));
-  b.Ingest(AttributedEvent("checkout", /*ctxt=*/1, 40));
-  b.Ingest(AttributedEvent("browse", /*ctxt=*/2, 7));
+  a.Ingest(AttributedEvent("checkout", /*ctxt=*/5, 40));
+  a.Ingest(AttributedEvent("browse", /*ctxt=*/1, 7));
 
-  // b's shard-local node 1 is node 5 on this side, node 2 is node 1:
-  // the checkout rows must NOT merge (different post-remap contexts),
-  // while browse lands on ctxt 1.
-  a.MergeFrom(b, /*ctxt_remap=*/{0, 5, 1});
-
+  // The checkout rows must NOT merge (different contexts); rows sort
+  // by type, then context.
   const auto rows = a.AttrRows();
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0].type, "browse");

@@ -61,8 +61,7 @@ TEST(PathTreeTest, DetachedStackTracksPathAndAttachGraftsIt) {
 // The kCallPath element closing the context a synopsis part names.
 context::Element SendPathElement(const profiler::Deployment& dep,
                                  const context::Synopsis& wire) {
-  const context::TransactionContext ctxt = dep.synopses().Lookup(wire.parts.back());
-  return ctxt.elements().back();
+  return dep.contexts().LastElement(dep.synopses().Lookup(wire.parts.back()));
 }
 
 TEST(PathTreeTest, StagesOfOneDeploymentShareCallPathElements) {

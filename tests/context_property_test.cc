@@ -5,9 +5,10 @@
 #include <utility>
 #include <vector>
 
+#include "src/context/context_tree.h"
 #include "src/context/synopsis.h"
-#include "src/context/transaction_context.h"
 #include "src/util/rng.h"
+#include "tests/context_testing.h"
 
 namespace whodunit::context {
 namespace {
@@ -59,11 +60,12 @@ TEST_P(ContextPropertyTest, PrunedContextsNeverRepeatAnElement) {
   // context contains each element at most once (a repeat would have
   // closed a loop and been cut).
   util::Rng rng(GetParam());
-  TransactionContext ctxt;
+  ContextTree tree;
+  NodeId ctxt = kEmptyContext;
   for (int i = 0; i < 500; ++i) {
-    ctxt.Append(RandomElement(rng, 10));
+    ctxt = tree.Append(ctxt, RandomElement(rng, 10));
     std::set<uint64_t> seen;
-    for (const Element& e : ctxt.elements()) {
+    for (const Element& e : ElementsOf(tree, ctxt)) {
       EXPECT_TRUE(seen.insert(e.Packed()).second) << "duplicate element after pruning";
     }
   }
@@ -71,66 +73,69 @@ TEST_P(ContextPropertyTest, PrunedContextsNeverRepeatAnElement) {
 
 TEST_P(ContextPropertyTest, PrunedSizeBoundedByUniverse) {
   util::Rng rng(GetParam() ^ 1);
-  TransactionContext ctxt;
+  ContextTree tree;
+  NodeId ctxt = kEmptyContext;
   constexpr uint32_t kUniverse = 7;
   for (int i = 0; i < 1000; ++i) {
-    ctxt.Append(RandomElement(rng, kUniverse));
+    ctxt = tree.Append(ctxt, RandomElement(rng, kUniverse));
     // 3 kinds x 7 ids = 21 possible elements.
-    EXPECT_LE(ctxt.size(), 3u * kUniverse);
+    EXPECT_LE(tree.SizeOf(ctxt), 3u * kUniverse);
   }
 }
 
-TEST_P(ContextPropertyTest, AppendIsDeterministic) {
+TEST_P(ContextPropertyTest, AppendIsDeterministicAcrossTrees) {
+  // Two trees fed the same stream assign the same NodeIds: a
+  // deployment's ids depend only on its own append history.
   util::Rng r1(GetParam() ^ 2), r2(GetParam() ^ 2);
-  TransactionContext a, b;
+  ContextTree ta, tb;
+  NodeId a = kEmptyContext, b = kEmptyContext;
   for (int i = 0; i < 300; ++i) {
-    a.Append(RandomElement(r1, 12));
-    b.Append(RandomElement(r2, 12));
+    a = ta.Append(a, RandomElement(r1, 12));
+    b = tb.Append(b, RandomElement(r2, 12));
+    ASSERT_EQ(a, b);
   }
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a.Hash(), b.Hash());
+  EXPECT_EQ(ta.HashOf(a), tb.HashOf(b));
+  EXPECT_EQ(ta.node_count(), tb.node_count());
 }
 
 TEST_P(ContextPropertyTest, AppendExistingLastElementIsIdempotent) {
   util::Rng rng(GetParam() ^ 3);
-  TransactionContext ctxt;
+  ContextTree tree;
+  NodeId ctxt = kEmptyContext;
   for (int i = 0; i < 50; ++i) {
-    ctxt.Append(RandomElement(rng, 8));
+    ctxt = tree.Append(ctxt, RandomElement(rng, 8));
   }
-  if (ctxt.empty()) {
+  if (tree.Empty(ctxt)) {
     return;
   }
-  TransactionContext before = ctxt;
-  ctxt.Append(ctxt.elements().back());
-  EXPECT_EQ(ctxt, before);
+  EXPECT_EQ(tree.Append(ctxt, tree.LastElement(ctxt)), ctxt);
 }
 
 TEST_P(ContextPropertyTest, ConcatWithEmptyIsIdentity) {
   util::Rng rng(GetParam() ^ 4);
-  TransactionContext ctxt;
+  ContextTree tree;
+  NodeId ctxt = kEmptyContext;
   for (int i = 0; i < 30; ++i) {
-    ctxt.Append(RandomElement(rng, 8));
+    ctxt = tree.Append(ctxt, RandomElement(rng, 8));
   }
-  EXPECT_EQ(TransactionContext::Concat(ctxt, TransactionContext{}), ctxt);
-  EXPECT_EQ(TransactionContext::Concat(TransactionContext{}, ctxt), ctxt);
+  EXPECT_EQ(tree.Concat(ctxt, kEmptyContext), ctxt);
+  EXPECT_EQ(tree.Concat(kEmptyContext, ctxt), ctxt);
 }
 
 TEST_P(ContextPropertyTest, PrefixPartialOrder) {
   util::Rng rng(GetParam() ^ 5);
-  TransactionContext ctxt;
+  ContextTree tree;
+  NodeId ctxt = kEmptyContext;
   for (int i = 0; i < 40; ++i) {
-    ctxt.Append(RandomElement(rng, 20));
+    ctxt = tree.Append(ctxt, RandomElement(rng, 20));
   }
-  // Every prefix of the element list is a HasPrefix-prefix, and the
-  // relation is reflexive.
-  EXPECT_TRUE(ctxt.HasPrefix(ctxt));
-  TransactionContext prefix;
-  for (size_t len = 0; len < ctxt.size(); ++len) {
-    EXPECT_TRUE(ctxt.HasPrefix(prefix));
-    prefix = TransactionContext(std::vector<Element>(
-        ctxt.elements().begin(), ctxt.elements().begin() + static_cast<long>(len) + 1));
+  // Every ancestor is a HasPrefix-prefix, and the relation is
+  // reflexive.
+  EXPECT_TRUE(tree.HasPrefix(ctxt, ctxt));
+  for (NodeId walk = ctxt; !tree.Empty(walk); walk = tree.ParentOf(walk)) {
+    EXPECT_TRUE(tree.HasPrefix(ctxt, tree.ParentOf(walk)));
+    EXPECT_FALSE(tree.HasPrefix(tree.ParentOf(walk), walk));
   }
-  EXPECT_TRUE(ctxt.HasPrefix(prefix));
 }
 
 TEST_P(ContextPropertyTest, SynopsisExtendPreservesPrefix) {
@@ -148,14 +153,15 @@ TEST_P(ContextPropertyTest, SynopsisExtendPreservesPrefix) {
 
 TEST_P(ContextPropertyTest, DictionaryInternIsStable) {
   util::Rng rng(GetParam() ^ 7);
+  ContextTree tree;
   SynopsisDictionary dict;
-  std::vector<TransactionContext> ctxts;
+  std::vector<NodeId> ctxts;
   std::vector<uint32_t> ids;
   for (int i = 0; i < 100; ++i) {
-    TransactionContext c;
+    NodeId c = kEmptyContext;
     const int len = 1 + static_cast<int>(rng.NextBelow(5));
     for (int j = 0; j < len; ++j) {
-      c.Append(RandomElement(rng, 6));
+      c = tree.Append(c, RandomElement(rng, 6));
     }
     ctxts.push_back(c);
     ids.push_back(dict.Intern(c));

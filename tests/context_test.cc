@@ -1,97 +1,11 @@
-#include "src/context/transaction_context.h"
+#include "src/context/synopsis.h"
 
 #include <gtest/gtest.h>
 
-#include "src/context/synopsis.h"
+#include "src/context/context_tree.h"
 
 namespace whodunit::context {
 namespace {
-
-Element H(uint32_t id) { return Element{ElementKind::kHandler, id}; }
-Element S(uint32_t id) { return Element{ElementKind::kStage, id}; }
-Element P(uint32_t id) { return Element{ElementKind::kCallPath, id}; }
-
-TransactionContext Ctx(std::initializer_list<Element> elems) {
-  TransactionContext c;
-  for (Element e : elems) {
-    c.Append(e);
-  }
-  return c;
-}
-
-TEST(TransactionContextTest, AppendBuildsSequence) {
-  TransactionContext c = Ctx({H(1), H(2), H(3)});
-  EXPECT_EQ(c.size(), 3u);
-  EXPECT_EQ(c.elements()[0], H(1));
-  EXPECT_EQ(c.elements()[2], H(3));
-}
-
-TEST(TransactionContextTest, ConsecutiveDuplicatesCollapse) {
-  // An event handler re-scheduled to finish a partial read:
-  // [A, B, B, B] collapses to [A, B] (paper §4.1).
-  TransactionContext c = Ctx({H(1), H(2), H(2), H(2)});
-  EXPECT_EQ(c, Ctx({H(1), H(2)}));
-}
-
-TEST(TransactionContextTest, LoopOfLengthTwoPruned) {
-  // Persistent connection: [accept, read, write, read] prunes to
-  // [accept, read] — the paper's exact example.
-  TransactionContext c;
-  c.Append(H(0));  // accept
-  c.Append(H(1));  // read
-  c.Append(H(2));  // write
-  c.Append(H(1));  // read again -> closes loop
-  EXPECT_EQ(c, Ctx({H(0), H(1)}));
-  // A second iteration of the loop keeps it stable.
-  c.Append(H(2));
-  c.Append(H(1));
-  EXPECT_EQ(c, Ctx({H(0), H(1)}));
-}
-
-TEST(TransactionContextTest, PruningDisabledKeepsFullHistory) {
-  TransactionContext c;
-  c.Append(H(1), /*prune=*/false);
-  c.Append(H(2), false);
-  c.Append(H(1), false);
-  EXPECT_EQ(c.size(), 3u);
-}
-
-TEST(TransactionContextTest, DistinctKindsDoNotCollide) {
-  // Handler 1 and stage 1 are different elements.
-  TransactionContext c = Ctx({H(1), S(1)});
-  EXPECT_EQ(c.size(), 2u);
-}
-
-TEST(TransactionContextTest, ConcatPrunesAtSeam) {
-  TransactionContext prefix = Ctx({H(1), H(2)});
-  TransactionContext suffix = Ctx({H(2), H(3)});
-  TransactionContext c = TransactionContext::Concat(prefix, suffix);
-  EXPECT_EQ(c, Ctx({H(1), H(2), H(3)}));
-}
-
-TEST(TransactionContextTest, HasPrefix) {
-  TransactionContext full = Ctx({P(1), S(2), S(3)});
-  EXPECT_TRUE(full.HasPrefix(Ctx({P(1)})));
-  EXPECT_TRUE(full.HasPrefix(Ctx({P(1), S(2)})));
-  EXPECT_TRUE(full.HasPrefix(full));
-  EXPECT_FALSE(full.HasPrefix(Ctx({S(2)})));
-  EXPECT_FALSE(Ctx({P(1)}).HasPrefix(full));
-  EXPECT_TRUE(full.HasPrefix(TransactionContext{}));
-}
-
-TEST(TransactionContextTest, HashStableAndDiscriminating) {
-  EXPECT_EQ(Ctx({H(1), H(2)}).Hash(), Ctx({H(1), H(2)}).Hash());
-  EXPECT_NE(Ctx({H(1), H(2)}).Hash(), Ctx({H(2), H(1)}).Hash());
-  EXPECT_NE(Ctx({H(1)}).Hash(), Ctx({S(1)}).Hash());
-}
-
-TEST(TransactionContextTest, ToStringUsesNamer) {
-  TransactionContext c = Ctx({H(0), H(1)});
-  auto namer = [](ElementKind, uint32_t id) {
-    return id == 0 ? std::string("accept") : std::string("read");
-  };
-  EXPECT_EQ(c.ToString(namer), "[accept|read]");
-}
 
 TEST(SynopsisTest, WireBytesMatchesPaperEncoding) {
   // 4 bytes per part plus one '#' between parts (paper §7.4: "Whodunit
@@ -117,9 +31,10 @@ TEST(SynopsisTest, ToStringUsesDelimiter) {
 }
 
 TEST(SynopsisDictionaryTest, InternsAndLooksUp) {
+  ContextTree tree;
   SynopsisDictionary dict;
-  TransactionContext a = Ctx({H(1)});
-  TransactionContext b = Ctx({H(1), H(2)});
+  const NodeId a = tree.Append(kEmptyContext, Element{ElementKind::kHandler, 1});
+  const NodeId b = tree.Append(a, Element{ElementKind::kHandler, 2});
   uint32_t ia = dict.Intern(a);
   uint32_t ib = dict.Intern(b);
   EXPECT_NE(ia, ib);

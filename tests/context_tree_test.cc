@@ -1,14 +1,16 @@
 // Interning invariants of the hash-consed context tree, and randomized
-// equivalence against the legacy value API (transaction_context.h).
+// equivalence against a reference model: §4.1 pruning on a plain
+// element vector, sharing no code with ContextTree.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "src/context/context_tree.h"
-#include "src/context/synopsis.h"
-#include "src/context/transaction_context.h"
+#include "src/obs/metrics.h"
 #include "src/util/rng.h"
+#include "tests/context_testing.h"
 
 namespace whodunit::context {
 namespace {
@@ -20,12 +22,67 @@ Element RandomElement(util::Rng& rng, uint32_t universe) {
                  static_cast<uint32_t>(rng.NextBelow(universe))};
 }
 
+// The reference context: the element sequence itself. Append cuts the
+// suffix after the latest prior occurrence of the new element (§4.1);
+// the hash is FNV-1a over the little-endian bytes of Element::Packed().
+struct RefContext {
+  std::vector<Element> elems;
+
+  void Append(Element e, bool prune = true) {
+    if (prune) {
+      for (size_t i = elems.size(); i-- > 0;) {
+        if (elems[i] == e) {
+          elems.resize(i + 1);
+          return;
+        }
+      }
+    }
+    elems.push_back(e);
+  }
+
+  static RefContext Concat(const RefContext& prefix, const RefContext& suffix) {
+    RefContext out = prefix;
+    for (const Element& e : suffix.elems) {
+      out.Append(e);
+    }
+    return out;
+  }
+
+  bool HasPrefix(const RefContext& p) const {
+    return p.elems.size() <= elems.size() &&
+           std::equal(p.elems.begin(), p.elems.end(), elems.begin());
+  }
+
+  uint64_t Hash() const {
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const Element& e : elems) {
+      const uint64_t v = e.Packed();
+      for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (i * 8)) & 0xff;
+        h *= 0x100000001b3ull;
+      }
+    }
+    return h;
+  }
+};
+
+// Builds the reference's exact sequence in the tree (no re-pruning:
+// a reference built with pruning never repeats an element).
+NodeId Build(ContextTree& tree, const RefContext& ref) {
+  NodeId node = kEmptyContext;
+  for (const Element& e : ref.elems) {
+    node = tree.Append(node, e, /*prune=*/false);
+  }
+  return node;
+}
+
 TEST(ContextTreeTest, EmptyContextProperties) {
   ContextTree tree;
   EXPECT_TRUE(tree.Empty(kEmptyContext));
   EXPECT_EQ(tree.SizeOf(kEmptyContext), 0u);
-  EXPECT_EQ(tree.HashOf(kEmptyContext), TransactionContext{}.Hash());
-  EXPECT_TRUE(tree.Materialize(kEmptyContext).empty());
+  EXPECT_EQ(tree.HashOf(kEmptyContext), RefContext{}.Hash());
+  EXPECT_TRUE(ElementsOf(tree, kEmptyContext).empty());
+  EXPECT_EQ(tree.node_count(), 1u);  // the root
 }
 
 TEST(ContextTreeTest, SameSequenceSameNodeId) {
@@ -48,43 +105,81 @@ TEST(ContextTreeTest, SameSequenceSameNodeId) {
   EXPECT_EQ(tree.node_count(), nodes_after_first);
 }
 
-TEST(ContextTreeTest, AppendMatchesLegacyOnFixedLoop) {
-  // An A-B-A-B ping-pong: §4.1 pruning must cut the loop exactly like
-  // the value API does.
+TEST(ContextTreeTest, LoopOfLengthTwoPruned) {
+  // Persistent connection: [accept, read, write, read] prunes to
+  // [accept, read] — the paper's exact example — and further
+  // iterations of the loop keep it stable.
   ContextTree tree;
-  TransactionContext legacy;
+  const Element accept = E(ElementKind::kHandler, 0);
+  const Element read = E(ElementKind::kHandler, 1);
+  const Element write = E(ElementKind::kHandler, 2);
+  const NodeId accept_read = tree.Append(tree.Append(kEmptyContext, accept), read);
+  NodeId node = tree.Append(tree.Append(accept_read, write), read);
+  EXPECT_EQ(node, accept_read);
+  node = tree.Append(tree.Append(node, write), read);
+  EXPECT_EQ(node, accept_read);
+  EXPECT_EQ(ElementsOf(tree, node), (std::vector<Element>{accept, read}));
+}
+
+TEST(ContextTreeTest, ConsecutiveDuplicatesCollapse) {
+  // An event handler re-scheduled to finish a partial read: [A, B, B]
+  // is [A, B]. Handler 1 and stage 1 are different elements.
+  ContextTree tree;
+  const NodeId ab = tree.Append(tree.Append(kEmptyContext, E(ElementKind::kHandler, 1)),
+                                E(ElementKind::kHandler, 2));
+  EXPECT_EQ(tree.Append(ab, E(ElementKind::kHandler, 2)), ab);
+  EXPECT_EQ(tree.SizeOf(tree.Append(ab, E(ElementKind::kStage, 2))), 3u);
+}
+
+TEST(ContextTreeTest, AppendMatchesReferenceOnFixedLoop) {
+  // An A-B-A-B ping-pong: §4.1 pruning must cut the loop exactly like
+  // the reference does.
+  ContextTree tree;
+  RefContext ref;
   NodeId node = kEmptyContext;
   const Element a = E(ElementKind::kHandler, 1);
   const Element b = E(ElementKind::kHandler, 2);
   for (int i = 0; i < 6; ++i) {
     const Element& e = (i % 2 == 0) ? a : b;
-    legacy.Append(e);
+    ref.Append(e);
     node = tree.Append(node, e);
-    EXPECT_EQ(tree.Materialize(node), legacy) << "iteration " << i;
+    EXPECT_EQ(ElementsOf(tree, node), ref.elems) << "iteration " << i;
   }
 }
 
-TEST(ContextTreeTest, HashMatchesLegacyBitForBit) {
+TEST(ContextTreeTest, HashMatchesReferenceBitForBit) {
   ContextTree tree;
-  TransactionContext legacy;
+  RefContext ref;
   NodeId node = kEmptyContext;
   for (uint32_t i = 0; i < 20; ++i) {
     const Element e = E(static_cast<ElementKind>(i % 3), i % 5);
-    legacy.Append(e);
+    ref.Append(e);
     node = tree.Append(node, e);
-    EXPECT_EQ(tree.HashOf(node), legacy.Hash());
-    EXPECT_EQ(tree.SizeOf(node), legacy.size());
+    EXPECT_EQ(tree.HashOf(node), ref.Hash());
+    EXPECT_EQ(tree.SizeOf(node), ref.elems.size());
   }
 }
 
-TEST(ContextTreeTest, InternMaterializeRoundTrip) {
+TEST(ContextTreeTest, HashDiscriminatesOrderAndKind) {
   ContextTree tree;
-  const TransactionContext ctxt({E(ElementKind::kStage, 3), E(ElementKind::kCallPath, 9),
-                                 E(ElementKind::kStage, 4)});
-  const NodeId node = tree.Intern(ctxt);
-  EXPECT_EQ(tree.Materialize(node), ctxt);
-  EXPECT_EQ(tree.Intern(ctxt), node);  // idempotent
-  EXPECT_EQ(tree.HashOf(node), ctxt.Hash());
+  const Element h1 = E(ElementKind::kHandler, 1);
+  const Element h2 = E(ElementKind::kHandler, 2);
+  const NodeId h1h2 = tree.Append(tree.Append(kEmptyContext, h1), h2);
+  const NodeId h2h1 = tree.Append(tree.Append(kEmptyContext, h2), h1);
+  EXPECT_NE(tree.HashOf(h1h2), tree.HashOf(h2h1));
+  EXPECT_NE(tree.HashOf(tree.Append(kEmptyContext, h1)),
+            tree.HashOf(tree.Append(kEmptyContext, E(ElementKind::kStage, 1))));
+}
+
+TEST(ContextTreeTest, ParentLinksSpellTheSequence) {
+  ContextTree tree;
+  RefContext ref;
+  ref.elems = {E(ElementKind::kStage, 3), E(ElementKind::kCallPath, 9),
+               E(ElementKind::kStage, 4)};
+  const NodeId node = Build(tree, ref);
+  EXPECT_EQ(ElementsOf(tree, node), ref.elems);
+  EXPECT_EQ(Build(tree, ref), node);  // idempotent
+  EXPECT_EQ(tree.HashOf(node), ref.Hash());
   EXPECT_EQ(tree.LastElement(node), (E(ElementKind::kStage, 4)));
 }
 
@@ -104,38 +199,62 @@ TEST(ContextTreeTest, HasPrefixIsAncestry) {
   EXPECT_EQ(tree.ParentOf(abc), ab);
 }
 
+TEST(ContextTreeTest, UnprunedAppendKeepsFullHistory) {
+  ContextTree tree;
+  NodeId node = kEmptyContext;
+  for (uint32_t id : {1u, 2u, 1u}) {
+    node = tree.Append(node, E(ElementKind::kHandler, id), /*prune=*/false);
+  }
+  EXPECT_EQ(tree.SizeOf(node), 3u);
+}
+
+TEST(ContextTreeTest, NodeGaugeSumsAcrossTrees) {
+  // Each tree adds its own nodes (the root included) to the registry's
+  // context.tree_nodes, so a registry hosting several deployments
+  // reports their sum.
+  obs::MetricsRegistry registry;
+  obs::ScopedMetricsRegistry scope(registry);
+  ContextTree a;
+  ContextTree b;
+  a.Append(a.Append(kEmptyContext, E(ElementKind::kHandler, 1)), E(ElementKind::kHandler, 2));
+  b.Append(kEmptyContext, E(ElementKind::kStage, 1));
+  EXPECT_EQ(a.node_count(), 3u);
+  EXPECT_EQ(b.node_count(), 2u);
+  EXPECT_EQ(registry.GetGauge("context.tree_nodes").Value(), 5);
+}
+
 class ContextTreeEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ContextTreeEquivalenceTest, RandomizedAppendMatchesLegacy) {
-  // Drive the same random append stream through the legacy value API
-  // and the tree; materialized sequence, size, and hash must agree at
-  // every step, with and without pruning.
+TEST_P(ContextTreeEquivalenceTest, RandomizedAppendMatchesReference) {
+  // Drive the same random append stream through the reference and the
+  // tree; element sequence, size, and hash must agree at every step,
+  // with and without pruning.
   for (const bool prune : {true, false}) {
     util::Rng rng(GetParam());
     ContextTree tree;
-    TransactionContext legacy;
+    RefContext ref;
     NodeId node = kEmptyContext;
     // Unpruned contexts grow without bound; keep the stream short
     // enough that the ancestor walks stay cheap.
     const int steps = prune ? 400 : 60;
     for (int i = 0; i < steps; ++i) {
       const Element e = RandomElement(rng, 8);
-      legacy.Append(e, prune);
+      ref.Append(e, prune);
       node = tree.Append(node, e, prune);
-      ASSERT_EQ(tree.Materialize(node), legacy) << "step " << i << " prune=" << prune;
-      ASSERT_EQ(tree.HashOf(node), legacy.Hash());
-      ASSERT_EQ(tree.SizeOf(node), legacy.size());
+      ASSERT_EQ(ElementsOf(tree, node), ref.elems) << "step " << i << " prune=" << prune;
+      ASSERT_EQ(tree.HashOf(node), ref.Hash());
+      ASSERT_EQ(tree.SizeOf(node), ref.elems.size());
     }
   }
 }
 
-TEST_P(ContextTreeEquivalenceTest, RandomizedConcatMatchesLegacy) {
-  // Concat applies pruning at the seam exactly like the legacy
-  // TransactionContext::Concat on randomized prefix/suffix pairs.
+TEST_P(ContextTreeEquivalenceTest, RandomizedConcatMatchesReference) {
+  // Concat applies pruning at the seam exactly like the reference on
+  // randomized prefix/suffix pairs.
   util::Rng rng(GetParam() ^ 0xc0ffee);
   ContextTree tree;
   for (int round = 0; round < 200; ++round) {
-    TransactionContext prefix, suffix;
+    RefContext prefix, suffix;
     const int plen = static_cast<int>(rng.NextBelow(6));
     const int slen = static_cast<int>(rng.NextBelow(6));
     for (int i = 0; i < plen; ++i) {
@@ -144,19 +263,20 @@ TEST_P(ContextTreeEquivalenceTest, RandomizedConcatMatchesLegacy) {
     for (int i = 0; i < slen; ++i) {
       suffix.Append(RandomElement(rng, 5));
     }
-    const TransactionContext expect = TransactionContext::Concat(prefix, suffix);
-    const NodeId got = tree.Concat(tree.Intern(prefix), tree.Intern(suffix));
-    ASSERT_EQ(tree.Materialize(got), expect)
-        << "round " << round << " prefix=" << prefix.size() << " suffix=" << suffix.size();
+    const RefContext expect = RefContext::Concat(prefix, suffix);
+    const NodeId got = tree.Concat(Build(tree, prefix), Build(tree, suffix));
+    ASSERT_EQ(ElementsOf(tree, got), expect.elems)
+        << "round " << round << " prefix=" << prefix.elems.size()
+        << " suffix=" << suffix.elems.size();
     ASSERT_EQ(tree.HashOf(got), expect.Hash());
   }
 }
 
-TEST_P(ContextTreeEquivalenceTest, RandomizedHasPrefixMatchesLegacy) {
+TEST_P(ContextTreeEquivalenceTest, RandomizedHasPrefixMatchesReference) {
   util::Rng rng(GetParam() ^ 0xfeed);
   ContextTree tree;
   for (int round = 0; round < 200; ++round) {
-    TransactionContext a, b;
+    RefContext a, b;
     const int alen = static_cast<int>(rng.NextBelow(5));
     const int blen = static_cast<int>(rng.NextBelow(5));
     for (int i = 0; i < alen; ++i) {
@@ -165,7 +285,7 @@ TEST_P(ContextTreeEquivalenceTest, RandomizedHasPrefixMatchesLegacy) {
     for (int i = 0; i < blen; ++i) {
       b.Append(RandomElement(rng, 3));
     }
-    ASSERT_EQ(tree.HasPrefix(tree.Intern(a), tree.Intern(b)), a.HasPrefix(b))
+    ASSERT_EQ(tree.HasPrefix(Build(tree, a), Build(tree, b)), a.HasPrefix(b))
         << "round " << round;
   }
 }
@@ -173,35 +293,17 @@ TEST_P(ContextTreeEquivalenceTest, RandomizedHasPrefixMatchesLegacy) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ContextTreeEquivalenceTest,
                          ::testing::Values(1u, 42u, 0xdeadbeefu, 777u));
 
-TEST(ContextTreeTest, GlobalTreeIsSharedAndStable) {
-  ContextTree& g1 = GlobalContextTree();
-  ContextTree& g2 = GlobalContextTree();
-  EXPECT_EQ(&g1, &g2);
-  const NodeId n = g1.Append(kEmptyContext, E(ElementKind::kHandler, 12345));
-  EXPECT_EQ(g2.Append(kEmptyContext, E(ElementKind::kHandler, 12345)), n);
-}
-
-TEST(ContextTreeTest, SynopsisDictionaryNodeAndValuePathsAgree) {
-  // The legacy value Intern and the NodeId hot path must assign the
-  // same 4-byte part id to the same element sequence.
-  SynopsisDictionary dict;
-  const TransactionContext ctxt({E(ElementKind::kHandler, 5), E(ElementKind::kStage, 6)});
-  const uint32_t via_value = dict.Intern(ctxt);
-  const uint32_t via_node = dict.Intern(GlobalContextTree().Intern(ctxt));
-  EXPECT_EQ(via_value, via_node);
-  EXPECT_EQ(dict.Lookup(via_value), ctxt);
-  EXPECT_EQ(dict.LookupNode(via_value), GlobalContextTree().Intern(ctxt));
-}
-
-TEST(ContextTreeTest, ToStringMatchesLegacy) {
+TEST(ContextTreeTest, ToStringMatchesReference) {
   const auto namer = [](ElementKind kind, uint32_t id) {
     std::string name(kind == ElementKind::kHandler ? "H" : "x");
     name += std::to_string(id);
     return name;
   };
   ContextTree tree;
-  const TransactionContext ctxt({E(ElementKind::kHandler, 1), E(ElementKind::kHandler, 2)});
-  EXPECT_EQ(tree.ToString(tree.Intern(ctxt), namer), ctxt.ToString(namer));
+  const NodeId node = tree.Append(tree.Append(kEmptyContext, E(ElementKind::kHandler, 1)),
+                                  E(ElementKind::kStage, 2));
+  EXPECT_EQ(tree.ToString(node, namer), "[H1|x2]");
+  EXPECT_EQ(tree.ToString(kEmptyContext, namer), "[]");
 }
 
 }  // namespace

@@ -1,25 +1,25 @@
-// Armed events (commSetSelect pattern), pruning toggles, and the
-// per-lock crosstalk report.
+// Armed events (commSetSelect pattern) and the per-lock crosstalk
+// report.
 #include <gtest/gtest.h>
 
 #include "src/crosstalk/crosstalk.h"
 #include "src/events/event_loop.h"
-#include "src/seda/stage.h"
+#include "tests/context_testing.h"
 
 namespace whodunit {
 namespace {
 
 using context::Element;
 using context::ElementKind;
-using context::TransactionContext;
 using events::EventLoop;
 
 TEST(ArmedEventTest, PostedEventKeepsRegistrationContext) {
   // An I/O completion handler must run under the context current when
   // interest was REGISTERED, not whatever the loop ran in between.
   sim::Scheduler sched;
-  EventLoop loop(sched);
-  std::vector<TransactionContext> reply_ctxts;
+  context::ContextTree tree;
+  EventLoop loop(sched, tree);
+  std::vector<std::vector<Element>> reply_ctxts;
   events::HandlerId reply_h = 0, other_h = 0;
 
   events::HandlerId start_h = loop.RegisterHandler(
@@ -34,7 +34,7 @@ TEST(ArmedEventTest, PostedEventKeepsRegistrationContext) {
         co_return;
       });
   reply_h = loop.RegisterHandler("reply", [&](EventLoop::HandlerContext& hc) -> sim::Task<void> {
-    reply_ctxts.push_back(hc.loop.current_context());
+    reply_ctxts.push_back(context::ElementsOf(tree, hc.loop.current_node()));
     co_return;
   });
   other_h = loop.RegisterHandler("other", [](EventLoop::HandlerContext&) -> sim::Task<void> {
@@ -52,66 +52,8 @@ TEST(ArmedEventTest, PostedEventKeepsRegistrationContext) {
 
   ASSERT_EQ(reply_ctxts.size(), 1u);
   EXPECT_EQ(reply_ctxts[0],
-            TransactionContext({Element{ElementKind::kHandler, start_h},
-                                Element{ElementKind::kHandler, reply_h}}));
-}
-
-TEST(PruningToggleTest, EventLoopFullHistoryForDebugging) {
-  sim::Scheduler sched;
-  EventLoop loop(sched);
-  loop.set_pruning(false);
-  std::vector<size_t> sizes;
-  events::HandlerId pong_h = 0;
-  int rounds = 0;
-  events::HandlerId ping_h = loop.RegisterHandler(
-      "ping", [&](EventLoop::HandlerContext& hc) -> sim::Task<void> {
-        sizes.push_back(hc.loop.current_context().size());
-        if (++rounds < 6) {
-          hc.loop.AddEvent(pong_h, 0);
-        }
-        co_return;
-      });
-  pong_h = loop.RegisterHandler("pong", [&](EventLoop::HandlerContext& hc) -> sim::Task<void> {
-    hc.loop.AddEvent(ping_h, 0);
-    co_return;
-  });
-  loop.AddExternalEvent(ping_h, 0);
-  sim::Spawn(sched, loop.Run());
-  sched.ScheduleAt(sim::Seconds(1), [&] { loop.Stop(); });
-  sched.Run();
-  // Without pruning the history grows: 1, 3, 5, ...
-  ASSERT_GE(sizes.size(), 3u);
-  EXPECT_EQ(sizes[0], 1u);
-  EXPECT_EQ(sizes[1], 3u);
-  EXPECT_EQ(sizes[2], 5u);
-}
-
-TEST(PruningToggleTest, SedaFullHistoryForDebugging) {
-  sim::Scheduler sched;
-  seda::StageGraph graph(sched);
-  graph.set_pruning(false);
-  std::vector<size_t> sizes;
-  int rounds = 0;
-  seda::StageId b = 0;
-  seda::StageId a = graph.AddStage("a", 1, [&](auto& wc) -> sim::Task<void> {
-    sizes.push_back(wc.current_context().size());
-    if (++rounds < 4) {
-      wc.EnqueueTo(b, wc.payload);
-    }
-    co_return;
-  });
-  b = graph.AddStage("b", 1, [&](auto& wc) -> sim::Task<void> {
-    wc.EnqueueTo(a, wc.payload);
-    co_return;
-  });
-  graph.Start();
-  graph.InjectExternal(a, 0);
-  sched.ScheduleAt(sim::Seconds(1), [&] { graph.Stop(); });
-  sched.Run();
-  ASSERT_GE(sizes.size(), 3u);
-  EXPECT_EQ(sizes[0], 1u);
-  EXPECT_EQ(sizes[1], 3u);
-  EXPECT_EQ(sizes[2], 5u);
+            (std::vector<Element>{Element{ElementKind::kHandler, start_h},
+                                  Element{ElementKind::kHandler, reply_h}}));
 }
 
 sim::Process HoldFor(sim::Scheduler& sched, sim::SimMutex& m, uint64_t tag, sim::SimTime hold) {

@@ -4,23 +4,26 @@
 
 #include <vector>
 
+#include "tests/context_testing.h"
+
 namespace whodunit::events {
 namespace {
 
 using context::Element;
 using context::ElementKind;
-using context::TransactionContext;
+using Elements = std::vector<Element>;
 
 Element H(HandlerId id) { return Element{ElementKind::kHandler, id}; }
 
 struct LoopFixture {
   sim::Scheduler sched;
-  EventLoop loop{sched};
-  std::vector<TransactionContext> contexts_seen;
+  context::ContextTree tree;
+  EventLoop loop{sched, tree};
+  std::vector<Elements> contexts_seen;
 
   LoopFixture() {
     loop.set_context_listener([this](context::NodeId node, bool) {
-      contexts_seen.push_back(context::GlobalContextTree().Materialize(node));
+      contexts_seen.push_back(context::ElementsOf(tree, node));
     });
   }
 };
@@ -48,10 +51,10 @@ TEST(EventLoopTest, HandlersRunAndContextsGrow) {
   EXPECT_EQ(order, (std::vector<std::string>{"accept", "read"}));
   ASSERT_EQ(f.contexts_seen.size(), 2u);
   // First dispatch: context is just [accept].
-  EXPECT_EQ(f.contexts_seen[0], TransactionContext({H(accept)}));
+  EXPECT_EQ(f.contexts_seen[0], Elements({H(accept)}));
   // Second dispatch: [accept, read] — the read event inherited the
   // accept handler's context.
-  EXPECT_EQ(f.contexts_seen[1], TransactionContext({H(accept), H(read)}));
+  EXPECT_EQ(f.contexts_seen[1], Elements({H(accept), H(read)}));
 }
 
 TEST(EventLoopTest, RepeatedHandlerCollapses) {
@@ -62,7 +65,7 @@ TEST(EventLoopTest, RepeatedHandlerCollapses) {
   HandlerId read = f.loop.RegisterHandler(
       "read", [&](EventLoop::HandlerContext& hc) -> sim::Task<void> {
         if (++runs < 3) {
-          hc.loop.AddEvent(hc.loop.current_context().elements()[0].id, hc.payload);
+          hc.loop.AddEvent(f.tree.LastElement(hc.loop.current_node()).id, hc.payload);
         }
         co_return;
       });
@@ -72,7 +75,7 @@ TEST(EventLoopTest, RepeatedHandlerCollapses) {
   f.sched.Run();
   EXPECT_EQ(runs, 3);
   for (const auto& c : f.contexts_seen) {
-    EXPECT_EQ(c, TransactionContext({H(read)}));
+    EXPECT_EQ(c, Elements({H(read)}));
   }
 }
 
@@ -113,9 +116,9 @@ TEST(EventLoopTest, PersistentConnectionLoopPruned) {
   // And the write handler always ran under [accept, read, write].
   int write_dispatches = 0;
   for (const auto& c : f.contexts_seen) {
-    if (!c.elements().empty() && c.elements().back() == H(write_h)) {
+    if (!c.empty() && c.back() == H(write_h)) {
       ++write_dispatches;
-      EXPECT_EQ(c, TransactionContext({H(accept_h), H(read_h), H(write_h)}));
+      EXPECT_EQ(c, Elements({H(accept_h), H(read_h), H(write_h)}));
     }
   }
   EXPECT_EQ(write_dispatches, 3);
@@ -145,8 +148,8 @@ TEST(EventLoopTest, DistinctPathsDistinctContexts) {
 
   // Dispatch order: lookup(0), lookup(1), then the queued hit/miss.
   ASSERT_EQ(f.contexts_seen.size(), 4u);
-  EXPECT_EQ(f.contexts_seen[2], TransactionContext({H(lookup), H(hit)}));
-  EXPECT_EQ(f.contexts_seen[3], TransactionContext({H(lookup), H(miss)}));
+  EXPECT_EQ(f.contexts_seen[2], Elements({H(lookup), H(hit)}));
+  EXPECT_EQ(f.contexts_seen[3], Elements({H(lookup), H(miss)}));
 }
 
 TEST(EventLoopTest, TrackingOffBehavesLikeStockLibevent) {
@@ -166,7 +169,7 @@ TEST(EventLoopTest, TrackingOffBehavesLikeStockLibevent) {
   f.sched.Run();
   EXPECT_EQ(f.loop.events_dispatched(), 2u);
   EXPECT_TRUE(f.contexts_seen.empty());
-  EXPECT_TRUE(f.loop.current_context().empty());
+  EXPECT_EQ(f.loop.current_node(), context::kEmptyContext);
 }
 
 TEST(EventLoopTest, HandlersMayAwaitVirtualTime) {

@@ -1,7 +1,8 @@
 // sim::ParallelRunner and the deterministic-merge primitives it rests
-// on: ShardEnv isolation, shard-registered id-counter restarts, and
-// the name/id remapping merges of ContextTree, CallingContextTree
-// (through a FunctionRegistry remap), and CrosstalkRecorder.
+// on: ShardEnv isolation, shard-registered id-counter restarts,
+// per-deployment context trees, and the name/id remapping merges of
+// CallingContextTree (through a FunctionRegistry remap) and
+// CrosstalkRecorder.
 #include "src/sim/parallel_runner.h"
 
 #include <string>
@@ -12,10 +13,12 @@
 #include "src/callpath/cct.h"
 #include "src/callpath/function_registry.h"
 #include "src/context/context_tree.h"
-#include "src/context/transaction_context.h"
 #include "src/crosstalk/crosstalk.h"
+#include "src/events/event_loop.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
+#include "src/profiler/deployment.h"
+#include "src/profiler/stage_profiler.h"
 #include "src/sim/lock.h"
 #include "src/sim/scheduler.h"
 
@@ -70,7 +73,7 @@ TEST(ParallelRunnerTest, ShardIdCountersRestartPerShard) {
 TEST(ParallelRunnerTest, ResultsAndFoldedMetricsAreThreadCountInvariant) {
   const auto job = [](size_t shard, sim::ShardEnv&) {
     obs::Registry().GetCounter("test.work").Add(10 * (shard + 1));
-    context::ContextTree& tree = context::GlobalContextTree();
+    context::ContextTree tree;
     context::NodeId ctxt = context::kEmptyContext;
     for (size_t i = 0; i <= shard; ++i) {
       ctxt = tree.Append(ctxt, Element{ElementKind::kHandler,
@@ -100,48 +103,77 @@ TEST(ParallelRunnerTest, ResultsAndFoldedMetricsAreThreadCountInvariant) {
   }
 }
 
-TEST(ContextTreeMergeTest, RemapsCollidingNodeIds) {
-  // Two trees whose NodeId spaces collide: id 1 spells a different
-  // element sequence in each.
-  context::ContextTree a;
-  context::NodeId a1 = a.Append(context::kEmptyContext,
-                                Element{ElementKind::kHandler, 7});
-  a.Append(a1, Element{ElementKind::kStage, 3});
+// What one deployment's context tree saw: an event loop dispatching the
+// handler chain names[start] -> names[start + 1] -> ..., with the stage
+// profiler following it and sending from the last handler.
+struct DeploymentTrace {
+  std::vector<context::NodeId> dispatched;  // the loop's current node per dispatch
+  context::NodeId sent = context::kEmptyContext;  // the context the send interned
+  size_t node_count = 0;
+  friend bool operator==(const DeploymentTrace&, const DeploymentTrace&) = default;
+};
 
-  context::ContextTree b;
-  context::NodeId b1 = b.Append(context::kEmptyContext,
-                                Element{ElementKind::kHandler, 99});
-  context::NodeId b2 = b.Append(b1, Element{ElementKind::kHandler, 7});
-  ASSERT_EQ(b1, a1);  // same raw id, different sequence — the collision
-
-  const std::vector<context::NodeId> remap = a.MergeFrom(b);
-  ASSERT_EQ(remap.size(), b.node_count());
-
-  // Every node of b must map to a node of a spelling the same element
-  // sequence.
-  for (context::NodeId id = 0; id < b.node_count(); ++id) {
-    EXPECT_EQ(a.Materialize(remap[id]).elements(),
-              b.Materialize(id).elements())
-        << "node " << id;
+DeploymentTrace RunHandlerChain(size_t start) {
+  const std::vector<std::string> names = {"accept", "read", "write"};
+  sim::Scheduler sched;
+  profiler::Deployment dep;
+  profiler::StageProfiler::Options options;
+  options.name = "loop";
+  profiler::StageProfiler prof(dep, options);
+  profiler::ThreadProfile& tp = prof.CreateThread("loop");
+  events::EventLoop loop(sched, dep.contexts());
+  DeploymentTrace trace;
+  loop.set_context_listener([&](context::NodeId node, bool) {
+    prof.SetLocalContext(tp, node);
+    trace.dispatched.push_back(node);
+  });
+  std::vector<events::HandlerId> ids(names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    ids[i] = loop.RegisterHandler(
+        names[i], [&, i](events::EventLoop::HandlerContext& hc) -> sim::Task<void> {
+          if (i + 1 < ids.size()) {
+            hc.loop.AddEvent(ids[i + 1], hc.payload);
+          } else {
+            trace.sent = dep.synopses().Lookup(prof.PrepareSend(tp).parts.back());
+          }
+          co_return;
+        });
   }
-  // The colliding id landed on a fresh node, not on a's id 1.
-  EXPECT_NE(remap[b1], a1);
-  EXPECT_NE(remap[b2], remap[b1]);
+  loop.AddExternalEvent(ids[start], 0);
+  sim::Spawn(sched, loop.Run());
+  sched.ScheduleAt(sim::Seconds(1), [&] { loop.Stop(); });
+  sched.Run();
+  trace.node_count = dep.contexts().node_count();
+  return trace;
 }
 
-TEST(ContextTreeMergeTest, SharedSequencesMapOntoExistingNodes) {
-  context::ContextTree a;
-  context::NodeId shared = a.Append(context::kEmptyContext,
-                                    Element{ElementKind::kHandler, 1});
-
-  context::ContextTree b;
-  context::NodeId b_shared = b.Append(context::kEmptyContext,
-                                      Element{ElementKind::kHandler, 1});
-
-  const size_t nodes_before = a.node_count();
-  const std::vector<context::NodeId> remap = a.MergeFrom(b);
-  EXPECT_EQ(remap[b_shared], shared);       // hash-consed onto the existing node
-  EXPECT_EQ(a.node_count(), nodes_before);  // nothing new was created
+TEST(DeploymentContextTreeTest, SecondDeploymentInOneShardMatchesItBuiltAlone) {
+  // Each deployment owns its context tree, so a deployment's NodeIds
+  // and node count do not depend on what ran before it in the same
+  // shard (or process).
+  sim::ShardEnv alone_env;
+  DeploymentTrace alone;
+  {
+    sim::ShardEnv::Scope scope(alone_env);
+    alone = RunHandlerChain(/*start=*/0);
+  }
+  sim::ShardEnv shared_env;
+  DeploymentTrace second;
+  {
+    sim::ShardEnv::Scope scope(shared_env);
+    RunHandlerChain(/*start=*/1);  // interns [read], [read, write], ...
+    second = RunHandlerChain(/*start=*/0);
+  }
+  ASSERT_EQ(alone.dispatched.size(), 3u);
+  EXPECT_EQ(alone.dispatched, (std::vector<context::NodeId>{1, 2, 3}));
+  // The profiler interned the send into the loop's tree: the send
+  // context is the child of the last handler's context.
+  EXPECT_EQ(alone.sent, 4u);
+  EXPECT_EQ(alone.node_count, 5u);  // root, 3 handler prefixes, the send
+  EXPECT_EQ(second, alone);
+  // The shard registry's gauge sums both deployments' trees.
+  EXPECT_EQ(shared_env.metrics().GetGauge("context.tree_nodes").Value(),
+            static_cast<int64_t>(second.node_count) + 4);
 }
 
 TEST(MergePrimitivesTest, CctMergeTranslatesFunctionIds) {

@@ -11,7 +11,6 @@ using callpath::ProfilerMode;
 using context::Element;
 using context::ElementKind;
 using context::Synopsis;
-using context::TransactionContext;
 
 StageProfiler::Options Opts(std::string name, ProfilerMode mode = ProfilerMode::kWhodunit) {
   StageProfiler::Options o;
@@ -116,8 +115,10 @@ TEST(StageProfilerTest, LocalContextSwitchesCct) {
   ThreadProfile& tp = prof.CreateThread("loop");
   auto fn = prof.RegisterFunction("handler_code");
 
-  TransactionContext hit({Element{ElementKind::kHandler, 1}, Element{ElementKind::kHandler, 2}});
-  TransactionContext miss({Element{ElementKind::kHandler, 1}, Element{ElementKind::kHandler, 3}});
+  context::ContextTree& tree = dep.contexts();
+  const context::NodeId h1 = tree.Append(context::kEmptyContext, Element{ElementKind::kHandler, 1});
+  const context::NodeId hit = tree.Append(h1, Element{ElementKind::kHandler, 2});
+  const context::NodeId miss = tree.Append(h1, Element{ElementKind::kHandler, 3});
 
   prof.SetLocalContext(tp, hit);
   {

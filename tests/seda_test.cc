@@ -5,21 +5,24 @@
 #include <map>
 #include <vector>
 
+#include "tests/context_testing.h"
+
 namespace whodunit::seda {
 namespace {
 
 using context::Element;
 using context::ElementKind;
-using context::TransactionContext;
+using Elements = std::vector<Element>;
 
 Element S(StageId id) { return Element{ElementKind::kStage, id}; }
 
 TEST(SedaTest, PipelinePropagatesContexts) {
   sim::Scheduler sched;
-  StageGraph graph(sched);
-  std::vector<std::pair<StageId, TransactionContext>> seen;
+  context::ContextTree tree;
+  StageGraph graph(sched, tree);
+  std::vector<std::pair<StageId, Elements>> seen;
   graph.set_context_listener([&](StageId s, int, context::NodeId node, bool) {
-    seen.emplace_back(s, context::GlobalContextTree().Materialize(node));
+    seen.emplace_back(s, context::ElementsOf(tree, node));
   });
 
   StageId write = 0;
@@ -37,8 +40,8 @@ TEST(SedaTest, PipelinePropagatesContexts) {
   sched.Run();
 
   ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0].second, TransactionContext({S(read)}));
-  EXPECT_EQ(seen[1].second, TransactionContext({S(read), S(write)}));
+  EXPECT_EQ(seen[0].second, Elements({S(read)}));
+  EXPECT_EQ(seen[1].second, Elements({S(read), S(write)}));
   EXPECT_EQ(graph.stage(read).processed(), 1u);
   EXPECT_EQ(graph.stage(write).processed(), 1u);
 }
@@ -47,8 +50,9 @@ TEST(SedaTest, BranchingCreatesDistinctContexts) {
   // CacheStage routes to WriteStage directly (hit) or via MissStage:
   // WriteStage executes under two different transaction contexts.
   sim::Scheduler sched;
-  StageGraph graph(sched);
-  std::vector<TransactionContext> write_ctxts;
+  context::ContextTree tree;
+  StageGraph graph(sched, tree);
+  std::vector<Elements> write_ctxts;
 
   StageId write = 0, miss = 0;
   StageId cache =
@@ -61,7 +65,7 @@ TEST(SedaTest, BranchingCreatesDistinctContexts) {
     co_return;
   });
   write = graph.AddStage("write", 1, [&](StageGraph::WorkerContext& wc) -> sim::Task<void> {
-    write_ctxts.push_back(wc.current_context());
+    write_ctxts.push_back(context::ElementsOf(tree, wc.current_node()));
     co_return;
   });
 
@@ -72,13 +76,14 @@ TEST(SedaTest, BranchingCreatesDistinctContexts) {
   sched.Run();
 
   ASSERT_EQ(write_ctxts.size(), 2u);
-  EXPECT_EQ(write_ctxts[0], TransactionContext({S(cache), S(write)}));
-  EXPECT_EQ(write_ctxts[1], TransactionContext({S(cache), S(miss), S(write)}));
+  EXPECT_EQ(write_ctxts[0], Elements({S(cache), S(write)}));
+  EXPECT_EQ(write_ctxts[1], Elements({S(cache), S(miss), S(write)}));
 }
 
 TEST(SedaTest, MultipleWorkersShareTheQueue) {
   sim::Scheduler sched;
-  StageGraph graph(sched);
+  context::ContextTree tree;
+  StageGraph graph(sched, tree);
   std::map<int, int> per_worker;
   StageId st = graph.AddStage("work", 4, [&](StageGraph::WorkerContext& wc) -> sim::Task<void> {
     ++per_worker[wc.worker];
@@ -98,13 +103,14 @@ TEST(SedaTest, MultipleWorkersShareTheQueue) {
 TEST(SedaTest, StageLoopPruning) {
   // Ping-pong between two stages (RPC-like): context stays bounded.
   sim::Scheduler sched;
-  StageGraph graph(sched);
-  std::vector<TransactionContext> a_ctxts;
+  context::ContextTree tree;
+  StageGraph graph(sched, tree);
+  std::vector<Elements> a_ctxts;
   int rounds = 0;
 
   StageId b = 0;
   StageId a = graph.AddStage("a", 1, [&](StageGraph::WorkerContext& wc) -> sim::Task<void> {
-    a_ctxts.push_back(wc.current_context());
+    a_ctxts.push_back(context::ElementsOf(tree, wc.current_node()));
     if (++rounds < 4) {
       wc.EnqueueTo(b, wc.payload);
     }
@@ -123,17 +129,18 @@ TEST(SedaTest, StageLoopPruning) {
   ASSERT_EQ(a_ctxts.size(), 4u);
   for (const auto& c : a_ctxts) {
     EXPECT_LE(c.size(), 2u);
-    EXPECT_EQ(c.elements().back(), S(a));
+    EXPECT_EQ(c.back(), S(a));
   }
 }
 
 TEST(SedaTest, TrackingOffLeavesContextsEmpty) {
   sim::Scheduler sched;
-  StageGraph graph(sched);
+  context::ContextTree tree;
+  StageGraph graph(sched, tree);
   graph.set_tracking(false);
   bool saw_empty = false;
   StageId st = graph.AddStage("s", 1, [&](StageGraph::WorkerContext& wc) -> sim::Task<void> {
-    saw_empty = wc.current_context().empty();
+    saw_empty = wc.current_node() == context::kEmptyContext;
     co_return;
   });
   graph.Start();
