@@ -80,7 +80,8 @@ int main() {
     merged.MergeFrom(*cct);
   }
   std::printf("--- conventional (gprof-style) view of the callee ---\n%s\n",
-              callpath::RenderGprofReport(merged, deployment.functions(), 5).c_str());
+              callpath::RenderGprofReport(merged, deployment.paths(), deployment.functions(), 5)
+                  .c_str());
 
   // Now the transactional profile: the same db_sort routine appears
   // under two contexts with different costs — foo's transactions are

@@ -507,7 +507,6 @@ MinihttpdResult Server::Run(profiler::ShardProfile* out_profile) {
     result.worker_context_share = 100.0 - result.listener_context_share;
   }
   if (out_profile != nullptr) {
-    out_profile->functions = dep_.functions();
     profiler::AppendStageCcts(dep_, prof_, out_profile);
   }
   if (daemon_ != nullptr) {

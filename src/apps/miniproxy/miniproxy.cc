@@ -52,7 +52,7 @@ class Proxy {
       : options_(options),
         proxy_cpu_(sched_, workload::kProxyCores, "squid_cpu"),
         origin_cpu_(sched_, 2, "origin_cpu"),
-        loop_(sched_, dep_.contexts(), "comm_poll"),
+        loop_(sched_, dep_.contexts()),
         prof_(dep_, MakeProfilerOptions(options)),
         origin_ch_(sched_, workload::kLanLatency),
         accept_ch_(sched_),
@@ -381,7 +381,6 @@ MiniproxyResult Proxy::Run(profiler::ShardProfile* out_profile) {
     result.miss_path_share = 100.0 * static_cast<double>(result.miss_path_cpu_ns) / total;
   }
   if (out_profile != nullptr) {
-    out_profile->functions = dep_.functions();
     profiler::AppendStageCcts(dep_, prof_, out_profile);
   }
   return result;

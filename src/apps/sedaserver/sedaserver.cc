@@ -433,7 +433,6 @@ SedaServerResult Haboob::Run(profiler::ShardProfile* out_profile) {
     result.write_miss_share = 100.0 * static_cast<double>(result.write_miss_cpu_ns) / total;
   }
   if (out_profile != nullptr) {
-    out_profile->functions = dep_.functions();
     profiler::AppendStageCcts(dep_, prof_, out_profile);
   }
   if (daemon_ != nullptr) {

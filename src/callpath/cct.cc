@@ -5,111 +5,98 @@
 
 namespace whodunit::callpath {
 
-CallingContextTree::CallingContextTree() {
-  nodes_.push_back(Node{});  // root: synthetic "program" node
+PathTree::PathTree() {
+  nodes_.push_back(Node{0, 0});  // root: synthetic "program" path
 }
 
-NodeIndex CallingContextTree::Child(NodeIndex node, FunctionId f) {
-  auto& children = nodes_[node].children;
-  auto it = children.find(f);
-  if (it != children.end()) {
-    return it->second;
+PathId PathTree::Child(PathId parent, FunctionId f) {
+  bool existed = false;
+  PathId& child = children_.FindOrInsert(uint64_t{parent} << 32 | f, &existed);
+  if (!existed) {
+    child = static_cast<PathId>(nodes_.size());
+    nodes_.push_back(Node{parent, f});
   }
-  const auto idx = static_cast<NodeIndex>(nodes_.size());
-  Node child;
-  child.function = f;
-  child.parent = node;
-  nodes_.push_back(child);
-  nodes_[node].children.emplace(f, idx);
-  return idx;
+  return child;
 }
 
-NodeIndex CallingContextTree::PathNode(const std::vector<FunctionId>& path) {
-  NodeIndex n = root();
-  for (FunctionId f : path) {
-    n = Child(n, f);
-  }
-  return n;
-}
-
-std::vector<FunctionId> CallingContextTree::PathTo(NodeIndex node) const {
+std::vector<FunctionId> PathTree::PathTo(PathId p) const {
   std::vector<FunctionId> path;
-  while (node != root() && node != kNoNode) {
-    path.push_back(nodes_[node].function);
-    node = nodes_[node].parent;
+  for (; p != root(); p = nodes_[p].parent) {
+    path.push_back(nodes_[p].function);
   }
   std::reverse(path.begin(), path.end());
   return path;
 }
 
-uint64_t CallingContextTree::InclusiveSamples(NodeIndex node) const {
-  uint64_t total = nodes_[node].samples;
-  for (const auto& [f, child] : nodes_[node].children) {
-    total += InclusiveSamples(child);
+CallingContextTree::CallingContextTree() { Add(0, {}); }
+
+void CallingContextTree::Hold(const PathTree& paths, PathId p) {
+  for (; !holds(p); p = paths.parent(p)) {
+    Add(p, {});
+  }
+}
+
+std::vector<PathCounters> CallingContextTree::Inclusive(const PathTree& paths) const {
+  std::vector<PathCounters> inclusive = counters_;
+  for (PathId p = id_limit(); p-- > 1;) {
+    inclusive[paths.parent(p)] += inclusive[p];
+  }
+  return inclusive;
+}
+
+PathCounters CallingContextTree::Total() const {
+  PathCounters total;
+  for (const PathCounters& c : counters_) {
+    total += c;
   }
   return total;
 }
 
-sim::SimTime CallingContextTree::InclusiveCpuTime(NodeIndex node) const {
-  sim::SimTime total = nodes_[node].cpu_time;
-  for (const auto& [f, child] : nodes_[node].children) {
-    total += InclusiveCpuTime(child);
+std::vector<PathId> CallingContextTree::Preorder(const PathTree& paths) const {
+  // Visiting children in FunctionId order is the lexicographic order
+  // of the paths' function sequences (each led by the root's 0).
+  std::vector<std::vector<FunctionId>> key(counters_.size());
+  std::vector<PathId> held;
+  for (PathId p = 0; p < id_limit(); ++p) {
+    if (counters_[p].held) {
+      key[p] = key[paths.parent(p)];
+      key[p].push_back(paths.function(p));
+      held.push_back(p);
+    }
   }
-  return total;
+  std::sort(held.begin(), held.end(), [&key](PathId a, PathId b) { return key[a] < key[b]; });
+  return held;
 }
 
 void CallingContextTree::MergeFrom(const CallingContextTree& other) {
-  MergeSubtree(other, other.root(), root(), nullptr);
-}
-
-void CallingContextTree::MergeFrom(const CallingContextTree& other,
-                                   const std::vector<FunctionId>& fn_remap) {
-  MergeSubtree(other, other.root(), root(), &fn_remap);
-}
-
-void CallingContextTree::MergeSubtree(const CallingContextTree& other, NodeIndex theirs,
-                                      NodeIndex mine, const std::vector<FunctionId>* fn_remap) {
-  nodes_[mine].samples += other.nodes_[theirs].samples;
-  nodes_[mine].cpu_time += other.nodes_[theirs].cpu_time;
-  nodes_[mine].calls += other.nodes_[theirs].calls;
-  for (const auto& [f, their_child] : other.nodes_[theirs].children) {
-    const FunctionId mapped = fn_remap != nullptr && f < fn_remap->size() ? (*fn_remap)[f] : f;
-    MergeSubtree(other, their_child, Child(mine, mapped), fn_remap);
-  }
-}
-
-namespace {
-
-void RenderNode(const CallingContextTree& cct, const FunctionRegistry& registry, NodeIndex node,
-                int depth, double total, double min_fraction, std::ostringstream& out) {
-  const auto inclusive = static_cast<double>(cct.InclusiveCpuTime(node));
-  if (total > 0 && inclusive / total < min_fraction) {
-    return;
-  }
-  if (node != cct.root()) {
-    for (int i = 0; i < depth; ++i) {
-      out << "  ";
+  for (PathId p = 0; p < other.id_limit(); ++p) {
+    if (other.counters_[p].held) {
+      Add(p, other.counters_[p]);
     }
-    const auto& n = cct.node(node);
-    out << registry.Name(n.function) << "  samples=" << cct.InclusiveSamples(node)
-        << " cpu=" << sim::ToMillis(cct.InclusiveCpuTime(node)) << "ms";
+  }
+}
+
+std::string CallingContextTree::Render(const PathTree& paths, const FunctionRegistry& registry,
+                                       double min_fraction) const {
+  const std::vector<PathCounters> inclusive = Inclusive(paths);
+  const auto total = static_cast<double>(inclusive[paths.root()].cpu_time);
+  // An elided path hides its whole subtree; parents come first.
+  std::vector<bool> shown(counters_.size(), true);
+  std::ostringstream out;
+  for (PathId p : Preorder(paths)) {
+    const auto cpu = static_cast<double>(inclusive[p].cpu_time);
+    shown[p] = shown[paths.parent(p)] && !(total > 0 && cpu / total < min_fraction);
+    if (!shown[p] || p == paths.root()) {
+      continue;
+    }
+    out << std::string(2 * (paths.PathTo(p).size() - 1), ' ') << registry.Name(paths.function(p))
+        << "  samples=" << inclusive[p].samples << " cpu=" << sim::ToMillis(inclusive[p].cpu_time)
+        << "ms";
     if (total > 0) {
-      out << " (" << 100.0 * inclusive / total << "%)";
+      out << " (" << 100.0 * cpu / total << "%)";
     }
     out << "\n";
   }
-  for (const auto& [f, child] : cct.node(node).children) {
-    RenderNode(cct, registry, child, node == cct.root() ? depth : depth + 1, total, min_fraction,
-               out);
-  }
-}
-
-}  // namespace
-
-std::string CallingContextTree::Render(const FunctionRegistry& registry,
-                                       double min_fraction) const {
-  std::ostringstream out;
-  RenderNode(*this, registry, root(), 0, static_cast<double>(TotalCpuTime()), min_fraction, out);
   return out.str();
 }
 

@@ -1,83 +1,118 @@
-// Calling Context Tree (CCT), after Ammons/Ball/Larus [5] and csprof.
+// Calling Context Trees (CCTs), after Ammons/Ball/Larus [5] and csprof.
 //
-// Each node is one call path (the chain of FunctionIds from the root).
-// Profile samples and virtual CPU time accumulate on the node that was
-// executing when the sample fired. Whodunit labels whole CCTs with a
-// transaction-context synopsis and switches between them as
+// A PathTree interns call paths: an id names one chain of FunctionIds
+// from the root, and a child's id exceeds its parent's. A CCT is a set
+// of counters indexed by path id: samples and virtual CPU time land on
+// the path executing when the sample fired. Whodunit labels whole CCTs
+// with a transaction-context synopsis and switches between them as
 // transactions move through a stage (paper §7.1).
 #ifndef SRC_CALLPATH_CCT_H_
 #define SRC_CALLPATH_CCT_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "src/callpath/function_registry.h"
 #include "src/sim/time.h"
+#include "src/util/robin_hood.h"
 
 namespace whodunit::callpath {
 
-using NodeIndex = uint32_t;
-inline constexpr NodeIndex kNoNode = 0xffffffffu;
+using PathId = uint32_t;
+
+class PathTree {
+ public:
+  PathTree();
+
+  // The empty path: function 0, its own parent.
+  PathId root() const { return 0; }
+
+  // Finds or creates the path `parent` extended by f.
+  PathId Child(PathId parent, FunctionId f);
+
+  PathId parent(PathId p) const { return nodes_[p].parent; }
+  FunctionId function(PathId p) const { return nodes_[p].function; }
+  size_t size() const { return nodes_.size(); }
+
+  // The path's functions from the root (exclusive) down.
+  std::vector<FunctionId> PathTo(PathId p) const;
+
+ private:
+  struct Node {
+    PathId parent;
+    FunctionId function;
+  };
+
+  std::vector<Node> nodes_;
+  // (parent << 32 | function) -> child.
+  util::RobinHoodMap<uint64_t, PathId> children_;
+};
+
+struct PathCounters {
+  uint64_t samples = 0;       // statistical samples attributed here
+  sim::SimTime cpu_time = 0;  // virtual ns attributed here
+  uint64_t calls = 0;         // entry count (used by the gprof baseline)
+  bool held = false;          // whether the CCT holds this path
+
+  // Sums the counters; `held` is left alone.
+  PathCounters& operator+=(const PathCounters& other) {
+    samples += other.samples;
+    cpu_time += other.cpu_time;
+    calls += other.calls;
+    return *this;
+  }
+};
 
 class CallingContextTree {
  public:
-  struct Node {
-    FunctionId function = 0;
-    NodeIndex parent = kNoNode;
-    uint64_t samples = 0;       // statistical samples attributed here (exclusive)
-    sim::SimTime cpu_time = 0;  // virtual ns attributed here (exclusive)
-    uint64_t calls = 0;         // entry count (used by the gprof baseline)
-    // Ordered for deterministic reports.
-    std::map<FunctionId, NodeIndex> children;
-  };
-
+  // Holds the root only.
   CallingContextTree();
 
-  NodeIndex root() const { return 0; }
+  // Holds p and its ancestors, walking up only to the first path
+  // already held: the held set stays closed under ancestors.
+  void Hold(const PathTree& paths, PathId p);
 
-  // Finds or creates the child of `node` for function f.
-  NodeIndex Child(NodeIndex node, FunctionId f);
+  // Holds p and adds c's counters there; p's parent must be held.
+  void Add(PathId p, const PathCounters& c) {
+    if (p >= counters_.size()) {
+      counters_.resize(p + 1);
+    }
+    held_ += counters_[p].held ? 0 : 1;
+    counters_[p].held = true;
+    counters_[p] += c;
+  }
 
-  // Walks/creates a whole path below the root.
-  NodeIndex PathNode(const std::vector<FunctionId>& path);
+  bool holds(PathId p) const { return p < counters_.size() && counters_[p].held; }
+  // Counters at p (exclusive); p < id_limit().
+  const PathCounters& at(PathId p) const { return counters_[p]; }
+  // Every held path id is below this.
+  PathId id_limit() const { return static_cast<PathId>(counters_.size()); }
+  // Number of held paths, the root included.
+  size_t size() const { return held_; }
 
-  void AddSample(NodeIndex node, uint64_t count = 1) { nodes_[node].samples += count; }
-  void AddCpuTime(NodeIndex node, sim::SimTime t) { nodes_[node].cpu_time += t; }
-  void AddCall(NodeIndex node) { ++nodes_[node].calls; }
-  void AddCalls(NodeIndex node, uint64_t count) { nodes_[node].calls += count; }
-
-  const Node& node(NodeIndex i) const { return nodes_[i]; }
-  size_t size() const { return nodes_.size(); }
-
-  // Path from root (exclusive) to node, as function ids.
-  std::vector<FunctionId> PathTo(NodeIndex node) const;
-
-  // Sum of samples / cpu_time over the subtree rooted at node.
-  uint64_t InclusiveSamples(NodeIndex node) const;
-  sim::SimTime InclusiveCpuTime(NodeIndex node) const;
+  // Subtree totals by path id, from one reverse pass over the ids.
+  std::vector<PathCounters> Inclusive(const PathTree& paths) const;
 
   // Totals over the whole tree.
-  uint64_t TotalSamples() const { return InclusiveSamples(root()); }
-  sim::SimTime TotalCpuTime() const { return InclusiveCpuTime(root()); }
+  PathCounters Total() const;
+  uint64_t TotalSamples() const { return Total().samples; }
+  sim::SimTime TotalCpuTime() const { return Total().cpu_time; }
 
-  // Merges another CCT into this one (summing counters node-by-node).
+  // The held paths in preorder, children in FunctionId order.
+  std::vector<PathId> Preorder(const PathTree& paths) const;
+
+  // Sums another CCT over the same path tree into this one.
   void MergeFrom(const CallingContextTree& other);
-  // Same, translating the other tree's FunctionIds through `fn_remap`
-  // (remap[their_id] = my_id, from SymbolTable::MergeFrom) —
-  // for merging CCTs built against a different function registry.
-  void MergeFrom(const CallingContextTree& other, const std::vector<FunctionId>& fn_remap);
 
   // Renders an indented text tree: "name  samples=N cpu=Xms (Y%)".
-  // Nodes below min_fraction of total inclusive time are elided.
-  std::string Render(const FunctionRegistry& registry, double min_fraction = 0.0) const;
+  // Paths below min_fraction of total inclusive time are elided.
+  std::string Render(const PathTree& paths, const FunctionRegistry& registry,
+                     double min_fraction = 0.0) const;
 
  private:
-  void MergeSubtree(const CallingContextTree& other, NodeIndex theirs, NodeIndex mine,
-                    const std::vector<FunctionId>* fn_remap);
-
-  std::vector<Node> nodes_;
+  std::vector<PathCounters> counters_;
+  size_t held_ = 0;
 };
 
 }  // namespace whodunit::callpath

@@ -1,61 +1,69 @@
 #include "src/callpath/gprof_report.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
+#include <tuple>
 
 namespace whodunit::callpath {
 
-std::vector<GprofEntry> BuildGprofEntries(const CallingContextTree& cct) {
-  std::map<FunctionId, GprofEntry> entries;
-  std::map<std::pair<FunctionId, FunctionId>, GprofArc> arcs;
-  constexpr FunctionId kRoot = 0xffffffffu;
-
-  for (NodeIndex i = 1; i < cct.size(); ++i) {
-    const auto& node = cct.node(i);
-    GprofEntry& entry = entries[node.function];
-    entry.function = node.function;
-    entry.self += node.cpu_time;
-    entry.children += cct.InclusiveCpuTime(i) - node.cpu_time;
-    entry.calls += node.calls;
-
-    const FunctionId caller =
-        node.parent == cct.root() ? kRoot : cct.node(node.parent).function;
-    if (caller != kRoot) {
-      GprofArc& arc = arcs[{caller, node.function}];
-      arc.caller = caller;
-      arc.callee = node.function;
-      arc.calls += node.calls;
-      arc.callee_inclusive += cct.InclusiveCpuTime(i);
+std::vector<GprofEntry> BuildGprofEntries(const CallingContextTree& cct, const PathTree& paths) {
+  const std::vector<PathCounters> inclusive = cct.Inclusive(paths);
+  // Indexed by FunctionId; function 0 (no procedure's) marks no entry.
+  std::vector<GprofEntry> by_fn;
+  std::vector<GprofArc> arcs;
+  for (PathId p = 1; p < cct.id_limit(); ++p) {
+    if (!cct.holds(p)) {
+      continue;
+    }
+    const PathCounters& c = cct.at(p);
+    const FunctionId f = paths.function(p);
+    if (f >= by_fn.size()) {
+      by_fn.resize(f + 1);
+    }
+    GprofEntry& entry = by_fn[f];
+    entry.function = f;
+    entry.self += c.cpu_time;
+    entry.children += inclusive[p].cpu_time - c.cpu_time;
+    entry.calls += c.calls;
+    if (paths.parent(p) != paths.root()) {
+      arcs.push_back(
+          GprofArc{paths.function(paths.parent(p)), f, c.calls, inclusive[p].cpu_time});
     }
   }
 
-  for (const auto& [key, arc] : arcs) {
-    entries[arc.callee].callers.push_back(arc);
-    entries[arc.caller].callees.push_back(arc);
+  // One arc per (caller, callee), in that order.
+  auto key = [](const GprofArc& a) { return std::tie(a.caller, a.callee); };
+  std::sort(arcs.begin(), arcs.end(),
+            [&key](const GprofArc& a, const GprofArc& b) { return key(a) < key(b); });
+  for (size_t i = 0; i < arcs.size();) {
+    GprofArc arc = arcs[i];
+    for (++i; i < arcs.size() && key(arcs[i]) == key(arc); ++i) {
+      arc.calls += arcs[i].calls;
+      arc.callee_inclusive += arcs[i].callee_inclusive;
+    }
+    by_fn[arc.callee].callers.push_back(arc);
+    by_fn[arc.caller].callees.push_back(arc);
   }
 
+  auto heavier = [](const GprofArc& a, const GprofArc& b) {
+    return a.callee_inclusive > b.callee_inclusive;
+  };
   std::vector<GprofEntry> out;
-  out.reserve(entries.size());
-  for (auto& [fn, entry] : entries) {
-    std::sort(entry.callers.begin(), entry.callers.end(),
-              [](const GprofArc& a, const GprofArc& b) {
-                return a.callee_inclusive > b.callee_inclusive;
-              });
-    std::sort(entry.callees.begin(), entry.callees.end(),
-              [](const GprofArc& a, const GprofArc& b) {
-                return a.callee_inclusive > b.callee_inclusive;
-              });
-    out.push_back(std::move(entry));
+  for (GprofEntry& entry : by_fn) {
+    if (entry.function != 0) {
+      std::sort(entry.callers.begin(), entry.callers.end(), heavier);
+      std::sort(entry.callees.begin(), entry.callees.end(), heavier);
+      out.push_back(std::move(entry));
+    }
   }
   std::sort(out.begin(), out.end(),
             [](const GprofEntry& a, const GprofEntry& b) { return a.self > b.self; });
   return out;
 }
 
-std::string RenderGprofReport(const CallingContextTree& cct, const FunctionRegistry& registry,
-                              size_t max_entries) {
-  std::vector<GprofEntry> entries = BuildGprofEntries(cct);
+std::string RenderGprofReport(const CallingContextTree& cct, const PathTree& paths,
+                              const FunctionRegistry& registry, size_t max_entries) {
+  std::vector<GprofEntry> entries = BuildGprofEntries(cct, paths);
   const double total = static_cast<double>(cct.TotalCpuTime());
   std::ostringstream out;
 

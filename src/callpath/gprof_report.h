@@ -37,11 +37,11 @@ struct GprofEntry {
 // Collapses a CCT (or several merged CCTs) into gprof's call-graph
 // form: per-function totals and caller/callee arcs. Context
 // sensitivity beyond one level is lost — which is the point.
-std::vector<GprofEntry> BuildGprofEntries(const CallingContextTree& cct);
+std::vector<GprofEntry> BuildGprofEntries(const CallingContextTree& cct, const PathTree& paths);
 
 // Classic two-part listing: flat profile, then the call graph.
-std::string RenderGprofReport(const CallingContextTree& cct, const FunctionRegistry& registry,
-                              size_t max_entries = 20);
+std::string RenderGprofReport(const CallingContextTree& cct, const PathTree& paths,
+                              const FunctionRegistry& registry, size_t max_entries = 20);
 
 }  // namespace whodunit::callpath
 

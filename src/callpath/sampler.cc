@@ -19,13 +19,11 @@ void Sampler::OnCpu(ShadowStack& stack, sim::SimTime cost) {
     obs_samples_dropped_->Add(static_cast<uint64_t>(cost / period_));
     return;
   }
-  const NodeIndex node = stack.current_node();
-  cct->AddCpuTime(node, cost);
   residue_ += cost;
   const uint64_t fired = static_cast<uint64_t>(residue_ / period_);
+  residue_ -= static_cast<sim::SimTime>(fired) * period_;
+  cct->Add(stack.path_id(), PathCounters{.samples = fired, .cpu_time = cost});
   if (fired > 0) {
-    residue_ -= static_cast<sim::SimTime>(fired) * period_;
-    cct->AddSample(node, fired);
     samples_taken_ += fired;
     obs_samples_taken_->Add(fired);
     obs_stack_depth_->Observe(stack.depth());

@@ -4,7 +4,7 @@
 // gprof's default, 666 Hz). In the simulator, CPU consumption arrives
 // as discrete charges (cost of a piece of simulated work); the sampler
 // converts those charges into the samples a periodic timer would have
-// delivered, attributing them to the CCT node executing at charge time.
+// delivered, attributing them to the call path executing at charge time.
 #ifndef SRC_CALLPATH_SAMPLER_H_
 #define SRC_CALLPATH_SAMPLER_H_
 
@@ -23,12 +23,11 @@ class Sampler {
   explicit Sampler(sim::SimTime period);
 
   // Charges `cost` ns of CPU against the thread owning `stack`.
-  // Whole elapsed sample periods produce samples on the stack's
-  // current CCT node; CPU time is attributed exactly.
+  // Whole elapsed sample periods produce samples at the stack's
+  // current path in its attached CCT; CPU time is attributed exactly.
   void OnCpu(ShadowStack& stack, sim::SimTime cost);
 
   uint64_t samples_taken() const { return samples_taken_; }
-  sim::SimTime period() const { return period_; }
 
  private:
   sim::SimTime period_;

@@ -2,14 +2,12 @@
 //
 // The simulated applications declare their procedure structure with
 // ScopedFrame guards; the stack mirrors the call path the hardware
-// stack would hold as a cursor into a path tree (a CCT whose counters
-// are never charged; a node index in it names one whole call path),
-// and tracks the matching node in the currently attached CCT so that
-// sampling is O(1).
+// stack would hold as a cursor into a path tree (a path id names one
+// whole call path), so sampling charges the current path id in O(1).
 //
 // Whodunit switches a thread between CCTs when its transaction context
-// changes (paper §7.1); AttachCct grafts the live call path into the
-// new tree so profile samples continue at the right node.
+// changes (paper §7.1); AttachCct makes the new CCT hold the live call
+// path so profile samples continue at the right path.
 #ifndef SRC_CALLPATH_SHADOW_STACK_H_
 #define SRC_CALLPATH_SHADOW_STACK_H_
 
@@ -25,32 +23,39 @@ class ShadowStack {
   // `paths` interns every call path the stack reaches; stacks sharing
   // one tree get equal path ids for equal paths. The stack starts
   // detached; samples are dropped until a CCT is attached.
-  explicit ShadowStack(CallingContextTree& paths) : paths_(paths) {}
+  explicit ShadowStack(PathTree& paths) : paths_(paths) {}
 
-  void Push(FunctionId f);
-  void Pop();
+  // One path-tree lookup; an attached CCT counts the call (it already
+  // holds the parent path).
+  void Push(FunctionId f) {
+    path_ = paths_.Child(path_, f);
+    ++depth_;
+    if (cct_ != nullptr) {
+      cct_->Add(path_, PathCounters{.calls = 1});
+    }
+  }
+  void Pop() {
+    path_ = paths_.parent(path_);
+    --depth_;
+  }
 
-  // Attaches (or switches) the CCT samples flow into; grafts the
-  // current call path into it. Pass nullptr to detach.
-  void AttachCct(CallingContextTree* cct);
+  // Attaches (or switches) the CCT samples flow into; it then holds
+  // the current call path. Pass nullptr to detach.
+  void AttachCct(CallingContextTree* cct) {
+    cct_ = cct;
+    if (cct_ != nullptr) {
+      cct_->Hold(paths_, path_);
+    }
+  }
   CallingContextTree* cct() const { return cct_; }
 
-  // Node in the attached CCT matching the current call path;
-  // kNoNode when detached.
-  NodeIndex current_node() const { return cct_ ? node_ : kNoNode; }
-
-  // The current call path: its node in the path tree.
-  NodeIndex path_id() const { return path_; }
+  // The current call path: its id in the path tree.
+  PathId path_id() const { return path_; }
   size_t depth() const { return depth_; }
 
  private:
-  // The node for `path` in the attached CCT, created root first.
-  NodeIndex Graft(NodeIndex path);
-
-  CallingContextTree& paths_;
-  NodeIndex path_ = 0;
-  // Only valid when cct_ != nullptr.
-  NodeIndex node_ = 0;
+  PathTree& paths_;
+  PathId path_ = 0;
   size_t depth_ = 0;
   CallingContextTree* cct_ = nullptr;
 };

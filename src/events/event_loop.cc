@@ -5,10 +5,9 @@
 
 namespace whodunit::events {
 
-EventLoop::EventLoop(sim::Scheduler& sched, context::ContextTree& contexts, std::string name)
+EventLoop::EventLoop(sim::Scheduler& sched, context::ContextTree& contexts)
     : sched_(sched),
       contexts_(contexts),
-      name_(std::move(name)),
       queue_(sched),
       obs_dispatched_(&obs::Registry().GetCounter("events.dispatched")),
       obs_external_(&obs::Registry().GetCounter("events.external_injected")),

@@ -61,8 +61,7 @@ class EventLoop {
 
   // `contexts` is the owning deployment's context tree
   // (profiler::Deployment::contexts()); every dispatch interns into it.
-  EventLoop(sim::Scheduler& sched, context::ContextTree& contexts,
-            std::string name = "event_loop");
+  EventLoop(sim::Scheduler& sched, context::ContextTree& contexts);
 
   HandlerId RegisterHandler(std::string_view name, Handler handler);
   const std::string& HandlerName(HandlerId h) const { return handlers_.Name(h); }
@@ -122,7 +121,6 @@ class EventLoop {
  private:
   sim::Scheduler& sched_;
   context::ContextTree& contexts_;
-  std::string name_;
   util::SymbolTable handlers_;
   std::vector<Handler> handler_fns_;
   sim::Channel<Event> queue_;

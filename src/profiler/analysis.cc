@@ -47,11 +47,14 @@ std::vector<ContextShare> Analysis::WhoCauses(const StageProfiler& stage,
   if (fn == util::SymbolTable::kNotFound) {
     return rows;
   }
+  const callpath::PathTree& paths = deployment_.paths();
   for (const auto& [label, cct] : stage.LabeledCcts()) {
+    // A path the CCT does not hold has zero inclusive time.
+    const std::vector<callpath::PathCounters> inclusive = cct->Inclusive(paths);
     sim::SimTime fn_cpu = 0;
-    for (callpath::NodeIndex i = 1; i < cct->size(); ++i) {
-      if (cct->node(i).function == fn) {
-        fn_cpu += cct->InclusiveCpuTime(i);
+    for (callpath::PathId p = 1; p < inclusive.size(); ++p) {
+      if (paths.function(p) == fn) {
+        fn_cpu += inclusive[p].cpu_time;
       }
     }
     if (fn_cpu == 0) {

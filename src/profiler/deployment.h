@@ -44,9 +44,10 @@ class Deployment {
 
   callpath::FunctionRegistry& functions() { return functions_; }
   const callpath::FunctionRegistry& functions() const { return functions_; }
-  // The call-path interner: a CCT whose counters are never charged. A
-  // node index in it is the id of a kCallPath context element.
-  callpath::CallingContextTree& paths() { return paths_; }
+  // The call-path tree every shadow stack walks and every CCT counts
+  // over; a path id is the id of a kCallPath context element.
+  callpath::PathTree& paths() { return paths_; }
+  const callpath::PathTree& paths() const { return paths_; }
   // The transaction-context tree: the event library, the SEDA
   // middleware and every stage profiler of this deployment intern into
   // it, and synopsis parts name its NodeIds.
@@ -96,7 +97,7 @@ class Deployment {
 
  private:
   callpath::FunctionRegistry functions_;
-  callpath::CallingContextTree paths_;
+  callpath::PathTree paths_;
   context::ContextTree contexts_;
   context::SynopsisDictionary synopses_;
   SamplingPolicy sampling_;

@@ -22,18 +22,21 @@ std::string Sanitize(std::string_view name) {
   return out;
 }
 
-void SerializeSubtree(const callpath::CallingContextTree& cct,
-                      const callpath::FunctionRegistry& functions, callpath::NodeIndex node,
-                      callpath::NodeIndex parent_out, callpath::NodeIndex& next_out,
-                      std::ostringstream& out) {
-  const auto& n = cct.node(node);
-  const callpath::NodeIndex my_out = next_out++;
-  if (node != cct.root()) {
-    out << "node " << my_out << " " << parent_out << " " << Sanitize(functions.Name(n.function))
-        << " " << n.samples << " " << n.cpu_time << " " << n.calls << "\n";
-  }
-  for (const auto& [f, child] : n.children) {
-    SerializeSubtree(cct, functions, child, my_out, next_out, out);
+// One line per held path in preorder; a path's line index is its
+// preorder position (the root is 0 and has no line).
+void SerializeCct(const callpath::CallingContextTree& cct, const callpath::PathTree& paths,
+                  const callpath::FunctionRegistry& functions, std::ostringstream& out) {
+  std::vector<callpath::PathId> line(cct.id_limit());
+  callpath::PathId next = 0;
+  for (callpath::PathId p : cct.Preorder(paths)) {
+    line[p] = next++;
+    if (p == paths.root()) {
+      continue;
+    }
+    const callpath::PathCounters& c = cct.at(p);
+    out << "node " << line[p] << " " << line[paths.parent(p)] << " "
+        << Sanitize(functions.Name(paths.function(p))) << " " << c.samples << " " << c.cpu_time
+        << " " << c.calls << "\n";
   }
 }
 
@@ -108,11 +111,9 @@ std::string SerializeProfile(const StageProfiler& stage) {
   out << "whodunit-profile 1\n";
   out << "stage " << Sanitize(stage.name()) << "\n";
   out << "bytes " << stage.payload_bytes_sent() << " " << stage.context_bytes_sent() << "\n";
-  const auto& functions = stage.deployment().functions();
   for (const auto& [label, cct] : stage.LabeledCcts()) {
     out << "cct " << LabelToString(label) << "\n";
-    callpath::NodeIndex next_out = 0;
-    SerializeSubtree(*cct, functions, cct->root(), 0, next_out, out);
+    SerializeCct(*cct, stage.deployment().paths(), stage.deployment().functions(), out);
   }
   out << "end\n";
   return out.str();
@@ -135,8 +136,8 @@ bool ParseProfile(std::string_view text, LoadedProfile* out) {
     return false;
   }
   callpath::CallingContextTree* current = nullptr;
-  // Serialized node index -> node in the rebuilt tree.
-  std::map<callpath::NodeIndex, callpath::NodeIndex> node_map;
+  // Serialized node index -> path in the rebuilt path tree.
+  std::map<callpath::PathId, callpath::PathId> node_map;
   while (NextLine(&text, &line)) {
     const std::vector<std::string_view> f = Fields(line);
     if (f.empty()) {
@@ -156,26 +157,22 @@ bool ParseProfile(std::string_view text, LoadedProfile* out) {
       out->ccts.emplace_back(label, callpath::CallingContextTree());
       current = &out->ccts.back().second;
       node_map.clear();
-      node_map[0] = current->root();
+      node_map[0] = out->paths.root();
     } else if (f[0] == "node" && f.size() == 7) {
-      callpath::NodeIndex idx = 0, parent = 0;
-      uint64_t samples = 0, calls = 0;
-      int64_t cpu = 0;
+      callpath::PathId idx = 0, parent = 0;
+      callpath::PathCounters c;
       if (current == nullptr || !ParseNumber(f[1], &idx) || !ParseNumber(f[2], &parent) ||
-          !ParseNumber(f[4], &samples) || !ParseNumber(f[5], &cpu) ||
-          !ParseNumber(f[6], &calls) || node_map.contains(idx) || !node_map.contains(parent)) {
+          !ParseNumber(f[4], &c.samples) || !ParseNumber(f[5], &c.cpu_time) ||
+          !ParseNumber(f[6], &c.calls) || node_map.contains(idx) || !node_map.contains(parent)) {
         return false;
       }
-      const auto fn = out->functions.Intern(f[3]);
-      const size_t nodes_before = current->size();
-      const callpath::NodeIndex node = current->Child(node_map[parent], fn);
-      if (current->size() == nodes_before) {
+      const callpath::PathId path =
+          out->paths.Child(node_map[parent], out->functions.Intern(f[3]));
+      if (current->holds(path)) {
         return false;  // a second line for the same call path
       }
-      node_map[idx] = node;
-      current->AddSample(node, samples);
-      current->AddCpuTime(node, cpu);
-      current->AddCalls(node, calls);
+      node_map[idx] = path;
+      current->Add(path, c);
     } else if (f[0] == "end" && f.size() == 1) {
       return true;
     } else {
@@ -247,7 +244,7 @@ std::string OfflineStitch(const std::vector<LoadedProfile>& profiles,
           total > 0 ? 100.0 * static_cast<double>(cct.TotalCpuTime()) / static_cast<double>(total)
                     : 0.0;
       out << "--- context " << describe(label) << "  [" << share << "% of stage CPU]\n";
-      out << cct.Render(profile.functions, min_fraction);
+      out << cct.Render(profile.paths, profile.functions, min_fraction);
     }
   }
   // Request edges by the prefix rule, across the loaded stages.

@@ -33,12 +33,14 @@ std::string SerializeProfile(const StageProfiler& stage);
 std::string SerializeDictionary(const Deployment& deployment);
 
 // A stage profile re-read from its serialized form. Owns its own
-// function registry (ids are file-local).
+// function registry and path tree (ids are file-local); every CCT
+// counts over that path tree.
 struct LoadedProfile {
   std::string stage_name;
   uint64_t payload_bytes = 0;
   uint64_t context_bytes = 0;
   callpath::FunctionRegistry functions;
+  callpath::PathTree paths;
   std::vector<std::pair<context::Synopsis, callpath::CallingContextTree>> ccts;
 };
 

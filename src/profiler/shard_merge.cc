@@ -1,14 +1,13 @@
 #include "src/profiler/shard_merge.h"
 
 #include <algorithm>
-#include <sstream>
-
-#include "src/profiler/stage_profiler.h"
 
 namespace whodunit::profiler {
 
 void AppendStageCcts(const Deployment& deployment, const StageProfiler& stage,
                      ShardProfile* out) {
+  out->functions = deployment.functions();
+  out->paths = deployment.paths();
   for (const auto& [label, cct] : stage.LabeledCcts()) {
     out->ccts.push_back(ShardProfile::LabeledCct{
         stage.name(),
@@ -20,7 +19,6 @@ ShardProfile ExtractShardProfile(const Deployment& deployment,
                                  const crosstalk::CrosstalkRecorder* crosstalk,
                                  const std::function<std::string(uint64_t)>& tag_namer) {
   ShardProfile out;
-  out.functions = deployment.functions();
   for (const auto& stage : deployment.stages()) {
     AppendStageCcts(deployment, *stage, &out);
   }
@@ -39,8 +37,19 @@ ShardProfile ExtractShardProfile(const Deployment& deployment,
 
 void MergedProfile::Fold(const ShardProfile& shard) {
   const std::vector<callpath::FunctionId> fn_remap = functions_.MergeFrom(shard.functions);
+  // The shard's path ids in the merged tree, parents (smaller ids) first.
+  std::vector<callpath::PathId> path_remap(shard.paths.size(), paths_.root());
+  for (callpath::PathId p = 1; p < shard.paths.size(); ++p) {
+    path_remap[p] =
+        paths_.Child(path_remap[shard.paths.parent(p)], fn_remap[shard.paths.function(p)]);
+  }
   for (const ShardProfile::LabeledCct& entry : shard.ccts) {
-    ccts_[{entry.stage, entry.label}].MergeFrom(entry.cct, fn_remap);
+    callpath::CallingContextTree& cct = ccts_[{entry.stage, entry.label}];
+    for (callpath::PathId p = 0; p < entry.cct.id_limit(); ++p) {
+      if (entry.cct.holds(p)) {
+        cct.Add(path_remap[p], entry.cct.at(p));
+      }
+    }
   }
   crosstalk_.MergeFrom(shard.crosstalk, [this, &shard](uint64_t tag) -> uint64_t {
     auto it = shard.tag_names.find(tag);
@@ -50,9 +59,8 @@ void MergedProfile::Fold(const ShardProfile& shard) {
   });
 }
 
-std::vector<std::pair<std::string, const callpath::CallingContextTree*>>
-MergedProfile::LabeledCcts(std::string_view stage) const {
-  std::vector<std::pair<std::string, const callpath::CallingContextTree*>> out;
+NamedCcts MergedProfile::LabeledCcts(std::string_view stage) const {
+  NamedCcts out;
   for (const auto& [key, cct] : ccts_) {
     if (key.first == stage) {
       out.emplace_back(key.second, &cct);
@@ -63,21 +71,8 @@ MergedProfile::LabeledCcts(std::string_view stage) const {
 
 std::string MergedProfile::RenderTransactionalProfile(std::string_view stage,
                                                       double min_fraction) const {
-  std::ostringstream out;
-  sim::SimTime stage_total = 0;
-  for (const auto& [label, cct] : LabeledCcts(stage)) {
-    stage_total += cct->TotalCpuTime();
-  }
-  const double total = static_cast<double>(stage_total);
-  out << "=== transactional profile of stage '" << stage << "' (merged) ===\n";
-  for (const auto& [label, cct] : LabeledCcts(stage)) {
-    const double share =
-        total > 0 ? 100.0 * static_cast<double>(cct->TotalCpuTime()) / total : 0.0;
-    out << "--- context " << label << "  [" << share << "% of stage CPU, "
-        << cct->TotalSamples() << " samples]\n";
-    out << cct->Render(functions_, min_fraction);
-  }
-  return out.str();
+  return RenderStageCcts(stage, " (merged)", LabeledCcts(stage), paths_, functions_,
+                         min_fraction);
 }
 
 uint64_t MergedProfile::MergedTag(std::string_view name) const {

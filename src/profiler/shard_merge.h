@@ -5,8 +5,9 @@
 // crosstalk tags, so its profile cannot be summed into another shard's
 // by raw id. The merge therefore goes through names: a ShardProfile is
 // a self-contained copy of one shard's labeled CCTs (labels rendered
-// to their description strings), its crosstalk recorder, and the
-// names of its crosstalk tags. MergedProfile folds ShardProfiles in
+// to their description strings) with the function table and path tree
+// they count over, its crosstalk recorder, and the names of its
+// crosstalk tags. MergedProfile folds ShardProfiles in
 // the order given — fold shards in shard-index order and the merged
 // profile is byte-identical no matter how many threads ran the shards.
 #ifndef SRC_PROFILER_SHARD_MERGE_H_
@@ -23,6 +24,7 @@
 #include "src/callpath/function_registry.h"
 #include "src/crosstalk/crosstalk.h"
 #include "src/profiler/deployment.h"
+#include "src/profiler/stage_profiler.h"
 #include "src/util/symbol_table.h"
 
 namespace whodunit::profiler {
@@ -36,6 +38,7 @@ struct ShardProfile {
     callpath::CallingContextTree cct;
   };
   callpath::FunctionRegistry functions;
+  callpath::PathTree paths;      // every CCT below counts over it
   std::vector<LabeledCct> ccts;  // sorted by (stage, label)
   crosstalk::CrosstalkRecorder crosstalk;
   std::map<uint64_t, std::string> tag_names;
@@ -49,26 +52,25 @@ ShardProfile ExtractShardProfile(const Deployment& deployment,
                                  const crosstalk::CrosstalkRecorder* crosstalk,
                                  const std::function<std::string(uint64_t)>& tag_namer);
 
-// Appends one stage's labeled CCTs to `out` — for apps whose stage
-// profiler lives outside deployment.stages(). Appended entries are
-// label-sorted per stage, matching ExtractShardProfile's order.
-class StageProfiler;
+// Appends one stage's labeled CCTs (and the deployment's function
+// table and path tree) to `out` — for apps whose stage profiler lives
+// outside deployment.stages(). Appended entries are label-sorted per
+// stage, matching ExtractShardProfile's order.
 void AppendStageCcts(const Deployment& deployment, const StageProfiler& stage,
                      ShardProfile* out);
 
 class MergedProfile {
  public:
   // Folds one shard in. Function ids are unified by name
-  // (SymbolTable::MergeFrom), CCTs are summed per (stage, label)
-  // with the id translation applied, and crosstalk stats are summed
-  // with tags re-keyed by name — shards reporting the same transaction
-  // type fold into one row, exactly as a serial run would have.
+  // (SymbolTable::MergeFrom), path ids are mapped into the merged path
+  // tree, CCT counters are summed per (stage, label), and crosstalk
+  // stats are summed with tags re-keyed by name — shards reporting the
+  // same transaction type fold into one row, as a serial run would.
   void Fold(const ShardProfile& shard);
 
   // Merged labeled CCTs of one stage, label-sorted (mirrors
   // StageProfiler::LabeledCcts).
-  std::vector<std::pair<std::string, const callpath::CallingContextTree*>> LabeledCcts(
-      std::string_view stage) const;
+  NamedCcts LabeledCcts(std::string_view stage) const;
 
   // Transactional-profile text over the merged CCTs of `stage`
   // (mirrors StageProfiler::RenderTransactionalProfile).
@@ -86,6 +88,7 @@ class MergedProfile {
 
  private:
   callpath::FunctionRegistry functions_;
+  callpath::PathTree paths_;
   std::map<std::pair<std::string, std::string>, callpath::CallingContextTree> ccts_;
   crosstalk::CrosstalkRecorder crosstalk_;
   util::SymbolTable tag_names_;

@@ -340,7 +340,7 @@ void StageProfiler::AccountMessage(size_t payload_bytes, size_t context_bytes) {
 const callpath::CallingContextTree* StageProfiler::FindCct(
     const context::Synopsis& label) const {
   auto it = ccts_.find(label);
-  return it == ccts_.end() ? nullptr : it->second.get();
+  return it == ccts_.end() ? nullptr : &it->second;
 }
 
 std::vector<std::pair<context::Synopsis, const callpath::CallingContextTree*>>
@@ -350,10 +350,10 @@ StageProfiler::LabeledCcts() const {
   for (const auto& [label, cct] : ccts_) {
     // Skip trees that were created (a thread merely passed through the
     // context) but never accumulated any profile data.
-    if (cct->TotalCpuTime() == 0 && cct->TotalSamples() == 0 && cct->size() == 1) {
+    if (cct.TotalCpuTime() == 0 && cct.TotalSamples() == 0 && cct.size() == 1) {
       continue;
     }
-    out.emplace_back(label, cct.get());
+    out.emplace_back(label, &cct);
   }
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     return a.first.parts < b.first.parts;
@@ -364,7 +364,7 @@ StageProfiler::LabeledCcts() const {
 uint64_t StageProfiler::total_samples() const {
   uint64_t total = 0;
   for (const auto& [label, cct] : ccts_) {
-    total += cct->TotalSamples();
+    total += cct.TotalSamples();
   }
   return total;
 }
@@ -372,31 +372,38 @@ uint64_t StageProfiler::total_samples() const {
 sim::SimTime StageProfiler::total_cpu_time() const {
   sim::SimTime total = 0;
   for (const auto& [label, cct] : ccts_) {
-    total += cct->TotalCpuTime();
+    total += cct.TotalCpuTime();
   }
   return total;
 }
 
 std::string StageProfiler::RenderTransactionalProfile(double min_fraction) const {
-  std::ostringstream out;
-  const double stage_total = static_cast<double>(total_cpu_time());
-  out << "=== transactional profile of stage '" << options_.name << "' ===\n";
+  NamedCcts named;
   for (const auto& [label, cct] : LabeledCcts()) {
-    const double share =
-        stage_total > 0 ? 100.0 * static_cast<double>(cct->TotalCpuTime()) / stage_total : 0.0;
-    out << "--- context " << (label.empty() ? "(origin)" : deployment_.DescribeSynopsis(label))
-        << "  [" << share << "% of stage CPU, " << cct->TotalSamples() << " samples]\n";
-    out << cct->Render(deployment_.functions(), min_fraction);
+    named.emplace_back(label.empty() ? "(origin)" : deployment_.DescribeSynopsis(label), cct);
   }
-  return out.str();
+  return RenderStageCcts(options_.name, "", named, deployment_.paths(),
+                         deployment_.functions(), min_fraction);
 }
 
-callpath::CallingContextTree& StageProfiler::CctFor(const context::Synopsis& label) {
-  auto it = ccts_.find(label);
-  if (it == ccts_.end()) {
-    it = ccts_.emplace(label, std::make_unique<callpath::CallingContextTree>()).first;
+std::string RenderStageCcts(std::string_view stage, std::string_view suffix,
+                            const NamedCcts& ccts, const callpath::PathTree& paths,
+                            const callpath::FunctionRegistry& functions, double min_fraction) {
+  sim::SimTime stage_total = 0;
+  for (const auto& [name, cct] : ccts) {
+    stage_total += cct->TotalCpuTime();
   }
-  return *it->second;
+  const double total = static_cast<double>(stage_total);
+  std::ostringstream out;
+  out << "=== transactional profile of stage '" << stage << "'" << suffix << " ===\n";
+  for (const auto& [name, cct] : ccts) {
+    const double share =
+        total > 0 ? 100.0 * static_cast<double>(cct->TotalCpuTime()) / total : 0.0;
+    out << "--- context " << name << "  [" << share << "% of stage CPU, " << cct->TotalSamples()
+        << " samples]\n";
+    out << cct->Render(paths, functions, min_fraction);
+  }
+  return out.str();
 }
 
 context::Synopsis StageProfiler::ComputeLabel(const ThreadProfile& tp) {
@@ -420,7 +427,7 @@ void StageProfiler::UpdateCct(ThreadProfile& tp) {
   }
   tp.current_label_ = label;
   tp.label_valid_ = true;
-  tp.stack_.AttachCct(&CctFor(label));
+  tp.stack_.AttachCct(&ccts_[label]);
   if (live_ != nullptr) {
     tp.live_ctxt_node_ = LiveCtxtNode(tp);
   }

@@ -45,8 +45,7 @@ namespace whodunit::profiler {
 // an event loop, a SEDA stage worker).
 class ThreadProfile {
  public:
-  ThreadProfile(std::string name, callpath::CallingContextTree& paths,
-                sim::SimTime sample_period)
+  ThreadProfile(std::string name, callpath::PathTree& paths, sim::SimTime sample_period)
       : name_(std::move(name)), stack_(paths), sampler_(sample_period) {}
 
   const std::string& name() const { return name_; }
@@ -109,7 +108,6 @@ class StageProfiler {
   StageProfiler(Deployment& deployment, Options options);
 
   const std::string& name() const { return options_.name; }
-  callpath::ProfilerMode mode() const { return options_.mode; }
   Deployment& deployment() { return deployment_; }
   const Deployment& deployment() const { return deployment_; }
 
@@ -147,7 +145,7 @@ class StageProfiler {
   // Returns app_cost plus the profiling overhead incurred (sampling
   // handlers, gprof mcount work, pending message-context costs); the
   // app charges the returned total to its CpuResource. Samples are
-  // attributed to the thread's current CCT node.
+  // attributed to the thread's current call path in its current CCT.
   sim::SimTime ChargeCpu(ThreadProfile& tp, sim::SimTime app_cost);
 
   // ---- Transaction contexts (events / SEDA / fresh requests) ---------
@@ -258,7 +256,6 @@ class StageProfiler {
  private:
   friend class FrameGuard;
 
-  callpath::CallingContextTree& CctFor(const context::Synopsis& label);
   context::Synopsis ComputeLabel(const ThreadProfile& tp);
   void UpdateCct(ThreadProfile& tp);
   // Interned full-context node (incoming parts ++ local elements) the
@@ -280,8 +277,8 @@ class StageProfiler {
   // hook passes it instead of options_.name.
   uint32_t live_name_sym_ = 0;
   std::vector<std::unique_ptr<ThreadProfile>> threads_;
-  std::unordered_map<context::Synopsis, std::unique_ptr<callpath::CallingContextTree>,
-                     context::SynopsisHash>
+  // By value: shadow stacks point into it, and its nodes do not move.
+  std::unordered_map<context::Synopsis, callpath::CallingContextTree, context::SynopsisHash>
       ccts_;
   // Dense ids for full-context snapshots handed to the flow detector
   // and the crosstalk recorder.
@@ -302,6 +299,13 @@ class StageProfiler {
   obs::Counter* obs_switches_;
   obs::Counter* obs_suppressed_;
 };
+
+// One stage's transactional-profile text (live or merged): a header,
+// then per named CCT its share of stage CPU, its samples and its tree.
+using NamedCcts = std::vector<std::pair<std::string, const callpath::CallingContextTree*>>;
+std::string RenderStageCcts(std::string_view stage, std::string_view suffix,
+                            const NamedCcts& ccts, const callpath::PathTree& paths,
+                            const callpath::FunctionRegistry& functions, double min_fraction);
 
 }  // namespace whodunit::profiler
 

@@ -12,16 +12,16 @@ namespace whodunit {
 namespace {
 
 TEST(PathTreeTest, RecursionGivesDistinctPathsAndPopReturns) {
-  callpath::CallingContextTree paths;
+  callpath::PathTree paths;
   callpath::ShadowStack stack(paths);
   const callpath::FunctionId f = 3;
-  const callpath::NodeIndex root = stack.path_id();
+  const callpath::PathId root = stack.path_id();
   stack.Push(f);
-  const callpath::NodeIndex f1 = stack.path_id();
+  const callpath::PathId f1 = stack.path_id();
   stack.Push(f);
-  const callpath::NodeIndex f2 = stack.path_id();
+  const callpath::PathId f2 = stack.path_id();
   stack.Push(f);
-  const callpath::NodeIndex f3 = stack.path_id();
+  const callpath::PathId f3 = stack.path_id();
   EXPECT_NE(f1, f2);
   EXPECT_NE(f2, f3);
   EXPECT_NE(f1, f3);
@@ -35,27 +35,28 @@ TEST(PathTreeTest, RecursionGivesDistinctPathsAndPopReturns) {
   EXPECT_EQ(root, paths.root());
 }
 
-TEST(PathTreeTest, DetachedStackTracksPathAndAttachGraftsIt) {
-  callpath::CallingContextTree paths;
+TEST(PathTreeTest, DetachedStackTracksPathAndAttachHoldsIt) {
+  callpath::PathTree paths;
   callpath::ShadowStack stack(paths);
   stack.Push(1);
   stack.Push(2);
   stack.Push(3);
-  EXPECT_EQ(stack.current_node(), callpath::kNoNode);
+  EXPECT_EQ(stack.cct(), nullptr);
   EXPECT_EQ(paths.PathTo(stack.path_id()), (std::vector<callpath::FunctionId>{1, 2, 3}));
 
   callpath::CallingContextTree cct;
   stack.AttachCct(&cct);
   EXPECT_EQ(cct.size(), 4u);
-  EXPECT_EQ(stack.current_node(), cct.PathNode({1, 2, 3}));
-  EXPECT_EQ(cct.PathTo(stack.current_node()), paths.PathTo(stack.path_id()));
-  // Grafting creates nodes without counting calls; later pushes count.
-  EXPECT_EQ(cct.node(stack.current_node()).calls, 0u);
+  const callpath::PathId path_12 = paths.Child(paths.Child(paths.root(), 1), 2);
+  EXPECT_TRUE(cct.holds(path_12));
+  // Attaching holds paths without counting calls; later pushes count.
+  EXPECT_EQ(cct.at(stack.path_id()).calls, 0u);
   stack.Push(4);
-  EXPECT_EQ(cct.node(stack.current_node()).calls, 1u);
+  EXPECT_EQ(cct.at(stack.path_id()).calls, 1u);
+  EXPECT_EQ(cct.size(), 5u);
   stack.Pop();
   stack.Pop();
-  EXPECT_EQ(stack.current_node(), cct.PathNode({1, 2}));
+  EXPECT_EQ(stack.path_id(), path_12);
 }
 
 // The kCallPath element closing the context a synopsis part names.
@@ -88,7 +89,9 @@ TEST(PathTreeTest, DescribeElementRendersPaths) {
   const auto main_fn = dep.functions().Intern("main");
   const auto foo_fn = dep.functions().Intern("foo");
   const auto send_fn = dep.functions().Intern("send");
-  const callpath::NodeIndex path = dep.paths().PathNode({main_fn, foo_fn, send_fn});
+  callpath::PathTree& paths = dep.paths();
+  const callpath::PathId path =
+      paths.Child(paths.Child(paths.Child(paths.root(), main_fn), foo_fn), send_fn);
   EXPECT_EQ(dep.DescribeElement(context::ElementKind::kCallPath, path), "main>foo>send");
   EXPECT_EQ(dep.DescribeElement(context::ElementKind::kCallPath, dep.paths().root()), "");
 }

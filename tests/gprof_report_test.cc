@@ -7,19 +7,27 @@
 namespace whodunit::callpath {
 namespace {
 
+// Adds c at `path` in cct, holding the path first.
+void Charge(PathTree& paths, CallingContextTree& cct, const std::vector<FunctionId>& path,
+            const PathCounters& c) {
+  PathId p = paths.root();
+  for (FunctionId f : path) {
+    p = paths.Child(p, f);
+  }
+  cct.Hold(paths, p);
+  cct.Add(p, c);
+}
+
 TEST(GprofReportTest, AggregatesSelfAndChildren) {
   FunctionRegistry reg;
+  PathTree paths;
   CallingContextTree cct;
   auto main_fn = reg.Intern("main");
   auto work_fn = reg.Intern("work");
-  NodeIndex m = cct.PathNode({main_fn});
-  NodeIndex w = cct.PathNode({main_fn, work_fn});
-  cct.AddCpuTime(m, 100);
-  cct.AddCpuTime(w, 900);
-  cct.AddCall(w);
-  cct.AddCall(w);
+  Charge(paths, cct, {main_fn}, {.cpu_time = 100});
+  Charge(paths, cct, {main_fn, work_fn}, {.cpu_time = 900, .calls = 2});
 
-  auto entries = BuildGprofEntries(cct);
+  auto entries = BuildGprofEntries(cct, paths);
   ASSERT_EQ(entries.size(), 2u);
   // Sorted by self time: work first.
   EXPECT_EQ(entries[0].function, work_fn);
@@ -33,14 +41,15 @@ TEST(GprofReportTest, AggregatesSelfAndChildren) {
 
 TEST(GprofReportTest, ArcsLinkCallersAndCallees) {
   FunctionRegistry reg;
+  PathTree paths;
   CallingContextTree cct;
   auto a = reg.Intern("a");
   auto b = reg.Intern("b");
   auto sort_fn = reg.Intern("sort");
-  cct.AddCpuTime(cct.PathNode({a, sort_fn}), 300);
-  cct.AddCpuTime(cct.PathNode({b, sort_fn}), 100);
+  Charge(paths, cct, {a, sort_fn}, {.cpu_time = 300});
+  Charge(paths, cct, {b, sort_fn}, {.cpu_time = 100});
 
-  auto entries = BuildGprofEntries(cct);
+  auto entries = BuildGprofEntries(cct, paths);
   const GprofEntry* sort_entry = nullptr;
   for (const auto& e : entries) {
     if (e.function == sort_fn) {
@@ -60,15 +69,16 @@ TEST(GprofReportTest, ContextSensitivityIsLost) {
   // total — the per-transaction split only exists in the CCT-per-
   // context transactional profile.
   FunctionRegistry reg;
+  PathTree paths;
   CallingContextTree merged;
   auto svc = reg.Intern("svc");
   auto sort_fn = reg.Intern("sort");
   // Two "transactions" worth of data merged into one tree, as gprof
   // sees the world.
-  merged.AddCpuTime(merged.PathNode({svc, sort_fn}), 300);
-  merged.AddCpuTime(merged.PathNode({svc, sort_fn}), 100);
+  Charge(paths, merged, {svc, sort_fn}, {.cpu_time = 300});
+  Charge(paths, merged, {svc, sort_fn}, {.cpu_time = 100});
 
-  auto entries = BuildGprofEntries(merged);
+  auto entries = BuildGprofEntries(merged, paths);
   int sort_entries = 0;
   for (const auto& e : entries) {
     if (e.function == sort_fn) {
@@ -81,14 +91,13 @@ TEST(GprofReportTest, ContextSensitivityIsLost) {
 
 TEST(GprofReportTest, RenderedReportHasBothSections) {
   FunctionRegistry reg;
+  PathTree paths;
   CallingContextTree cct;
   auto main_fn = reg.Intern("main");
   auto sort_fn = reg.Intern("db_sort");
-  NodeIndex n = cct.PathNode({main_fn, sort_fn});
-  cct.AddCpuTime(n, sim::Millis(42));
-  cct.AddCall(n);
+  Charge(paths, cct, {main_fn, sort_fn}, {.cpu_time = sim::Millis(42), .calls = 1});
 
-  std::string text = RenderGprofReport(cct, reg);
+  std::string text = RenderGprofReport(cct, paths, reg);
   EXPECT_NE(text.find("Flat profile:"), std::string::npos);
   EXPECT_NE(text.find("Call graph:"), std::string::npos);
   EXPECT_NE(text.find("db_sort"), std::string::npos);
@@ -98,8 +107,9 @@ TEST(GprofReportTest, RenderedReportHasBothSections) {
 
 TEST(GprofReportTest, EmptyTreeRendersCleanly) {
   FunctionRegistry reg;
+  PathTree paths;
   CallingContextTree cct;
-  std::string text = RenderGprofReport(cct, reg);
+  std::string text = RenderGprofReport(cct, paths, reg);
   EXPECT_NE(text.find("Flat profile:"), std::string::npos);
 }
 

@@ -1,8 +1,7 @@
 // sim::ParallelRunner and the deterministic-merge primitives it rests
 // on: ShardEnv isolation, shard-registered id-counter restarts,
 // per-deployment context trees, and the name/id remapping merges of
-// CallingContextTree (through a FunctionRegistry remap) and
-// CrosstalkRecorder.
+// MergedProfile::Fold (function and path ids) and CrosstalkRecorder.
 #include "src/sim/parallel_runner.h"
 
 #include <string>
@@ -18,6 +17,7 @@
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
 #include "src/profiler/deployment.h"
+#include "src/profiler/shard_merge.h"
 #include "src/profiler/stage_profiler.h"
 #include "src/sim/lock.h"
 #include "src/sim/scheduler.h"
@@ -176,36 +176,43 @@ TEST(DeploymentContextTreeTest, SecondDeploymentInOneShardMatchesItBuiltAlone) {
             static_cast<int64_t>(second.node_count) + 4);
 }
 
-TEST(MergePrimitivesTest, CctMergeTranslatesFunctionIds) {
-  callpath::FunctionRegistry reg_a;
-  const callpath::FunctionId a_main = reg_a.Intern("main");
-
-  callpath::FunctionRegistry reg_b;
-  const callpath::FunctionId b_helper = reg_b.Intern("helper");  // id 1 == a_main!
-  const callpath::FunctionId b_main = reg_b.Intern("main");
-
+TEST(MergePrimitivesTest, FoldTranslatesFunctionAndPathIds) {
+  profiler::ShardProfile a;
+  const callpath::FunctionId a_main = a.functions.Intern("main");
+  const callpath::PathId a_path = a.paths.Child(a.paths.root(), a_main);
   callpath::CallingContextTree cct_a;
-  const auto a_node = cct_a.Child(cct_a.root(), a_main);
-  cct_a.AddSample(a_node, 5);
+  cct_a.Hold(a.paths, a_path);
+  cct_a.Add(a_path, {.samples = 5});
+  a.ccts.push_back({"stage", "type", cct_a});
 
+  // Shard b's ids disagree with a's: its function 1 and path 1 are
+  // "helper", and its "main" path is 2.
+  profiler::ShardProfile b;
+  const callpath::FunctionId b_helper = b.functions.Intern("helper");
+  const callpath::FunctionId b_main = b.functions.Intern("main");
+  b.paths.Child(b.paths.root(), b_helper);
+  const callpath::PathId b_path = b.paths.Child(b.paths.root(), b_main);
+  const callpath::PathId b_leaf = b.paths.Child(b_path, b_helper);
   callpath::CallingContextTree cct_b;
-  const auto b_node = cct_b.Child(cct_b.root(), b_main);
-  cct_b.AddSample(b_node, 7);
-  const auto b_leaf = cct_b.Child(b_node, b_helper);
-  cct_b.AddSample(b_leaf, 2);
+  cct_b.Hold(b.paths, b_leaf);
+  cct_b.Add(b_path, {.samples = 7});
+  cct_b.Add(b_leaf, {.samples = 2});
+  b.ccts.push_back({"stage", "type", cct_b});
 
-  const std::vector<callpath::FunctionId> remap = reg_a.MergeFrom(reg_b);
-  cct_a.MergeFrom(cct_b, remap);
-
-  // "main" merged onto a's existing node (5 + 7 samples); "helper"
-  // hangs beneath it with its translated id.
-  const auto merged_main = cct_a.Child(cct_a.root(), a_main);
-  EXPECT_EQ(merged_main, a_node);
-  EXPECT_EQ(cct_a.node(merged_main).samples, 12u);
-  const auto merged_helper = cct_a.Child(merged_main, remap[b_helper]);
-  EXPECT_EQ(cct_a.node(merged_helper).samples, 2u);
-  EXPECT_EQ(reg_a.Name(cct_a.node(merged_helper).function), "helper");
-  EXPECT_EQ(cct_a.TotalSamples(), 14u);
+  profiler::MergedProfile merged;
+  merged.Fold(a);
+  merged.Fold(b);
+  // "main" merged onto a's path (5 + 7 samples); "helper" hangs
+  // beneath it, and no top-level "helper" appears.
+  const auto ccts = merged.LabeledCcts("stage");
+  ASSERT_EQ(ccts.size(), 1u);
+  EXPECT_EQ(ccts[0].second->TotalSamples(), 14u);
+  EXPECT_EQ(ccts[0].second->size(), 3u);
+  EXPECT_EQ(merged.RenderTransactionalProfile("stage"),
+            "=== transactional profile of stage 'stage' (merged) ===\n"
+            "--- context type  [0% of stage CPU, 14 samples]\n"
+            "main  samples=14 cpu=0ms\n"
+            "  helper  samples=2 cpu=0ms\n");
 }
 
 TEST(MergePrimitivesTest, CrosstalkMergeRemapsTags) {

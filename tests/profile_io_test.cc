@@ -102,20 +102,23 @@ TEST(ProfileIoTest, MalformedInputsRejected) {
   EXPECT_FALSE(ParseDictionary("garbage", &dict));
 }
 
-// Re-emits a loaded profile in the serialized line format (children in
-// map order, which matches the writer's for single-child chains).
+// Re-emits a loaded CCT in the serialized line format (children in
+// ascending path-id order, which matches the writer's for single-child
+// chains).
 void RenderSubtree(const LoadedProfile& p, const callpath::CallingContextTree& cct,
-                   callpath::NodeIndex node, callpath::NodeIndex parent_out,
-                   callpath::NodeIndex& next_out, std::string& out) {
-  const auto& n = cct.node(node);
-  const callpath::NodeIndex my_out = next_out++;
-  if (node != cct.root()) {
+                   callpath::PathId node, callpath::PathId parent_out,
+                   callpath::PathId& next_out, std::string& out) {
+  const callpath::PathCounters& n = cct.at(node);
+  const callpath::PathId my_out = next_out++;
+  if (node != p.paths.root()) {
     out += "node " + std::to_string(my_out) + " " + std::to_string(parent_out) + " " +
-           p.functions.Name(n.function) + " " + std::to_string(n.samples) + " " +
+           p.functions.Name(p.paths.function(node)) + " " + std::to_string(n.samples) + " " +
            std::to_string(n.cpu_time) + " " + std::to_string(n.calls) + "\n";
   }
-  for (const auto& [f, child] : n.children) {
-    RenderSubtree(p, cct, child, my_out, next_out, out);
+  for (callpath::PathId child = node + 1; child < cct.id_limit(); ++child) {
+    if (cct.holds(child) && p.paths.parent(child) == node) {
+      RenderSubtree(p, cct, child, my_out, next_out, out);
+    }
   }
 }
 
@@ -125,8 +128,8 @@ std::string Render(const LoadedProfile& p) {
                     "\n";
   for (const auto& [label, cct] : p.ccts) {
     out += "cct " + (label.parts.empty() ? std::string("-") : label.ToString()) + "\n";
-    callpath::NodeIndex next_out = 0;
-    RenderSubtree(p, cct, cct.root(), 0, next_out, out);
+    callpath::PathId next_out = 0;
+    RenderSubtree(p, cct, p.paths.root(), 0, next_out, out);
   }
   return out + "end\n";
 }
@@ -188,7 +191,7 @@ TEST(ProfileIoTest, ParsersAcceptValidAndRejectMalformedInput) {
   // A count at the top of its range is valid and added in one step.
   LoadedProfile big;
   ASSERT_TRUE(ParseProfile(ProfileWith(4, "node 1 0 main 3 40 18446744073709551615"), &big));
-  EXPECT_EQ(big.ccts[0].second.node(1).calls, UINT64_MAX);
+  EXPECT_EQ(big.ccts[0].second.at(1).calls, UINT64_MAX);
 
   const struct {
     const char* what;
@@ -278,8 +281,8 @@ std::string FlatProfile(const StageProfiler& stage) {
   for (const auto& [label, cct] : stage.LabeledCcts()) {
     merged.MergeFrom(*cct);
   }
-  const std::string report =
-      callpath::RenderGprofReport(merged, stage.deployment().functions());
+  const std::string report = callpath::RenderGprofReport(merged, stage.deployment().paths(),
+                                                         stage.deployment().functions());
   return report.substr(0, report.find("\nCall graph:"));
 }
 
