@@ -7,11 +7,14 @@
 //
 //   offline_report [output_dir]     (default: ./whodunit_profiles)
 //
-// Step 1 profiles a three-stage deployment and writes
-//   <dir>/caller.profile, <dir>/middle.profile, <dir>/leaf.profile,
-//   <dir>/contexts.dict
-// Step 2 reads the files back — using nothing else — and prints the
-// stitched end-to-end transactional profile.
+// Step 1 profiles a three-stage deployment, renders its live stitched
+// report, and writes
+//   <dir>/metrics.json, <dir>/caller.profile, <dir>/middle.profile,
+//   <dir>/leaf.profile, <dir>/contexts.dict
+// Step 2 reads the profiles back — using nothing else — and prints the
+// stitched end-to-end transactional profile. It must equal the live
+// report byte for byte; the example exits 1 if it does not.
+// Step 3 re-reads and prints the profiler's own metrics.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +25,7 @@
 #include "src/profiler/deployment.h"
 #include "src/profiler/profile_io.h"
 #include "src/profiler/stage_profiler.h"
+#include "src/profiler/stitcher.h"
 
 namespace {
 
@@ -94,7 +98,13 @@ int main(int argc, char** argv) {
   }
 
   // "When the program exits, Whodunit ... writes the profile data to
-  // disk."
+  // disk." The profiler's own telemetry goes first, so it covers the
+  // run and not the reports below.
+  const std::filesystem::path metrics_path = dir / "metrics.json";
+  if (!obs::DumpGlobalMetrics(metrics_path.string())) {
+    return 1;
+  }
+  const std::string live_report = profiler::Stitcher(dep).Render();
   WriteFile(dir / "caller.profile", profiler::SerializeProfile(caller));
   WriteFile(dir / "middle.profile", profiler::SerializeProfile(middle));
   WriteFile(dir / "leaf.profile", profiler::SerializeProfile(leaf));
@@ -102,29 +112,29 @@ int main(int argc, char** argv) {
   std::printf("wrote 3 stage profiles + dictionary to %s/\n\n", dir.c_str());
 
   // ---- Step 2: the presentation phase, from files alone ----
-  std::vector<profiler::LoadedProfile> profiles(3);
-  bool ok = profiler::ParseProfile(ReadFile(dir / "caller.profile"), &profiles[0]) &&
-            profiler::ParseProfile(ReadFile(dir / "middle.profile"), &profiles[1]) &&
-            profiler::ParseProfile(ReadFile(dir / "leaf.profile"), &profiles[2]);
-  std::map<uint32_t, std::string> dictionary;
-  ok = ok && profiler::ParseDictionary(ReadFile(dir / "contexts.dict"), &dictionary);
+  profiler::Profile profile;
+  const bool ok = profiler::ParseProfile(ReadFile(dir / "caller.profile"), &profile) &&
+                  profiler::ParseProfile(ReadFile(dir / "middle.profile"), &profile) &&
+                  profiler::ParseProfile(ReadFile(dir / "leaf.profile"), &profile) &&
+                  profiler::ParseDictionary(ReadFile(dir / "contexts.dict"), &profile);
   if (!ok) {
     std::fprintf(stderr, "failed to re-read the profile files\n");
     return 1;
   }
-  std::printf("%s", profiler::OfflineStitch(profiles, dictionary).c_str());
+  const std::string report = profiler::Stitcher(profile).Render();
+  std::printf("%s", report.c_str());
+  if (report != live_report) {
+    std::fprintf(stderr, "the report rebuilt from %s differs from the live report\n",
+                 dir.c_str());
+    return 1;
+  }
   std::printf("\nNote how the leaf's run_query cost is split by which caller path\n"
               "(search vs browse) reached it, two stages upstream.\n");
 
   // ---- Step 3: the profiler's own telemetry, same round trip ----
   // The obs layer (docs/METRICS.md) watched the run from the inside:
-  // dump its JSON export next to the profiles, then re-read and render
-  // it from the file alone — the path every bench's
-  // BENCH_*.metrics.json dump takes.
-  const std::filesystem::path metrics_path = dir / "metrics.json";
-  if (!obs::DumpGlobalMetrics(metrics_path.string())) {
-    return 1;
-  }
+  // re-read its JSON export and render it from the file alone — the
+  // path every bench's BENCH_*.metrics.json dump takes.
   obs::MetricsSnapshot snapshot;
   if (!obs::ParseJson(ReadFile(metrics_path), &snapshot)) {
     std::fprintf(stderr, "failed to re-read %s\n", metrics_path.c_str());

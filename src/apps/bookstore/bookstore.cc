@@ -5,9 +5,9 @@
 #include <sstream>
 #include <vector>
 
+#include "src/apps/shards.h"
 #include "src/crosstalk/crosstalk.h"
-#include "src/profiler/shard_merge.h"
-#include "src/sim/parallel_runner.h"
+#include "src/profiler/profile.h"
 #include "src/obs/live/daemon.h"
 #include "src/profiler/deployment.h"
 #include "src/profiler/stage_profiler.h"
@@ -139,9 +139,9 @@ class Bookstore {
     counter_prog_ = shm::CounterIncrement(kDbCounterLockId);
   }
 
-  // Runs the simulation; when `out_profile` is set, also extracts the
-  // mergeable profile snapshot (for the shard-parallel path).
-  BookstoreResult Run(profiler::ShardProfile* out_profile = nullptr);
+  // Runs the simulation; when `out_profile` is set, also copies the
+  // deployment's profile there (for the shard-parallel path).
+  BookstoreResult Run(profiler::Profile* out_profile = nullptr);
 
   void SetShard(size_t index, size_t count) { dep_.set_shard(index, count); }
 
@@ -514,7 +514,7 @@ class Bookstore {
   uint64_t interactions_ = 0;
 };
 
-BookstoreResult Bookstore::Run(profiler::ShardProfile* out_profile) {
+BookstoreResult Bookstore::Run(profiler::Profile* out_profile) {
   service_fn_ = tomcat_.RegisterFunction("service");
   db_rpc_fn_ = tomcat_.RegisterFunction("jdbc_execute");
   do_command_fn_ = mysql_.RegisterFunction("do_command");
@@ -669,8 +669,8 @@ BookstoreResult Bookstore::Run(profiler::ShardProfile* out_profile) {
   result.db_utilization = db_cpu_.Utilization(options_.duration);
   result.tomcat_utilization = tomcat_cpu_.Utilization(options_.duration);
   result.proxy_utilization = proxy_cpu_.Utilization(options_.duration);
-  result.db_profile_text = mysql_.RenderTransactionalProfile(0.001);
   profiler::Stitcher stitcher(dep_);
+  result.db_profile_text = stitcher.RenderStage(mysql_.name(), 0.001);
   result.stitched_text = stitcher.Render(0.02);
   result.stitched_dot = stitcher.RenderDot();
   profiler::Analysis analysis(dep_);
@@ -685,7 +685,11 @@ BookstoreResult Bookstore::Run(profiler::ShardProfile* out_profile) {
   };
   result.crosstalk_text = crosstalk_.Render(tag_namer);
   if (out_profile != nullptr) {
-    *out_profile = profiler::ExtractShardProfile(dep_, &crosstalk_, tag_namer);
+    *out_profile = profiler::Profile::Of(dep_);
+    out_profile->crosstalk = crosstalk_;
+    for (uint64_t tag : crosstalk_.Tags()) {
+      out_profile->tag_names.emplace(tag, tag_namer(tag));
+    }
   }
   if (daemon_ != nullptr) {
     // Close the publish channel (flushing the partial publish batch)
@@ -705,52 +709,29 @@ BookstoreResult Bookstore::Run(profiler::ShardProfile* out_profile) {
   return result;
 }
 
-// One shard's output: the scaled-down deployment's result plus its
-// mergeable profile snapshot.
-struct BookstoreShardOutput {
-  BookstoreResult result;
-  profiler::ShardProfile profile;
-};
-
 BookstoreResult RunShardedBookstore(const BookstoreOptions& options) {
-  const int shards = options.shards;
-  auto runs = sim::ParallelRunner::Run(
-      static_cast<size_t>(shards), static_cast<size_t>(options.threads),
-      [&options, shards](size_t shard, sim::ShardEnv& /*env*/) {
-        BookstoreOptions shard_options = options;
-        shard_options.shards = 1;
-        shard_options.threads = 1;
-        // Fixed partition: sizes depend only on (clients, shards).
-        shard_options.clients = options.clients / shards +
-                                (static_cast<int>(shard) < options.clients % shards ? 1 : 0);
-        // An explicit offered load splits proportionally to the shard's
-        // client share (a rate-0 config derives from clients anyway).
-        if (options.arrivals.offered_load_tps > 0.0 && options.clients > 0) {
-          shard_options.arrivals.offered_load_tps =
-              options.arrivals.offered_load_tps *
-              static_cast<double>(shard_options.clients) /
-              static_cast<double>(options.clients);
-        }
-        shard_options.seed = options.seed + shard;
-        // Shards draw independent decision streams; an explicit
-        // sample_seed shifts per shard the same way `seed` does.
-        shard_options.sample_seed =
-            options.sample_seed != 0 ? options.sample_seed + shard : 0;
-        shard_options.on_live_top = nullptr;
-        Bookstore bookstore(shard_options);
-        bookstore.SetShard(shard, static_cast<size_t>(shards));
-        BookstoreShardOutput out;
-        out.result = bookstore.Run(&out.profile);
-        return out;
-      });
+  auto runs = RunShards(options, [&options](BookstoreOptions shard_options, size_t shard,
+                                            profiler::Profile* profile) {
+    // An explicit offered load splits proportionally to the shard's
+    // client share (a rate-0 config derives from clients anyway).
+    if (options.arrivals.offered_load_tps > 0.0 && options.clients > 0) {
+      shard_options.arrivals.offered_load_tps = options.arrivals.offered_load_tps *
+                                                static_cast<double>(shard_options.clients) /
+                                                static_cast<double>(options.clients);
+    }
+    shard_options.on_live_top = nullptr;
+    Bookstore bookstore(shard_options);
+    bookstore.SetShard(shard, static_cast<size_t>(options.shards));
+    return bookstore.Run(profile);
+  });
 
   // Canonical merge, shard order, on the calling thread.
-  profiler::MergedProfile merged;
+  profiler::Profile merged;
   BookstoreResult out;
   std::ostringstream stitched, live_top, live_query, live_spans, live_why, live_attr;
   for (size_t i = 0; i < runs.size(); ++i) {
-    const BookstoreResult& r = runs[i].result.result;
-    merged.Fold(runs[i].result.profile);
+    const BookstoreResult& r = runs[i].result;
+    merged.Fold(runs[i].profile);
     out.interactions += r.interactions;
     out.throughput_tpm += r.throughput_tpm;
     out.payload_bytes += r.payload_bytes;
@@ -780,9 +761,9 @@ BookstoreResult RunShardedBookstore(const BookstoreOptions& options) {
     }
   }
   // Shard machines are replicas, so merged utilization is their mean.
-  out.db_utilization /= static_cast<double>(shards);
-  out.tomcat_utilization /= static_cast<double>(shards);
-  out.proxy_utilization /= static_cast<double>(shards);
+  out.db_utilization /= static_cast<double>(options.shards);
+  out.tomcat_utilization /= static_cast<double>(options.shards);
+  out.proxy_utilization /= static_cast<double>(options.shards);
   uint64_t label_total = 0;
   uint64_t ground_total = 0;
   for (const auto& row : out.per_type) {
@@ -802,28 +783,22 @@ BookstoreResult RunShardedBookstore(const BookstoreOptions& options) {
       row.db_cpu_percent_ground = 100.0 * static_cast<double>(row.db_cpu_ground_ns) /
                                   static_cast<double>(ground_total);
     }
-    const uint64_t tag =
-        merged.MergedTag(workload::TpcwName(static_cast<TpcwTransaction>(t)));
-    if (tag != profiler::MergedProfile::kNoMergedTag) {
-      row.mean_crosstalk_ms = merged.crosstalk().MeanWaitAllAcquires(tag) / 1e6;
+    const uint64_t tag = merged.Tag(workload::TpcwName(static_cast<TpcwTransaction>(t)));
+    if (tag != profiler::Profile::kNoTag) {
+      row.mean_crosstalk_ms = merged.crosstalk.MeanWaitAllAcquires(tag) / 1e6;
     }
   }
-  out.db_profile_text = merged.RenderTransactionalProfile("mysql", 0.001);
+  out.db_profile_text = profiler::Stitcher(merged).RenderStage("mysql", 0.001, " (merged)");
   out.crosstalk_text = merged.RenderCrosstalk();
   out.stitched_text = stitched.str();
-  out.stitched_dot = runs.front().result.result.stitched_dot;
-  out.who_causes_sort = runs.front().result.result.who_causes_sort;
+  out.stitched_dot = runs.front().result.stitched_dot;
+  out.who_causes_sort = runs.front().result.who_causes_sort;
   if (options.live) {
     out.live_top_text = live_top.str();
     out.live_query_json = live_query.str();
     out.live_span_json = live_spans.str();
     out.live_why_tail_text = live_why.str();
     out.live_attr_folded = live_attr.str();
-  }
-  // Shard metrics fold into the caller's registry in shard order so
-  // WHODUNIT_METRICS_DIR dumps cover the sharded work deterministically.
-  for (const auto& run : runs) {
-    run.env->FoldMetricsInto(obs::Registry());
   }
   return out;
 }

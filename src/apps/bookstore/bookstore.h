@@ -172,7 +172,7 @@ struct BookstoreResult {
 // Runs the bookstore. With options.shards > 1 the run fans out over a
 // sim::ParallelRunner: numeric results merge exactly (raw-sum fields),
 // db_profile_text / crosstalk_text are the canonical cross-shard merge
-// (profiler::MergedProfile), stitched_text and the live snapshots are
+// (profiler::Profile::Fold), stitched_text and the live snapshots are
 // per-shard sections in shard order, and stitched_dot /
 // who_causes_sort come from shard 0. on_live_top is ignored when
 // sharded (the callback is not shard-safe).

@@ -6,13 +6,14 @@
 #include <sstream>
 #include <vector>
 
+#include "src/apps/shards.h"
 #include "src/http/http.h"
 #include "src/obs/live/daemon.h"
 #include "src/obs/metrics.h"
 #include "src/profiler/deployment.h"
-#include "src/profiler/shard_merge.h"
+#include "src/profiler/profile.h"
 #include "src/profiler/stage_profiler.h"
-#include "src/sim/parallel_runner.h"
+#include "src/profiler/stitcher.h"
 #include "src/shm/flow_detector.h"
 #include "src/shm/guest_code.h"
 #include "src/shm/section_cache.h"
@@ -69,7 +70,8 @@ class Server {
   explicit Server(const MinihttpdOptions& options)
       : options_(options),
         cpu_(sched_, workload::kWebServerCores, "apache_cpu"),
-        prof_(dep_, MakeProfilerOptions(options)),
+        prof_(dep_.AddStage(
+            std::make_unique<StageProfiler>(dep_, MakeProfilerOptions(options)))),
         detector_(MakeDetector()),
         queue_mutex_(sched_, "fd_queue_mutex"),
         alloc_mutex_(sched_, "pool_mutex"),
@@ -110,10 +112,6 @@ class Server {
       lo.publish_batch = options.live_publish_batch;
       daemon_ = std::make_unique<obs::live::Whodunitd>(sched_, lo);
       dep_.AttachLive(daemon_.get());
-      // The server's stage lives outside the deployment's registry, so
-      // attach it and route the daemon's pre-query flush to it directly.
-      prof_.AttachLive(daemon_.get());
-      daemon_->set_flush_hook([this] { prof_.FlushLive(); });
       // Intern the two connection-type names once so the per-accept
       // publish path is pure integer work.
       conn_small_sym_ = daemon_->symbols().Intern("conn_small");
@@ -121,7 +119,7 @@ class Server {
     }
   }
 
-  MinihttpdResult Run(profiler::ShardProfile* out_profile = nullptr);
+  MinihttpdResult Run(profiler::Profile* out_profile = nullptr);
 
   void SetShard(size_t index, size_t count) { dep_.set_shard(index, count); }
 
@@ -390,7 +388,7 @@ class Server {
   sim::Scheduler sched_;
   sim::CpuResource cpu_;
   profiler::Deployment dep_;
-  StageProfiler prof_;
+  StageProfiler& prof_;
   vm::Memory mem_;
   vm::Interpreter interp_;
   shm::FlowDetector detector_;
@@ -425,7 +423,7 @@ class Server {
   bool queue_flow_seen_ = false;
 };
 
-MinihttpdResult Server::Run(profiler::ShardProfile* out_profile) {
+MinihttpdResult Server::Run(profiler::Profile* out_profile) {
   // Threads: 0 = listener, 1..workers = workers.
   thread_profiles_.push_back(&prof_.CreateThread("listener"));
   for (int w = 0; w < options_.workers; ++w) {
@@ -507,7 +505,7 @@ MinihttpdResult Server::Run(profiler::ShardProfile* out_profile) {
     result.worker_context_share = 100.0 - result.listener_context_share;
   }
   if (out_profile != nullptr) {
-    profiler::AppendStageCcts(dep_, prof_, out_profile);
+    *out_profile = profiler::Profile::Of(dep_);
   }
   if (daemon_ != nullptr) {
     // Flush the partial publish batch and drain before snapshotting,
@@ -521,37 +519,19 @@ MinihttpdResult Server::Run(profiler::ShardProfile* out_profile) {
   return result;
 }
 
-struct MinihttpdShardOutput {
-  MinihttpdResult result;
-  profiler::ShardProfile profile;
-};
-
 MinihttpdResult RunShardedMinihttpd(const MinihttpdOptions& options) {
-  const size_t shards = static_cast<size_t>(options.shards);
-  auto runs = sim::ParallelRunner::Run(
-      shards, static_cast<size_t>(options.threads),
-      [&options, shards](size_t shard, sim::ShardEnv&) {
-        MinihttpdOptions shard_options = options;
-        shard_options.shards = 1;
-        shard_options.threads = 1;
-        const int base = options.clients / static_cast<int>(shards);
-        const int extra = options.clients % static_cast<int>(shards);
-        shard_options.clients = base + (static_cast<int>(shard) < extra ? 1 : 0);
-        shard_options.seed = options.seed + shard;
-        shard_options.sample_seed =
-            options.sample_seed != 0 ? options.sample_seed + shard : 0;
-        MinihttpdShardOutput out;
-        Server server(shard_options);
-        server.SetShard(shard, shards);
-        out.result = server.Run(&out.profile);
-        return out;
-      });
+  auto runs = RunShards(options, [&options](const MinihttpdOptions& shard_options, size_t shard,
+                                            profiler::Profile* profile) {
+    Server server(shard_options);
+    server.SetShard(shard, static_cast<size_t>(options.shards));
+    return server.Run(profile);
+  });
 
   MinihttpdResult merged;
-  profiler::MergedProfile profile;
+  profiler::Profile profile;
   std::ostringstream live_top, live_spans;
   for (size_t shard = 0; shard < runs.size(); ++shard) {
-    const MinihttpdResult& r = runs[shard].result.result;
+    const MinihttpdResult& r = runs[shard].result;
     merged.throughput_mbps += r.throughput_mbps;
     merged.requests += r.requests;
     merged.connections += r.connections;
@@ -562,19 +542,18 @@ MinihttpdResult RunShardedMinihttpd(const MinihttpdOptions& options) {
     merged.critical_sections_emulated += r.critical_sections_emulated;
     merged.origin_cpu_ns += r.origin_cpu_ns;
     merged.total_cpu_ns += r.total_cpu_ns;
-    profile.Fold(runs[shard].result.profile);
+    profile.Fold(runs[shard].profile);
     if (options.live) {
       live_top << "=== shard " << shard << " ===\n" << r.live_top_text;
       live_spans << "=== shard " << shard << " ===\n" << r.live_span_json;
     }
-    runs[shard].env->FoldMetricsInto(obs::Registry());
   }
   if (merged.total_cpu_ns > 0) {
     merged.listener_context_share = 100.0 * static_cast<double>(merged.origin_cpu_ns) /
                                     static_cast<double>(merged.total_cpu_ns);
     merged.worker_context_share = 100.0 - merged.listener_context_share;
   }
-  merged.profile_text = profile.RenderTransactionalProfile("apache", 0.005);
+  merged.profile_text = profiler::Stitcher(profile).RenderStage("apache", 0.005, " (merged)");
   merged.live_top_text = live_top.str();
   merged.live_span_json = live_spans.str();
   return merged;

@@ -103,7 +103,7 @@ struct MinihttpdResult {
 // Runs minihttpd. With options.shards > 1 the run fans out over a
 // sim::ParallelRunner: numeric results merge exactly (raw-sum fields,
 // flags OR-ed), profile_text is the canonical cross-shard merge
-// (profiler::MergedProfile), and the live snapshots are per-shard
+// (profiler::Profile::Fold), and the live snapshots are per-shard
 // sections in shard order.
 MinihttpdResult RunMinihttpd(const MinihttpdOptions& options);
 

@@ -4,13 +4,14 @@
 #include <memory>
 #include <vector>
 
+#include "src/apps/shards.h"
 #include "src/events/event_loop.h"
 #include "src/http/http.h"
 #include "src/obs/metrics.h"
 #include "src/profiler/deployment.h"
-#include "src/profiler/shard_merge.h"
+#include "src/profiler/profile.h"
 #include "src/profiler/stage_profiler.h"
-#include "src/sim/parallel_runner.h"
+#include "src/profiler/stitcher.h"
 #include "src/sim/channel.h"
 #include "src/sim/cpu.h"
 #include "src/sim/scheduler.h"
@@ -53,7 +54,8 @@ class Proxy {
         proxy_cpu_(sched_, workload::kProxyCores, "squid_cpu"),
         origin_cpu_(sched_, 2, "origin_cpu"),
         loop_(sched_, dep_.contexts()),
-        prof_(dep_, MakeProfilerOptions(options)),
+        prof_(dep_.AddStage(
+            std::make_unique<StageProfiler>(dep_, MakeProfilerOptions(options)))),
         origin_ch_(sched_, workload::kLanLatency),
         accept_ch_(sched_),
         cache_(workload::kProxyCacheObjects) {
@@ -62,7 +64,7 @@ class Proxy {
         options.sample_seed != 0 ? options.sample_seed : options.seed});
   }
 
-  MiniproxyResult Run(profiler::ShardProfile* out_profile = nullptr);
+  MiniproxyResult Run(profiler::Profile* out_profile = nullptr);
 
   void SetShard(size_t index, size_t count) { dep_.set_shard(index, count); }
 
@@ -257,7 +259,7 @@ class Proxy {
   // Declared before loop_, which binds to its context tree.
   profiler::Deployment dep_;
   EventLoop loop_;
-  StageProfiler prof_;
+  StageProfiler& prof_;
   ThreadProfile* loop_tp_ = nullptr;
   sim::Channel<OriginRequest> origin_ch_;
   sim::Channel<ClientConn> accept_ch_;
@@ -278,7 +280,7 @@ class Proxy {
   uint64_t misses_ = 0;
 };
 
-MiniproxyResult Proxy::Run(profiler::ShardProfile* out_profile) {
+MiniproxyResult Proxy::Run(profiler::Profile* out_profile) {
   loop_tp_ = &prof_.CreateThread("event_loop");
   RegisterHandlers();
   loop_.set_tracking(TracksTransactions(options_.mode));
@@ -381,41 +383,23 @@ MiniproxyResult Proxy::Run(profiler::ShardProfile* out_profile) {
     result.miss_path_share = 100.0 * static_cast<double>(result.miss_path_cpu_ns) / total;
   }
   if (out_profile != nullptr) {
-    profiler::AppendStageCcts(dep_, prof_, out_profile);
+    *out_profile = profiler::Profile::Of(dep_);
   }
   return result;
 }
 
-struct MiniproxyShardOutput {
-  MiniproxyResult result;
-  profiler::ShardProfile profile;
-};
-
 MiniproxyResult RunShardedMiniproxy(const MiniproxyOptions& options) {
-  const size_t shards = static_cast<size_t>(options.shards);
-  auto runs = sim::ParallelRunner::Run(
-      shards, static_cast<size_t>(options.threads),
-      [&options, shards](size_t shard, sim::ShardEnv&) {
-        MiniproxyOptions shard_options = options;
-        shard_options.shards = 1;
-        shard_options.threads = 1;
-        const int base = options.clients / static_cast<int>(shards);
-        const int extra = options.clients % static_cast<int>(shards);
-        shard_options.clients = base + (static_cast<int>(shard) < extra ? 1 : 0);
-        shard_options.seed = options.seed + shard;
-        shard_options.sample_seed =
-            options.sample_seed != 0 ? options.sample_seed + shard : 0;
-        MiniproxyShardOutput out;
-        Proxy proxy(shard_options);
-        proxy.SetShard(shard, shards);
-        out.result = proxy.Run(&out.profile);
-        return out;
-      });
+  auto runs = RunShards(options, [&options](const MiniproxyOptions& shard_options, size_t shard,
+                                            profiler::Profile* profile) {
+    Proxy proxy(shard_options);
+    proxy.SetShard(shard, static_cast<size_t>(options.shards));
+    return proxy.Run(profile);
+  });
 
   MiniproxyResult merged;
-  profiler::MergedProfile profile;
+  profiler::Profile profile;
   for (size_t shard = 0; shard < runs.size(); ++shard) {
-    const MiniproxyResult& r = runs[shard].result.result;
+    const MiniproxyResult& r = runs[shard].result;
     merged.throughput_mbps += r.throughput_mbps;
     merged.requests += r.requests;
     merged.cache_hits += r.cache_hits;
@@ -427,8 +411,7 @@ MiniproxyResult RunShardedMiniproxy(const MiniproxyOptions& options) {
     merged.hit_path_cpu_ns += r.hit_path_cpu_ns;
     merged.miss_path_cpu_ns += r.miss_path_cpu_ns;
     merged.total_cpu_ns += r.total_cpu_ns;
-    profile.Fold(runs[shard].result.profile);
-    runs[shard].env->FoldMetricsInto(obs::Registry());
+    profile.Fold(runs[shard].profile);
   }
   if (merged.cache_hits + merged.cache_misses > 0) {
     merged.hit_ratio = static_cast<double>(merged.cache_hits) /
@@ -439,7 +422,7 @@ MiniproxyResult RunShardedMiniproxy(const MiniproxyOptions& options) {
     merged.hit_path_share = 100.0 * static_cast<double>(merged.hit_path_cpu_ns) / total;
     merged.miss_path_share = 100.0 * static_cast<double>(merged.miss_path_cpu_ns) / total;
   }
-  merged.profile_text = profile.RenderTransactionalProfile("squid", 0.001);
+  merged.profile_text = profiler::Stitcher(profile).RenderStage("squid", 0.001, " (merged)");
   return merged;
 }
 

@@ -78,7 +78,7 @@ struct MiniproxyResult {
 // sim::ParallelRunner: numeric results merge exactly (raw-sum fields;
 // write_handler_context_count takes the per-shard max, since every
 // shard sees the same hit/miss context pair) and profile_text is the
-// canonical cross-shard merge (profiler::MergedProfile).
+// canonical cross-shard merge (profiler::Profile::Fold).
 MiniproxyResult RunMiniproxy(const MiniproxyOptions& options);
 
 }  // namespace whodunit::apps

@@ -6,13 +6,14 @@
 #include <sstream>
 #include <vector>
 
+#include "src/apps/shards.h"
 #include "src/http/http.h"
 #include "src/obs/live/daemon.h"
 #include "src/obs/metrics.h"
 #include "src/profiler/deployment.h"
-#include "src/profiler/shard_merge.h"
+#include "src/profiler/profile.h"
 #include "src/profiler/stage_profiler.h"
-#include "src/sim/parallel_runner.h"
+#include "src/profiler/stitcher.h"
 #include "src/seda/stage.h"
 #include "src/sim/channel.h"
 #include "src/sim/cpu.h"
@@ -52,7 +53,8 @@ class Haboob {
       : options_(options),
         cpu_(sched_, workload::kWebServerCores, "haboob_cpu"),
         graph_(sched_, dep_.contexts()),
-        prof_(dep_, MakeProfilerOptions(options)),
+        prof_(dep_.AddStage(
+            std::make_unique<StageProfiler>(dep_, MakeProfilerOptions(options)))),
         accept_ch_(sched_) {
     dep_.sampling().Configure(profiler::SamplingConfig{
         options.sample_rate,
@@ -63,10 +65,6 @@ class Haboob {
       lo.publish_batch = options.live_publish_batch;
       daemon_ = std::make_unique<obs::live::Whodunitd>(sched_, lo);
       dep_.AttachLive(daemon_.get());
-      // The server's stage lives outside the deployment's registry, so
-      // attach it and route the daemon's pre-query flush to it directly.
-      prof_.AttachLive(daemon_.get());
-      daemon_->set_flush_hook([this] { prof_.FlushLive(); });
       // Type names interned once; per-stage span names are interned in
       // Run() after the stage graph is built.
       http_request_sym_ = daemon_->symbols().Intern("http_request");
@@ -75,7 +73,7 @@ class Haboob {
     }
   }
 
-  SedaServerResult Run(profiler::ShardProfile* out_profile = nullptr);
+  SedaServerResult Run(profiler::Profile* out_profile = nullptr);
 
   void SetShard(size_t index, size_t count) { dep_.set_shard(index, count); }
 
@@ -299,7 +297,7 @@ class Haboob {
   // Declared before graph_, which binds to its context tree.
   profiler::Deployment dep_;
   StageGraph graph_;
-  StageProfiler prof_;
+  StageProfiler& prof_;
   sim::Channel<uint64_t> accept_ch_;
   workload::WebTrace trace_;
   std::unique_ptr<obs::live::Whodunitd> daemon_;
@@ -327,7 +325,7 @@ class Haboob {
   uint64_t misses_ = 0;
 };
 
-SedaServerResult Haboob::Run(profiler::ShardProfile* out_profile) {
+SedaServerResult Haboob::Run(profiler::Profile* out_profile) {
   BuildStages();
   if (daemon_ != nullptr) {
     for (StageId s = 0; s < graph_.stage_count(); ++s) {
@@ -433,7 +431,7 @@ SedaServerResult Haboob::Run(profiler::ShardProfile* out_profile) {
     result.write_miss_share = 100.0 * static_cast<double>(result.write_miss_cpu_ns) / total;
   }
   if (out_profile != nullptr) {
-    profiler::AppendStageCcts(dep_, prof_, out_profile);
+    *out_profile = profiler::Profile::Of(dep_);
   }
   if (daemon_ != nullptr) {
     // Flush the partial publish batch and drain before snapshotting,
@@ -447,37 +445,19 @@ SedaServerResult Haboob::Run(profiler::ShardProfile* out_profile) {
   return result;
 }
 
-struct SedaShardOutput {
-  SedaServerResult result;
-  profiler::ShardProfile profile;
-};
-
 SedaServerResult RunShardedSedaServer(const SedaServerOptions& options) {
-  const size_t shards = static_cast<size_t>(options.shards);
-  auto runs = sim::ParallelRunner::Run(
-      shards, static_cast<size_t>(options.threads),
-      [&options, shards](size_t shard, sim::ShardEnv&) {
-        SedaServerOptions shard_options = options;
-        shard_options.shards = 1;
-        shard_options.threads = 1;
-        const int base = options.clients / static_cast<int>(shards);
-        const int extra = options.clients % static_cast<int>(shards);
-        shard_options.clients = base + (static_cast<int>(shard) < extra ? 1 : 0);
-        shard_options.seed = options.seed + shard;
-        shard_options.sample_seed =
-            options.sample_seed != 0 ? options.sample_seed + shard : 0;
-        SedaShardOutput out;
-        Haboob haboob(shard_options);
-        haboob.SetShard(shard, shards);
-        out.result = haboob.Run(&out.profile);
-        return out;
-      });
+  auto runs = RunShards(options, [&options](const SedaServerOptions& shard_options, size_t shard,
+                                            profiler::Profile* profile) {
+    Haboob haboob(shard_options);
+    haboob.SetShard(shard, static_cast<size_t>(options.shards));
+    return haboob.Run(profile);
+  });
 
   SedaServerResult merged;
-  profiler::MergedProfile profile;
+  profiler::Profile profile;
   std::ostringstream live_top, live_spans;
   for (size_t shard = 0; shard < runs.size(); ++shard) {
-    const SedaServerResult& r = runs[shard].result.result;
+    const SedaServerResult& r = runs[shard].result;
     merged.throughput_mbps += r.throughput_mbps;
     merged.requests += r.requests;
     merged.cache_hits += r.cache_hits;
@@ -489,19 +469,18 @@ SedaServerResult RunShardedSedaServer(const SedaServerOptions& options) {
     merged.write_hit_cpu_ns += r.write_hit_cpu_ns;
     merged.write_miss_cpu_ns += r.write_miss_cpu_ns;
     merged.total_cpu_ns += r.total_cpu_ns;
-    profile.Fold(runs[shard].result.profile);
+    profile.Fold(runs[shard].profile);
     if (options.live) {
       live_top << "=== shard " << shard << " ===\n" << r.live_top_text;
       live_spans << "=== shard " << shard << " ===\n" << r.live_span_json;
     }
-    runs[shard].env->FoldMetricsInto(obs::Registry());
   }
   if (merged.total_cpu_ns > 0) {
     const double total = static_cast<double>(merged.total_cpu_ns);
     merged.write_hit_share = 100.0 * static_cast<double>(merged.write_hit_cpu_ns) / total;
     merged.write_miss_share = 100.0 * static_cast<double>(merged.write_miss_cpu_ns) / total;
   }
-  merged.profile_text = profile.RenderTransactionalProfile("haboob", 0.001);
+  merged.profile_text = profiler::Stitcher(profile).RenderStage("haboob", 0.001, " (merged)");
   merged.live_top_text = live_top.str();
   merged.live_span_json = live_spans.str();
   return merged;

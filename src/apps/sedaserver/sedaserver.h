@@ -93,7 +93,7 @@ struct SedaServerResult {
 // a sim::ParallelRunner: numeric results merge exactly (raw-sum
 // fields; write_stage_context_count takes the per-shard max, since
 // every shard sees the same hit/miss context pair), profile_text is
-// the canonical cross-shard merge (profiler::MergedProfile), and the
+// the canonical cross-shard merge (profiler::Profile::Fold), and the
 // live snapshots are per-shard sections in shard order.
 SedaServerResult RunSedaServer(const SedaServerOptions& options);
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
+#include <map>
 #include <sstream>
 #include <system_error>
+#include <vector>
 
 namespace whodunit::profiler {
 namespace {
@@ -25,7 +27,7 @@ std::string Sanitize(std::string_view name) {
 // One line per held path in preorder; a path's line index is its
 // preorder position (the root is 0 and has no line).
 void SerializeCct(const callpath::CallingContextTree& cct, const callpath::PathTree& paths,
-                  const callpath::FunctionRegistry& functions, std::ostringstream& out) {
+                  std::ostringstream& out) {
   std::vector<callpath::PathId> line(cct.id_limit());
   callpath::PathId next = 0;
   for (callpath::PathId p : cct.Preorder(paths)) {
@@ -34,9 +36,8 @@ void SerializeCct(const callpath::CallingContextTree& cct, const callpath::PathT
       continue;
     }
     const callpath::PathCounters& c = cct.at(p);
-    out << "node " << line[p] << " " << line[paths.parent(p)] << " "
-        << Sanitize(functions.Name(paths.function(p))) << " " << c.samples << " " << c.cpu_time
-        << " " << c.calls << "\n";
+    out << "node " << line[p] << " " << line[paths.parent(p)] << " " << paths.function(p) << " "
+        << c.samples << " " << c.cpu_time << " " << c.calls << "\n";
   }
 }
 
@@ -107,13 +108,17 @@ bool ParseLabel(std::string_view text, context::Synopsis* out) {
 }  // namespace
 
 std::string SerializeProfile(const StageProfiler& stage) {
+  const callpath::FunctionRegistry& functions = stage.deployment().functions();
   std::ostringstream out;
-  out << "whodunit-profile 1\n";
+  out << "whodunit-profile 2\n";
   out << "stage " << Sanitize(stage.name()) << "\n";
   out << "bytes " << stage.payload_bytes_sent() << " " << stage.context_bytes_sent() << "\n";
+  for (callpath::FunctionId f = 1; f < functions.size(); ++f) {
+    out << "function " << f << " " << Sanitize(functions.Name(f)) << "\n";
+  }
   for (const auto& [label, cct] : stage.LabeledCcts()) {
     out << "cct " << LabelToString(label) << "\n";
-    SerializeCct(*cct, stage.deployment().paths(), stage.deployment().functions(), out);
+    SerializeCct(*cct, stage.deployment().paths(), out);
   }
   out << "end\n";
   return out.str();
@@ -130,51 +135,64 @@ std::string SerializeDictionary(const Deployment& deployment) {
   return out.str();
 }
 
-bool ParseProfile(std::string_view text, LoadedProfile* out) {
+bool ParseProfile(std::string_view text, Profile* out) {
   std::string_view line;
-  if (!NextLine(&text, &line) || line != "whodunit-profile 1") {
+  if (!NextLine(&text, &line) || line != "whodunit-profile 2") {
     return false;
   }
+  Profile::Stage* stage = nullptr;
   callpath::CallingContextTree* current = nullptr;
-  // Serialized node index -> path in the rebuilt path tree.
+  // Functions this file's table has named so far: ids 1..functions-1.
+  callpath::FunctionId functions = 1;
+  // Serialized node index -> path in the profile's path tree.
   std::map<callpath::PathId, callpath::PathId> node_map;
   while (NextLine(&text, &line)) {
     const std::vector<std::string_view> f = Fields(line);
     if (f.empty()) {
       continue;
     }
-    if (f[0] == "stage" && f.size() == 2) {
-      out->stage_name = std::string(f[1]);
-    } else if (f[0] == "bytes" && f.size() == 3) {
-      if (!ParseNumber(f[1], &out->payload_bytes) || !ParseNumber(f[2], &out->context_bytes)) {
+    if (f[0] == "stage" && f.size() == 2 && stage == nullptr) {
+      stage = &out->stages.emplace_back(Profile::Stage{std::string(f[1]), 0, 0, {}});
+    } else if (f[0] == "bytes" && f.size() == 3 && stage != nullptr) {
+      if (!ParseNumber(f[1], &stage->payload_bytes) ||
+          !ParseNumber(f[2], &stage->context_bytes)) {
         return false;
       }
-    } else if (f[0] == "cct" && f.size() == 2) {
+    } else if (f[0] == "function" && f.size() == 3) {
+      // Entry `id` must be the profile's entry `id` where it has one.
+      callpath::FunctionId id = 0;
+      if (!ParseNumber(f[1], &id) || id != functions ||
+          (id < out->functions.size() ? out->functions.Name(id) != f[2]
+                                      : out->functions.Intern(f[2]) != id)) {
+        return false;
+      }
+      ++functions;
+    } else if (f[0] == "cct" && f.size() == 2 && stage != nullptr) {
       context::Synopsis label;
       if (!ParseLabel(f[1], &label)) {
         return false;
       }
-      out->ccts.emplace_back(label, callpath::CallingContextTree());
-      current = &out->ccts.back().second;
+      current = &stage->rows.emplace_back(Profile::Row{label, {}}).cct;
       node_map.clear();
       node_map[0] = out->paths.root();
     } else if (f[0] == "node" && f.size() == 7) {
       callpath::PathId idx = 0, parent = 0;
+      callpath::FunctionId fn = 0;
       callpath::PathCounters c;
       if (current == nullptr || !ParseNumber(f[1], &idx) || !ParseNumber(f[2], &parent) ||
+          !ParseNumber(f[3], &fn) || fn == 0 || fn >= functions ||
           !ParseNumber(f[4], &c.samples) || !ParseNumber(f[5], &c.cpu_time) ||
           !ParseNumber(f[6], &c.calls) || node_map.contains(idx) || !node_map.contains(parent)) {
         return false;
       }
-      const callpath::PathId path =
-          out->paths.Child(node_map[parent], out->functions.Intern(f[3]));
+      const callpath::PathId path = out->paths.Child(node_map[parent], fn);
       if (current->holds(path)) {
         return false;  // a second line for the same call path
       }
       node_map[idx] = path;
       current->Add(path, c);
     } else if (f[0] == "end" && f.size() == 1) {
-      return true;
+      return stage != nullptr;
     } else {
       return false;
     }
@@ -182,7 +200,7 @@ bool ParseProfile(std::string_view text, LoadedProfile* out) {
   return false;  // missing or unterminated "end"
 }
 
-bool ParseDictionary(std::string_view text, std::map<uint32_t, std::string>* out) {
+bool ParseDictionary(std::string_view text, Profile* out) {
   std::string_view line;
   if (!NextLine(&text, &line) || line != "whodunit-dictionary 1") {
     return false;
@@ -198,7 +216,7 @@ bool ParseDictionary(std::string_view text, std::map<uint32_t, std::string>* out
       if (!ParseNumber(f[1], &id)) {
         return false;
       }
-      (*out)[id] = f.size() == 3 ? std::string(f[2]) : std::string();
+      out->parts[id] = f.size() == 3 ? std::string(f[2]) : std::string();
     } else if (f[0] == "end" && f.size() == 1) {
       return true;
     } else {
@@ -206,73 +224,6 @@ bool ParseDictionary(std::string_view text, std::map<uint32_t, std::string>* out
     }
   }
   return false;  // missing or unterminated "end"
-}
-
-std::string OfflineStitch(const std::vector<LoadedProfile>& profiles,
-                          const std::map<uint32_t, std::string>& dictionary,
-                          double min_fraction) {
-  std::ostringstream out;
-  auto describe = [&dictionary](const context::Synopsis& label) {
-    if (label.parts.empty()) {
-      return std::string("(origin)");
-    }
-    std::string text;
-    for (uint32_t part : label.parts) {
-      if (!text.empty()) {
-        text += " # ";
-      }
-      auto it = dictionary.find(part);
-      if (it == dictionary.end()) {
-        text += '?';
-        text += std::to_string(part);
-      } else {
-        text += it->second;
-      }
-    }
-    return text;
-  };
-
-  out << "===== stitched transactional profile (post mortem) =====\n";
-  for (const LoadedProfile& profile : profiles) {
-    sim::SimTime total = 0;
-    for (const auto& [label, cct] : profile.ccts) {
-      total += cct.TotalCpuTime();
-    }
-    out << "=== stage '" << profile.stage_name << "' ===\n";
-    for (const auto& [label, cct] : profile.ccts) {
-      const double share =
-          total > 0 ? 100.0 * static_cast<double>(cct.TotalCpuTime()) / static_cast<double>(total)
-                    : 0.0;
-      out << "--- context " << describe(label) << "  [" << share << "% of stage CPU]\n";
-      out << cct.Render(profile.paths, profile.functions, min_fraction);
-    }
-  }
-  // Request edges by the prefix rule, across the loaded stages.
-  out << "===== transaction flow edges =====\n";
-  for (const LoadedProfile& callee : profiles) {
-    for (const auto& [label, cct] : callee.ccts) {
-      if (label.parts.empty()) {
-        continue;
-      }
-      context::Synopsis prefix = label;
-      prefix.parts.pop_back();
-      for (const LoadedProfile& caller : profiles) {
-        for (const auto& [caller_label, caller_cct] : caller.ccts) {
-          if (&caller_cct == &cct) {
-            continue;
-          }
-          if (caller_label == prefix ||
-              (prefix.HasPrefix(caller_label) && caller_label.parts.size() + 1 ==
-                                                     label.parts.size())) {
-            out << "  " << caller.stage_name << " " << describe(caller_label) << " --["
-                << describe(context::Synopsis{{label.parts.back()}}) << "]--> "
-                << callee.stage_name << "\n";
-          }
-        }
-      }
-    }
-  }
-  return out.str();
 }
 
 }  // namespace whodunit::profiler

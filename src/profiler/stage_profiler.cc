@@ -1,11 +1,11 @@
 #include "src/profiler/stage_profiler.h"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "src/obs/live/daemon.h"
 #include "src/obs/metrics.h"
+#include "src/profiler/stitcher.h"
 
 namespace whodunit::profiler {
 
@@ -378,32 +378,7 @@ sim::SimTime StageProfiler::total_cpu_time() const {
 }
 
 std::string StageProfiler::RenderTransactionalProfile(double min_fraction) const {
-  NamedCcts named;
-  for (const auto& [label, cct] : LabeledCcts()) {
-    named.emplace_back(label.empty() ? "(origin)" : deployment_.DescribeSynopsis(label), cct);
-  }
-  return RenderStageCcts(options_.name, "", named, deployment_.paths(),
-                         deployment_.functions(), min_fraction);
-}
-
-std::string RenderStageCcts(std::string_view stage, std::string_view suffix,
-                            const NamedCcts& ccts, const callpath::PathTree& paths,
-                            const callpath::FunctionRegistry& functions, double min_fraction) {
-  sim::SimTime stage_total = 0;
-  for (const auto& [name, cct] : ccts) {
-    stage_total += cct->TotalCpuTime();
-  }
-  const double total = static_cast<double>(stage_total);
-  std::ostringstream out;
-  out << "=== transactional profile of stage '" << stage << "'" << suffix << " ===\n";
-  for (const auto& [name, cct] : ccts) {
-    const double share =
-        total > 0 ? 100.0 * static_cast<double>(cct->TotalCpuTime()) / total : 0.0;
-    out << "--- context " << name << "  [" << share << "% of stage CPU, " << cct->TotalSamples()
-        << " samples]\n";
-    out << cct->Render(paths, functions, min_fraction);
-  }
-  return out.str();
+  return Stitcher(*this).RenderStage(options_.name, min_fraction);
 }
 
 context::Synopsis StageProfiler::ComputeLabel(const ThreadProfile& tp) {

@@ -300,13 +300,6 @@ class StageProfiler {
   obs::Counter* obs_suppressed_;
 };
 
-// One stage's transactional-profile text (live or merged): a header,
-// then per named CCT its share of stage CPU, its samples and its tree.
-using NamedCcts = std::vector<std::pair<std::string, const callpath::CallingContextTree*>>;
-std::string RenderStageCcts(std::string_view stage, std::string_view suffix,
-                            const NamedCcts& ccts, const callpath::PathTree& paths,
-                            const callpath::FunctionRegistry& functions, double min_fraction);
-
 }  // namespace whodunit::profiler
 
 #endif  // SRC_PROFILER_STAGE_PROFILER_H_

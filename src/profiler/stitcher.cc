@@ -6,33 +6,72 @@
 #include "src/profiler/stage_profiler.h"
 
 namespace whodunit::profiler {
+namespace {
+
+std::function<std::string(uint32_t)> PartNamer(const Deployment& deployment) {
+  return [&deployment](uint32_t part) {
+    return deployment.synopses().Contains(part)
+               ? deployment.DescribeContext(deployment.synopses().Lookup(part))
+               : std::string("?");
+  };
+}
+
+}  // namespace
+
+Stitcher::Stitcher(const callpath::FunctionRegistry& functions, const callpath::PathTree& paths,
+                   std::function<std::string(uint32_t)> describe_part)
+    : functions_(functions), paths_(paths), describe_part_(std::move(describe_part)) {}
+
+Stitcher::Stitcher(const Deployment& deployment)
+    : Stitcher(deployment.functions(), deployment.paths(), PartNamer(deployment)) {
+  for (const auto& stage : deployment.stages()) {
+    AddStage(*stage);
+  }
+}
+
+Stitcher::Stitcher(const StageProfiler& stage)
+    : Stitcher(stage.deployment().functions(), stage.deployment().paths(),
+               PartNamer(stage.deployment())) {
+  AddStage(stage);
+}
+
+Stitcher::Stitcher(const Profile& profile)
+    : Stitcher(profile.functions, profile.paths, [&profile](uint32_t part) {
+        auto it = profile.parts.find(part);
+        return it != profile.parts.end() ? it->second : std::string("?");
+      }) {
+  for (const Profile::Stage& stage : profile.stages) {
+    stages_.push_back(stage.name);
+    for (const Profile::Row& row : stage.rows) {
+      rows_.push_back(Row{stage.name, row.label, profile.Describe(row.label), &row.cct});
+    }
+  }
+}
+
+void Stitcher::AddStage(const StageProfiler& stage) {
+  stages_.push_back(stage.name());
+  for (const auto& [label, cct] : stage.LabeledCcts()) {
+    rows_.push_back(Row{stage.name(), label,
+                        label.empty() ? "(origin)" : stage.deployment().DescribeSynopsis(label),
+                        cct});
+  }
+}
 
 std::vector<Stitcher::Edge> Stitcher::Edges() const {
   std::vector<Edge> edges;
-  // Index every (stage, label) pair.
-  struct Owner {
-    const StageProfiler* stage;
-    context::Synopsis label;
-  };
-  std::vector<Owner> owners;
-  for (const auto& stage : deployment_.stages()) {
-    for (const auto& [label, cct] : stage->LabeledCcts()) {
-      owners.push_back(Owner{stage.get(), label});
-    }
-  }
   // A label with parts [p0..pn] was created by a send whose caller ran
   // with label [p0..pn-1] (or a prefix of it, since the caller's label
   // omits a purely-local tail). Match the longest proper prefix owned
   // by another (or the same) stage.
-  for (const Owner& callee : owners) {
+  for (const Row& callee : rows_) {
     if (callee.label.parts.empty()) {
       continue;
     }
     context::Synopsis prefix = callee.label;
     prefix.parts.pop_back();
-    const Owner* best = nullptr;
+    const Row* best = nullptr;
     size_t best_len = 0;
-    for (const Owner& caller : owners) {
+    for (const Row& caller : rows_) {
       if (&caller == &callee) {
         continue;
       }
@@ -43,13 +82,8 @@ std::vector<Stitcher::Edge> Stitcher::Edges() const {
       }
     }
     if (best != nullptr) {
-      const uint32_t last_part = callee.label.parts.back();
-      std::string send_desc =
-          deployment_.synopses().Contains(last_part)
-              ? deployment_.DescribeContext(deployment_.synopses().Lookup(last_part))
-              : "?";
-      edges.push_back(Edge{best->stage->name(), best->label, callee.stage->name(), callee.label,
-                           std::move(send_desc)});
+      edges.push_back(Edge{std::string(best->stage), best->label, std::string(callee.stage),
+                           callee.label, describe_part_(callee.label.parts.back())});
     }
   }
   obs::Registry().GetCounter("stitcher.edges_stitched").Add(edges.size());
@@ -59,14 +93,42 @@ std::vector<Stitcher::Edge> Stitcher::Edges() const {
 std::string Stitcher::Render(double min_fraction) const {
   std::ostringstream out;
   out << "===== stitched transactional profile =====\n";
-  for (const auto& stage : deployment_.stages()) {
-    out << stage->RenderTransactionalProfile(min_fraction);
+  for (std::string_view stage : stages_) {
+    out << RenderStage(stage, min_fraction);
   }
   out << "===== transaction flow edges =====\n";
   for (const Edge& e : Edges()) {
     out << "  " << e.from_stage << " "
-        << (e.from_label.empty() ? "(origin)" : e.from_label.ToString()) << " --"
-        << e.send_context << "--> " << e.to_stage << " " << e.to_label.ToString() << "\n";
+        << (e.from_label.empty() ? "(origin)" : e.from_label.ToString()) << " --" << e.send_context
+        << "--> " << e.to_stage << " " << e.to_label.ToString() << "\n";
+  }
+  return out.str();
+}
+
+double Stitcher::StageCpu(std::string_view stage) const {
+  sim::SimTime total = 0;
+  for (const Row& row : rows_) {
+    if (row.stage == stage) {
+      total += row.cct->TotalCpuTime();
+    }
+  }
+  return static_cast<double>(total);
+}
+
+std::string Stitcher::RenderStage(std::string_view stage, double min_fraction,
+                                  std::string_view suffix) const {
+  const double total = StageCpu(stage);
+  std::ostringstream out;
+  out << "=== transactional profile of stage '" << stage << "'" << suffix << " ===\n";
+  for (const Row& row : rows_) {
+    if (row.stage != stage) {
+      continue;
+    }
+    const double share =
+        total > 0 ? 100.0 * static_cast<double>(row.cct->TotalCpuTime()) / total : 0.0;
+    out << "--- context " << row.context << "  [" << share << "% of stage CPU, "
+        << row.cct->TotalSamples() << " samples]\n";
+    out << row.cct->Render(paths_, functions_, min_fraction);
   }
   return out.str();
 }
@@ -74,42 +136,31 @@ std::string Stitcher::Render(double min_fraction) const {
 std::string Stitcher::RenderDot() const {
   std::ostringstream out;
   out << "digraph whodunit {\n  rankdir=LR;\n  node [shape=box];\n";
-  int cluster = 0;
-  auto node_id = [](const StageProfiler* stage, const context::Synopsis& label) {
-    std::string id = "\"" + stage->name() + ":";
+  auto node_id = [](std::string_view stage, const context::Synopsis& label) {
+    std::string id = "\"" + std::string(stage) + ":";
     id += label.empty() ? "origin" : label.ToString();
     id += "\"";
     return id;
   };
-  for (const auto& stage : deployment_.stages()) {
-    out << "  subgraph cluster_" << cluster++ << " {\n    label=\"" << stage->name()
-        << "\";\n";
-    const double total = static_cast<double>(stage->total_cpu_time());
-    for (const auto& [label, cct] : stage->LabeledCcts()) {
+  int cluster = 0;
+  for (std::string_view stage : stages_) {
+    out << "  subgraph cluster_" << cluster++ << " {\n    label=\"" << stage << "\";\n";
+    const double total = StageCpu(stage);
+    for (const Row& row : rows_) {
+      if (row.stage != stage) {
+        continue;
+      }
       const double share =
-          total > 0 ? 100.0 * static_cast<double>(cct->TotalCpuTime()) / total : 0.0;
-      out << "    " << node_id(stage.get(), label) << " [label=\""
-          << (label.empty() ? "(origin)" : deployment_.DescribeSynopsis(label)) << "\\n"
+          total > 0 ? 100.0 * static_cast<double>(row.cct->TotalCpuTime()) / total : 0.0;
+      out << "    " << node_id(stage, row.label) << " [label=\"" << row.context << "\\n"
           << share << "% CPU\"];\n";
     }
     out << "  }\n";
   }
-  // Find the owning stage pointer for each edge endpoint.
   for (const Edge& e : Edges()) {
-    const StageProfiler* from = nullptr;
-    const StageProfiler* to = nullptr;
-    for (const auto& stage : deployment_.stages()) {
-      if (stage->name() == e.from_stage) {
-        from = stage.get();
-      }
-      if (stage->name() == e.to_stage) {
-        to = stage.get();
-      }
-    }
-    if (from != nullptr && to != nullptr) {
-      out << "  " << node_id(from, e.from_label) << " -> " << node_id(to, e.to_label)
-          << " [label=\"" << e.send_context << "\", style=dashed];\n";
-    }
+    out << "  " << node_id(e.from_stage, e.from_label) << " -> "
+        << node_id(e.to_stage, e.to_label) << " [label=\"" << e.send_context
+        << "\", style=dashed];\n";
   }
   out << "}\n";
   return out.str();

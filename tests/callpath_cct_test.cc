@@ -367,7 +367,10 @@ using LabeledRefs = std::map<context::Synopsis, RefCct, ByParts>;
 // order, as the writer walks.
 std::string RefProfileText(const LabeledRefs& labeled,
                            const callpath::FunctionRegistry& functions) {
-  std::string out = "whodunit-profile 1\nstage s\nbytes 0 0\n";
+  std::string out = "whodunit-profile 2\nstage s\nbytes 0 0\n";
+  for (FunctionId f = 1; f < functions.size(); ++f) {
+    out += "function " + std::to_string(f) + " " + functions.Name(f) + "\n";
+  }
   for (const auto& [label, ref] : labeled) {
     out += "cct " + (label.empty() ? std::string("-") : label.ToString()) + "\n";
     std::map<std::vector<FunctionId>, size_t> line;
@@ -379,7 +382,7 @@ std::string RefProfileText(const LabeledRefs& labeled,
       }
       const std::vector<FunctionId> parent(path.begin(), path.end() - 1);
       out += "node " + std::to_string(index) + " " + std::to_string(line.at(parent)) + " " +
-             functions.Name(path.back()) + " " + std::to_string(c.samples) + " " +
+             std::to_string(path.back()) + " " + std::to_string(c.samples) + " " +
              std::to_string(c.cpu_time) + " " + std::to_string(c.calls) + "\n";
     }
   }
@@ -387,9 +390,9 @@ std::string RefProfileText(const LabeledRefs& labeled,
 }
 
 // A re-read profile's CCTs as references over the writer's FunctionIds.
-LabeledRefs RefOf(const LoadedProfile& loaded, const callpath::FunctionRegistry& functions) {
+LabeledRefs RefOf(const Profile& loaded, const callpath::FunctionRegistry& functions) {
   LabeledRefs out;
-  for (const auto& [label, cct] : loaded.ccts) {
+  for (const auto& [label, cct] : loaded.stages.at(0).rows) {
     RefCct& ref = out[label];
     for (callpath::PathId p = 0; p < cct.id_limit(); ++p) {
       if (cct.holds(p)) {
@@ -483,7 +486,7 @@ TEST(CctDifferentialTest, ProfileRoundTripMatchesReference) {
     }
     const std::string text = SerializeProfile(stage);
     EXPECT_EQ(text, RefProfileText(labeled, dep.functions())) << "seed " << seed;
-    LoadedProfile loaded;
+    Profile loaded;
     ASSERT_TRUE(ParseProfile(text, &loaded)) << "seed " << seed;
     EXPECT_EQ(RefProfileText(RefOf(loaded, dep.functions()), dep.functions()), text)
         << "seed " << seed;

@@ -1,7 +1,8 @@
 // sim::ParallelRunner and the deterministic-merge primitives it rests
 // on: ShardEnv isolation, shard-registered id-counter restarts,
 // per-deployment context trees, and the name/id remapping merges of
-// MergedProfile::Fold (function and path ids) and CrosstalkRecorder.
+// Profile::Fold (function, path and synopsis part ids) and
+// CrosstalkRecorder.
 #include "src/sim/parallel_runner.h"
 
 #include <string>
@@ -17,8 +18,9 @@
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
 #include "src/profiler/deployment.h"
-#include "src/profiler/shard_merge.h"
+#include "src/profiler/profile.h"
 #include "src/profiler/stage_profiler.h"
+#include "src/profiler/stitcher.h"
 #include "src/sim/lock.h"
 #include "src/sim/scheduler.h"
 
@@ -176,18 +178,20 @@ TEST(DeploymentContextTreeTest, SecondDeploymentInOneShardMatchesItBuiltAlone) {
             static_cast<int64_t>(second.node_count) + 4);
 }
 
-TEST(MergePrimitivesTest, FoldTranslatesFunctionAndPathIds) {
-  profiler::ShardProfile a;
+TEST(MergePrimitivesTest, FoldTranslatesFunctionPathAndPartIds) {
+  profiler::Profile a;
   const callpath::FunctionId a_main = a.functions.Intern("main");
   const callpath::PathId a_path = a.paths.Child(a.paths.root(), a_main);
   callpath::CallingContextTree cct_a;
   cct_a.Hold(a.paths, a_path);
   cct_a.Add(a_path, {.samples = 5});
-  a.ccts.push_back({"stage", "type", cct_a});
+  a.parts = {{0, "type"}};
+  a.stages.push_back({"stage", 0, 0, {{context::Synopsis{{0}}, cct_a}}});
 
   // Shard b's ids disagree with a's: its function 1 and path 1 are
-  // "helper", and its "main" path is 2.
-  profiler::ShardProfile b;
+  // "helper", its "main" path is 2, and part 7 names the same context
+  // as a's part 0, while its part 0 names another.
+  profiler::Profile b;
   const callpath::FunctionId b_helper = b.functions.Intern("helper");
   const callpath::FunctionId b_main = b.functions.Intern("main");
   b.paths.Child(b.paths.root(), b_helper);
@@ -197,19 +201,25 @@ TEST(MergePrimitivesTest, FoldTranslatesFunctionAndPathIds) {
   cct_b.Hold(b.paths, b_leaf);
   cct_b.Add(b_path, {.samples = 7});
   cct_b.Add(b_leaf, {.samples = 2});
-  b.ccts.push_back({"stage", "type", cct_b});
+  b.parts = {{0, "other"}, {7, "type"}};
+  b.stages.push_back(
+      {"stage", 0, 0, {{context::Synopsis{{7}}, cct_b}, {context::Synopsis{{0}}, {}}}});
 
-  profiler::MergedProfile merged;
+  profiler::Profile merged;
   merged.Fold(a);
   merged.Fold(b);
   // "main" merged onto a's path (5 + 7 samples); "helper" hangs
-  // beneath it, and no top-level "helper" appears.
-  const auto ccts = merged.LabeledCcts("stage");
-  ASSERT_EQ(ccts.size(), 1u);
-  EXPECT_EQ(ccts[0].second->TotalSamples(), 14u);
-  EXPECT_EQ(ccts[0].second->size(), 3u);
-  EXPECT_EQ(merged.RenderTransactionalProfile("stage"),
+  // beneath it, and no top-level "helper" appears. Rows are sorted by
+  // context description.
+  ASSERT_EQ(merged.stages.size(), 1u);
+  const auto& rows = merged.stages[0].rows;
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(merged.Describe(rows[0].label), "other");
+  EXPECT_EQ(rows[1].cct.TotalSamples(), 14u);
+  EXPECT_EQ(rows[1].cct.size(), 3u);
+  EXPECT_EQ(profiler::Stitcher(merged).RenderStage("stage", 0.0, " (merged)"),
             "=== transactional profile of stage 'stage' (merged) ===\n"
+            "--- context other  [0% of stage CPU, 0 samples]\n"
             "--- context type  [0% of stage CPU, 14 samples]\n"
             "main  samples=14 cpu=0ms\n"
             "  helper  samples=2 cpu=0ms\n");

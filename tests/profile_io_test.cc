@@ -50,40 +50,53 @@ struct Rig {
   }
 };
 
+// A profile re-read from the stages' files and the dictionary.
+Profile Reread(const Deployment& dep) {
+  Profile profile;
+  for (const auto& stage : dep.stages()) {
+    EXPECT_TRUE(ParseProfile(SerializeProfile(*stage), &profile)) << stage->name();
+  }
+  EXPECT_TRUE(ParseDictionary(SerializeDictionary(dep), &profile));
+  return profile;
+}
+
 TEST(ProfileIoTest, SerializeParseRoundTrip) {
   Rig rig;
   std::string text = SerializeProfile(rig.callee);
-  EXPECT_NE(text.find("whodunit-profile 1"), std::string::npos);
+  EXPECT_NE(text.find("whodunit-profile 2"), std::string::npos);
   EXPECT_NE(text.find("stage callee"), std::string::npos);
 
-  LoadedProfile loaded;
+  Profile loaded;
   ASSERT_TRUE(ParseProfile(text, &loaded));
-  EXPECT_EQ(loaded.stage_name, "callee");
-  ASSERT_EQ(loaded.ccts.size(), 1u);
-  EXPECT_EQ(loaded.ccts[0].first, rig.request);
-  EXPECT_EQ(loaded.ccts[0].second.TotalCpuTime(), 2500);
-  EXPECT_EQ(loaded.ccts[0].second.TotalSamples(), 25u);
-  // The function name survived.
-  EXPECT_NE(loaded.functions.Find("svc"), util::SymbolTable::kNotFound);
+  ASSERT_EQ(loaded.stages.size(), 1u);
+  EXPECT_EQ(loaded.stages[0].name, "callee");
+  const auto& rows = loaded.stages[0].rows;
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].label, rig.request);
+  EXPECT_EQ(rows[0].cct.TotalCpuTime(), 2500);
+  EXPECT_EQ(rows[0].cct.TotalSamples(), 25u);
+  // The whole function table survived, ids included.
+  EXPECT_EQ(loaded.functions.Find("svc"), rig.dep.functions().Find("svc"));
+  EXPECT_EQ(loaded.functions.Find("main"), rig.dep.functions().Find("main"));
 }
 
 TEST(ProfileIoTest, ByteCountersRoundTrip) {
   Rig rig;
-  LoadedProfile loaded;
+  Profile loaded;
   ASSERT_TRUE(ParseProfile(SerializeProfile(rig.caller), &loaded));
-  EXPECT_EQ(loaded.payload_bytes, 500u);
-  EXPECT_EQ(loaded.context_bytes, rig.request.WireBytes());
+  EXPECT_EQ(loaded.stages[0].payload_bytes, 500u);
+  EXPECT_EQ(loaded.stages[0].context_bytes, rig.request.WireBytes());
 }
 
 TEST(ProfileIoTest, DictionaryRoundTrip) {
   Rig rig;
   std::string text = SerializeDictionary(rig.dep);
-  std::map<uint32_t, std::string> dict;
-  ASSERT_TRUE(ParseDictionary(text, &dict));
-  ASSERT_FALSE(dict.empty());
+  Profile profile;
+  ASSERT_TRUE(ParseDictionary(text, &profile));
+  ASSERT_FALSE(profile.parts.empty());
   // The send point's call path is described.
   bool mentions_foo = false;
-  for (const auto& [id, desc] : dict) {
+  for (const auto& [id, desc] : profile.parts) {
     if (desc.find("foo") != std::string::npos) {
       mentions_foo = true;
     }
@@ -92,27 +105,26 @@ TEST(ProfileIoTest, DictionaryRoundTrip) {
 }
 
 TEST(ProfileIoTest, MalformedInputsRejected) {
-  LoadedProfile loaded;
+  Profile loaded;
   EXPECT_FALSE(ParseProfile("", &loaded));
   EXPECT_FALSE(ParseProfile("not-a-profile\n", &loaded));
-  EXPECT_FALSE(ParseProfile("whodunit-profile 1\nstage x\n", &loaded));  // no end
-  EXPECT_FALSE(ParseProfile("whodunit-profile 1\nnode 0 0 f 1 1 1\nend\n",
+  EXPECT_FALSE(ParseProfile("whodunit-profile 2\nstage x\n", &loaded));  // no end
+  EXPECT_FALSE(ParseProfile("whodunit-profile 2\nstage x\nfunction 1 f\nnode 0 0 1 1 1 1\nend\n",
                             &loaded));  // node before cct
-  std::map<uint32_t, std::string> dict;
-  EXPECT_FALSE(ParseDictionary("garbage", &dict));
+  EXPECT_FALSE(ParseDictionary("garbage", &loaded));
 }
 
-// Re-emits a loaded CCT in the serialized line format (children in
+// Re-emits a loaded stage in the serialized line format (children in
 // ascending path-id order, which matches the writer's for single-child
 // chains).
-void RenderSubtree(const LoadedProfile& p, const callpath::CallingContextTree& cct,
+void RenderSubtree(const Profile& p, const callpath::CallingContextTree& cct,
                    callpath::PathId node, callpath::PathId parent_out,
                    callpath::PathId& next_out, std::string& out) {
   const callpath::PathCounters& n = cct.at(node);
   const callpath::PathId my_out = next_out++;
   if (node != p.paths.root()) {
     out += "node " + std::to_string(my_out) + " " + std::to_string(parent_out) + " " +
-           p.functions.Name(p.paths.function(node)) + " " + std::to_string(n.samples) + " " +
+           std::to_string(p.paths.function(node)) + " " + std::to_string(n.samples) + " " +
            std::to_string(n.cpu_time) + " " + std::to_string(n.calls) + "\n";
   }
   for (callpath::PathId child = node + 1; child < cct.id_limit(); ++child) {
@@ -122,14 +134,18 @@ void RenderSubtree(const LoadedProfile& p, const callpath::CallingContextTree& c
   }
 }
 
-std::string Render(const LoadedProfile& p) {
-  std::string out = "whodunit-profile 1\nstage " + p.stage_name + "\nbytes " +
-                    std::to_string(p.payload_bytes) + " " + std::to_string(p.context_bytes) +
-                    "\n";
-  for (const auto& [label, cct] : p.ccts) {
-    out += "cct " + (label.parts.empty() ? std::string("-") : label.ToString()) + "\n";
+std::string Render(const Profile& p) {
+  const Profile::Stage& stage = p.stages.at(0);
+  std::string out = "whodunit-profile 2\nstage " + stage.name + "\nbytes " +
+                    std::to_string(stage.payload_bytes) + " " +
+                    std::to_string(stage.context_bytes) + "\n";
+  for (callpath::FunctionId f = 1; f < p.functions.size(); ++f) {
+    out += "function " + std::to_string(f) + " " + p.functions.Name(f) + "\n";
+  }
+  for (const Profile::Row& row : stage.rows) {
+    out += "cct " + (row.label.parts.empty() ? std::string("-") : row.label.ToString()) + "\n";
     callpath::PathId next_out = 0;
-    RenderSubtree(p, cct, p.paths.root(), 0, next_out, out);
+    RenderSubtree(p, row.cct, p.paths.root(), 0, next_out, out);
   }
   return out + "end\n";
 }
@@ -143,14 +159,17 @@ std::string Render(const std::map<uint32_t, std::string>& dict) {
 }
 
 constexpr const char* kProfile =
-    "whodunit-profile 1\n"
+    "whodunit-profile 2\n"
     "stage s\n"
     "bytes 10 20\n"
+    "function 1 main\n"
+    "function 2 foo\n"
+    "function 3 idle\n"
     "cct 1#2\n"
-    "node 1 0 main 3 40 5\n"
-    "node 2 1 foo 1 10 1\n"
+    "node 1 0 1 3 40 5\n"
+    "node 2 1 2 1 10 1\n"
     "cct -\n"
-    "node 1 0 idle 0 7 0\n"
+    "node 1 0 3 0 7 0\n"
     "end\n";
 
 constexpr const char* kDictionary =
@@ -160,9 +179,8 @@ constexpr const char* kDictionary =
     "part 4294967295\n"
     "end\n";
 
-// kProfile with its line `line` (0-based) replaced by `with`.
-std::string ProfileWith(int line, const std::string& with) {
-  std::string text = kProfile;
+// `text` with its line `line` (0-based) replaced by `with`.
+std::string LineWith(std::string text, int line, const std::string& with) {
   size_t begin = 0;
   for (int i = 0; i < line; ++i) {
     begin = text.find('\n', begin) + 1;
@@ -170,68 +188,109 @@ std::string ProfileWith(int line, const std::string& with) {
   return text.replace(begin, text.find('\n', begin) - begin, with);
 }
 
+std::string ProfileWith(int line, const std::string& with) {
+  return LineWith(kProfile, line, with);
+}
+
 TEST(ProfileIoTest, ParsersAcceptValidAndRejectMalformedInput) {
   // Valid inputs round-trip: the writer's output and the fixtures.
   Rig rig;
   for (const StageProfiler* stage : {&rig.caller, &rig.callee}) {
     const std::string text = SerializeProfile(*stage);
-    LoadedProfile loaded;
+    Profile loaded;
     ASSERT_TRUE(ParseProfile(text, &loaded)) << text;
     EXPECT_EQ(Render(loaded), text);
   }
-  LoadedProfile fixture;
+  Profile fixture;
   ASSERT_TRUE(ParseProfile(kProfile, &fixture));
   EXPECT_EQ(Render(fixture), kProfile);
   for (const std::string& text : {SerializeDictionary(rig.dep), std::string(kDictionary)}) {
-    std::map<uint32_t, std::string> dict;
-    ASSERT_TRUE(ParseDictionary(text, &dict)) << text;
-    EXPECT_EQ(Render(dict), text);
+    Profile profile;
+    ASSERT_TRUE(ParseDictionary(text, &profile)) << text;
+    EXPECT_EQ(Render(profile.parts), text);
   }
 
   // A count at the top of its range is valid and added in one step.
-  LoadedProfile big;
-  ASSERT_TRUE(ParseProfile(ProfileWith(4, "node 1 0 main 3 40 18446744073709551615"), &big));
-  EXPECT_EQ(big.ccts[0].second.at(1).calls, UINT64_MAX);
+  Profile big;
+  ASSERT_TRUE(ParseProfile(ProfileWith(7, "node 1 0 1 3 40 18446744073709551615"), &big));
+  EXPECT_EQ(big.stages[0].rows[0].cct.at(1).calls, UINT64_MAX);
 
   const struct {
     const char* what;
     std::string text;
   } bad_profiles[] = {
-      {"calls -1", ProfileWith(4, "node 1 0 main 3 40 -1")},
-      {"calls past uint64", ProfileWith(4, "node 1 0 main 3 40 18446744073709551616")},
-      {"calls not a number", ProfileWith(4, "node 1 0 main 3 40 many")},
-      {"calls with trailing text", ProfileWith(4, "node 1 0 main 3 40 5x")},
-      {"samples -1", ProfileWith(4, "node 1 0 main -1 40 5")},
-      {"cpu past int64", ProfileWith(4, "node 1 0 main 3 9223372036854775808 5")},
-      {"node index past uint32", ProfileWith(4, "node 4294967296 0 main 3 40 5")},
-      {"node field missing", ProfileWith(4, "node 1 0 main 3 40")},
-      {"node field extra", ProfileWith(4, "node 1 0 main 3 40 5 6")},
-      {"unknown parent", ProfileWith(5, "node 2 9 foo 1 10 1")},
-      {"reused node index", ProfileWith(5, "node 1 1 foo 1 10 1")},
-      {"same path twice", ProfileWith(5, "node 2 0 main 1 10 1")},
-      {"node before cct", ProfileWith(3, "node 9 0 x 1 1 1")},
-      {"label part past uint32", ProfileWith(3, "cct 4294967296")},
-      {"label part not a number", ProfileWith(3, "cct 1#x")},
-      {"label empty part", ProfileWith(3, "cct 1##2")},
-      {"label trailing #", ProfileWith(3, "cct 1#")},
-      {"label missing", ProfileWith(3, "cct")},
+      {"calls -1", ProfileWith(7, "node 1 0 1 3 40 -1")},
+      {"calls past uint64", ProfileWith(7, "node 1 0 1 3 40 18446744073709551616")},
+      {"calls not a number", ProfileWith(7, "node 1 0 1 3 40 many")},
+      {"calls with trailing text", ProfileWith(7, "node 1 0 1 3 40 5x")},
+      {"samples -1", ProfileWith(7, "node 1 0 1 -1 40 5")},
+      {"cpu past int64", ProfileWith(7, "node 1 0 1 3 9223372036854775808 5")},
+      {"node index past uint32", ProfileWith(7, "node 4294967296 0 1 3 40 5")},
+      {"node field missing", ProfileWith(7, "node 1 0 1 3 40")},
+      {"node field extra", ProfileWith(7, "node 1 0 1 3 40 5 6")},
+      {"unknown parent", ProfileWith(8, "node 2 9 2 1 10 1")},
+      {"reused node index", ProfileWith(8, "node 1 1 2 1 10 1")},
+      {"same path twice", ProfileWith(8, "node 2 0 1 1 10 1")},
+      {"node before cct", ProfileWith(6, "node 9 0 1 1 1 1")},
+      {"node function by name", ProfileWith(7, "node 1 0 main 3 40 5")},
+      {"node function 0", ProfileWith(7, "node 1 0 0 3 40 5")},
+      {"node function past the table", ProfileWith(7, "node 1 0 4 3 40 5")},
+      {"node function before its table line",
+       "whodunit-profile 2\nstage s\nfunction 1 main\ncct -\nnode 1 0 2 0 7 0\n"
+       "function 2 foo\nend\n"},
+      {"function id skipped", ProfileWith(4, "function 3 foo")},
+      {"function id 0", ProfileWith(3, "function 0 main")},
+      {"function id not a number", ProfileWith(3, "function one main")},
+      {"function name missing", ProfileWith(3, "function 1")},
+      {"function name split", ProfileWith(3, "function 1 ma in")},
+      {"function name repeated", ProfileWith(4, "function 2 main")},
+      {"label part past uint32", ProfileWith(6, "cct 4294967296")},
+      {"label part not a number", ProfileWith(6, "cct 1#x")},
+      {"label empty part", ProfileWith(6, "cct 1##2")},
+      {"label trailing #", ProfileWith(6, "cct 1#")},
+      {"label missing", ProfileWith(6, "cct")},
       {"stage name missing", ProfileWith(1, "stage")},
       {"stage name split", ProfileWith(1, "stage a b")},
+      {"stage missing", ProfileWith(1, "")},
+      {"second stage", ProfileWith(2, "stage t")},
       {"bytes not a number", ProfileWith(2, "bytes ten 20")},
       {"bytes negative", ProfileWith(2, "bytes 10 -20")},
       {"bytes field missing", ProfileWith(2, "bytes 10")},
       {"unknown line", ProfileWith(2, "weight 3")},
-      {"wrong header", ProfileWith(0, "whodunit-profile 2")},
-      {"end with trailing field", ProfileWith(8, "end now")},
+      {"version 1 header", ProfileWith(0, "whodunit-profile 1")},
+      {"wrong header", ProfileWith(0, "whodunit-profile 3")},
+      {"end with trailing field", ProfileWith(11, "end now")},
   };
   for (const auto& c : bad_profiles) {
-    LoadedProfile loaded;
+    Profile loaded;
     EXPECT_FALSE(ParseProfile(c.text, &loaded)) << c.what;
   }
   const std::string profile = kProfile;
   for (size_t n = 0; n < profile.size(); ++n) {
-    LoadedProfile loaded;
+    Profile loaded;
     EXPECT_FALSE(ParseProfile(profile.substr(0, n), &loaded)) << "truncated to " << n;
+  }
+
+  // A second file's function table must agree with the first's: the
+  // same table, or a prefix or an extension of it, reads; a table that
+  // names an id differently conflicts.
+  const std::string second = LineWith(kProfile, 1, "stage t");
+  const struct {
+    const char* what;
+    std::string text;
+    bool valid;
+  } second_files[] = {
+      {"same table", second, true},
+      {"longer table", LineWith(second, 5, "function 3 idle\nfunction 4 more"), true},
+      {"shorter table", LineWith(LineWith(second, 10, "node 1 0 1 0 7 0"), 5, ""), true},
+      {"renamed entry", LineWith(second, 4, "function 2 bar"), false},
+      {"swapped entries", LineWith(LineWith(second, 3, "function 1 foo"), 4, "function 2 main"),
+       false},
+  };
+  for (const auto& c : second_files) {
+    Profile loaded;
+    ASSERT_TRUE(ParseProfile(kProfile, &loaded));
+    EXPECT_EQ(ParseProfile(c.text, &loaded), c.valid) << c.what;
   }
 
   const char* bad_dictionaries[] = {
@@ -246,31 +305,57 @@ TEST(ProfileIoTest, ParsersAcceptValidAndRejectMalformedInput) {
       "garbage",
   };
   for (const char* text : bad_dictionaries) {
-    std::map<uint32_t, std::string> dict;
-    EXPECT_FALSE(ParseDictionary(text, &dict)) << text;
+    Profile loaded;
+    EXPECT_FALSE(ParseDictionary(text, &loaded)) << text;
   }
   const std::string dictionary = kDictionary;
   for (size_t n = 0; n < dictionary.size(); ++n) {
-    std::map<uint32_t, std::string> dict;
-    EXPECT_FALSE(ParseDictionary(dictionary.substr(0, n), &dict)) << "truncated to " << n;
+    Profile loaded;
+    EXPECT_FALSE(ParseDictionary(dictionary.substr(0, n), &loaded)) << "truncated to " << n;
   }
 }
 
-TEST(ProfileIoTest, OfflineStitchReconstructsEdges) {
+TEST(ProfileIoTest, PostMortemReportIsTheLiveReport) {
   Rig rig;
-  std::vector<LoadedProfile> profiles(2);
-  ASSERT_TRUE(ParseProfile(SerializeProfile(rig.caller), &profiles[0]));
-  ASSERT_TRUE(ParseProfile(SerializeProfile(rig.callee), &profiles[1]));
-  std::map<uint32_t, std::string> dict;
-  ASSERT_TRUE(ParseDictionary(SerializeDictionary(rig.dep), &dict));
-
-  std::string report = OfflineStitch(profiles, dict);
-  EXPECT_NE(report.find("stage 'caller'"), std::string::npos);
-  EXPECT_NE(report.find("stage 'callee'"), std::string::npos);
-  EXPECT_NE(report.find("svc"), std::string::npos);
+  const Profile profile = Reread(rig.dep);
+  const std::string report = Stitcher(profile).Render();
+  EXPECT_EQ(report, Stitcher(rig.dep).Render());
+  EXPECT_EQ(Stitcher(profile).RenderDot(), Stitcher(rig.dep).RenderDot());
   // The request edge caller -> callee was recovered offline.
-  EXPECT_NE(report.find("caller (origin) --["), std::string::npos);
-  EXPECT_NE(report.find("--> callee"), std::string::npos);
+  EXPECT_NE(report.find("  caller (origin) --[main>foo]--> callee "), std::string::npos)
+      << report;
+}
+
+// A stage's origin CCT holds only `b`; its next CCT holds `a` (300 ns)
+// and `b` (200 ns). Siblings render in the writer's FunctionId order,
+// `a` before `b`, live and post mortem alike.
+TEST(ProfileIoTest, PostMortemKeepsTheWritersSiblingOrder) {
+  Deployment dep;
+  StageProfiler& stage = dep.AddStage(std::make_unique<StageProfiler>(dep, Opts("s")));
+  ThreadProfile& tp = stage.CreateThread("t");
+  const callpath::FunctionId a = stage.RegisterFunction("a");
+  const callpath::FunctionId b = stage.RegisterFunction("b");
+  {
+    auto frame = stage.EnterFrame(tp, b);
+    stage.ChargeCpu(tp, 100);
+  }
+  stage.SetLocalContext(
+      tp, dep.contexts().Append(context::kEmptyContext, {context::ElementKind::kHandler, 1}));
+  {
+    auto frame = stage.EnterFrame(tp, a);
+    stage.ChargeCpu(tp, 300);
+  }
+  {
+    auto frame = stage.EnterFrame(tp, b);
+    stage.ChargeCpu(tp, 200);
+  }
+  const std::string live = stage.RenderTransactionalProfile();
+  const std::string section = live.substr(live.find("--- context [handler:1]"));
+  ASSERT_LT(section.find("\na  samples=3"), section.find("\nb  samples=2")) << live;
+
+  const Profile profile = Reread(dep);
+  EXPECT_EQ(Stitcher(profile).RenderStage("s"), live);
+  EXPECT_EQ(Stitcher(profile).Render(), Stitcher(dep).Render());
 }
 
 // The conventional flat profile of a stage: every context's CCT merged

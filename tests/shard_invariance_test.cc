@@ -36,7 +36,7 @@ apps::BookstoreOptions SmallRun(int shards, int threads) {
   return o;
 }
 
-TEST(ShardInvarianceTest, MergedProfileIsByteIdenticalAcrossThreadCounts) {
+TEST(ShardInvarianceTest, MergedResultIsByteIdenticalAcrossThreadCounts) {
   // Fixed logical decomposition (4 shards), varying physical
   // parallelism. Thread count must not change a single byte of the
   // merged profile or a single merged number.
