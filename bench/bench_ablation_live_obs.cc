@@ -247,7 +247,7 @@ double MeasureAttrNsPerTxn() {
 // Whodunitd — BeginTxn/SetTxnType/JoinSpan/AddSpanWait/EndSpan/
 // CompleteTxn, the batch flush, the channel hop, the pump's
 // attribution + aggregation + history ingest — under the default
-// LiveOptions (attribution on, publish_batch 64, 1 MiB history).
+// LiveOptions (attribution on, 1 MiB history; batches of kPublishBatch).
 // Virtual time advances 10 ms per transaction so the history store
 // crosses its 30 s flush interval many times and reaches retention
 // steady state during warmup. Reports the fastest of three timed

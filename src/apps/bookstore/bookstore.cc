@@ -117,7 +117,6 @@ class Bookstore {
       lo.span_ring = options.live_span_ring;
       lo.history_bytes = options.live_history_bytes;
       lo.attribution = options.live_attribution;
-      lo.publish_batch = options.live_publish_batch;
       daemon_ = std::make_unique<obs::live::Whodunitd>(sched_, lo);
       dep_.AttachLive(daemon_.get());
       // Intern the fourteen interaction names once at wiring time so
@@ -126,9 +125,7 @@ class Bookstore {
         tpcw_syms_[static_cast<size_t>(t)] = daemon_->symbols().Intern(
             workload::TpcwName(static_cast<TpcwTransaction>(t)));
       }
-      crosstalk_.set_wait_sink([this](uint64_t waiter, uint64_t holder, uint64_t wait_ns) {
-        daemon_->IngestWait(waiter, holder, wait_ns);
-      });
+      daemon_->set_crosstalk(&crosstalk_);
     }
     // §8.1: Whodunit also watches mysqld's own critical sections.
     shm_detector_ = std::make_unique<shm::FlowDetector>([this](vm::ThreadId t) {
@@ -694,8 +691,7 @@ BookstoreResult Bookstore::Run(profiler::Profile* out_profile) {
   if (daemon_ != nullptr) {
     // Close the publish channel (flushing the partial publish batch)
     // and drain, so every export below reflects every published event
-    // regardless of --publish-batch — then snapshot. This ordering is
-    // what makes the end-of-run exports batch-size invariant.
+    // — then snapshot.
     daemon_->Shutdown();
     sched_.Run();
     result.live_top_text = daemon_->RenderTop();

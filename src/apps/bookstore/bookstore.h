@@ -99,12 +99,6 @@ struct BookstoreOptions {
   // transaction (docs/OBSERVABILITY.md; the --no-attribution knob
   // turns it off for ablation).
   bool live_attribution = true;
-  // Publish batching (the --publish-batch knob): completed
-  // transactions accumulate in a publisher-side batch flushed to the
-  // daemon when it reaches this size (or on the flush interval), so
-  // the pump wakes once per batch instead of once per transaction.
-  // End-of-run exports are byte-identical for any value ≥ 1.
-  size_t live_publish_batch = 64;
 };
 
 struct BookstorePerType {

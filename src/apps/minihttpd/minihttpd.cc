@@ -109,7 +109,6 @@ class Server {
     if (options.live) {
       obs::live::LiveOptions lo;
       lo.history_bytes = options.live_history_bytes;
-      lo.publish_batch = options.live_publish_batch;
       daemon_ = std::make_unique<obs::live::Whodunitd>(sched_, lo);
       dep_.AttachLive(daemon_.get());
       // Intern the two connection-type names once so the per-accept
@@ -509,8 +508,7 @@ MinihttpdResult Server::Run(profiler::Profile* out_profile) {
   }
   if (daemon_ != nullptr) {
     // Flush the partial publish batch and drain before snapshotting,
-    // so the exports reflect every published event regardless of
-    // --publish-batch (batch-size invariance).
+    // so the exports reflect every published event.
     daemon_->Shutdown();
     sched_.Run();
     result.live_top_text = daemon_->RenderTop();

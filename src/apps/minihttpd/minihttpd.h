@@ -49,10 +49,6 @@ struct MinihttpdOptions {
   // Byte budget of the daemon's retention-bounded history store (the
   // --history-bytes knob; 0 disables it).
   size_t live_history_bytes = 1 << 20;
-  // Publish batching (the --publish-batch knob): completed
-  // transactions flush to the daemon in batches of this size. Final
-  // exports are byte-identical for any value ≥ 1.
-  size_t live_publish_batch = 64;
 
   // ---- Production sampling (docs/PRODUCTION.md) -----------------------
   // Fraction of connections that are profiled (the --sample-rate

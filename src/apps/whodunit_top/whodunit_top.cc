@@ -15,7 +15,6 @@
 //                [--json-out FILE] [--no-clear] [--seed N]
 //                [--shards S] [--threads T]
 //                [--sample-rate R] [--sample-seed N] [--history-bytes B]
-//                [--publish-batch N]
 //                [--why-tail] [--attr-out FILE] [--no-attribution]
 //
 // --sample-rate R profiles a fraction R of transactions (the
@@ -36,6 +35,7 @@
 // (the live table callback is not shard-safe).
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -63,7 +63,6 @@ struct Flags {
   double sample_rate = 1.0;
   uint64_t sample_seed = 0;
   size_t history_bytes = 1 << 20;
-  size_t publish_batch = 64;
   bool why_tail = false;
   std::string attr_out;
   bool attribution = true;
@@ -77,7 +76,6 @@ void Usage(const char* argv0) {
                "          [--json-out FILE] [--no-clear] [--seed N]\n"
                "          [--shards S] [--threads T]\n"
                "          [--sample-rate R] [--sample-seed N] [--history-bytes B]\n"
-               "          [--publish-batch N]\n"
                "          [--why-tail] [--attr-out FILE] [--no-attribution]\n"
                "          [--arrivals closed|poisson|bursty] [--offered-load TPS]\n",
                argv0);
@@ -159,8 +157,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->sample_seed = u;
     } else if (arg == "--history-bytes" && value(ParseUnsigned, &u)) {
       flags->history_bytes = static_cast<size_t>(u);
-    } else if (arg == "--publish-batch" && value(ParseUnsigned, &u)) {
-      flags->publish_batch = static_cast<size_t>(u);
     } else if (arg == "--why-tail") {
       flags->why_tail = true;
     } else if (arg == "--attr-out" && i + 1 < argc) {
@@ -196,7 +192,9 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
   }
   // Ranges: a run needs time, clients and a positive refresh interval
   // (a zero interval would re-render forever at one virtual instant),
-  // and the warm-up must end before the run does.
+  // and the warm-up must end before the run does. A rate is a finite
+  // fraction and a load a finite non-negative rate; the negated
+  // comparisons also reject NaN.
   const char* bad = nullptr;
   if (flags->duration_s <= 0) {
     bad = "--duration must be positive";
@@ -210,6 +208,11 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     bad = "--threads must be positive";
   } else if (flags->warmup_s < 0 || flags->warmup_s >= flags->duration_s) {
     bad = "--warmup must be in [0, --duration)";
+  } else if (!(flags->sample_rate >= 0.0 && flags->sample_rate <= 1.0)) {
+    bad = "--sample-rate must be in [0, 1]";
+  } else if (!(flags->arrivals.offered_load_tps >= 0.0 &&
+               std::isfinite(flags->arrivals.offered_load_tps))) {
+    bad = "--offered-load must be finite and non-negative";
   }
   if (bad != nullptr) {
     std::fprintf(stderr, "%s\n", bad);
@@ -251,7 +254,6 @@ int main(int argc, char** argv) {
   options.sample_rate = flags.sample_rate;
   options.sample_seed = flags.sample_seed;
   options.live_history_bytes = flags.history_bytes;
-  options.live_publish_batch = flags.publish_batch;
   options.live_span_ring = flags.ring;
   options.live_attribution = flags.attribution;
   options.live_poll_interval = whodunit::sim::Seconds(flags.interval_s);

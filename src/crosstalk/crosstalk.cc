@@ -16,9 +16,6 @@ void CrosstalkRecorder::OnAcquired(const sim::SimMutex& lock, uint64_t waiter_ta
   lock_waits_[lock.name()].Add(static_cast<double>(wait));
   if (blocking_tag != kNoTag) {
     pair_waits_[{waiter_tag, blocking_tag}].Add(static_cast<double>(wait));
-    if (wait_sink_) {
-      wait_sink_(waiter_tag, blocking_tag, static_cast<uint64_t>(wait));
-    }
   }
 }
 

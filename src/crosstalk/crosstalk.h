@@ -65,13 +65,11 @@ class CrosstalkRecorder : public sim::LockObserver {
   // Text table using `namer` for tags.
   std::string Render(const std::function<std::string(uint64_t)>& namer) const;
 
-  // Streaming tap: invoked for every *contended* acquire with a known
-  // holder, as (waiter_tag, holder_tag, wait_ns). The live aggregation
-  // daemon subscribes through this without the recorder depending on
-  // it. Per-instance state, so concurrent per-shard recorders never
-  // share a sink.
-  using WaitSink = std::function<void(uint64_t, uint64_t, uint64_t)>;
-  void set_wait_sink(WaitSink sink) { wait_sink_ = std::move(sink); }
+  // The (waiter, holder) -> wait matrix behind PairRows, in tag-pair
+  // order. The live daemon folds it by name for its crosstalk table.
+  const std::map<std::pair<uint64_t, uint64_t>, util::RunningStat>& pair_waits() const {
+    return pair_waits_;
+  }
 
   // Folds another recorder (a shard's) into this one. `tag_remap`
   // translates the other recorder's tags — per-shard profiler context
@@ -88,7 +86,6 @@ class CrosstalkRecorder : public sim::LockObserver {
   std::map<uint64_t, util::RunningStat> all_acquires_;
   std::map<std::string, util::RunningStat> lock_waits_;
   uint64_t acquires_observed_ = 0;
-  WaitSink wait_sink_;
 };
 
 }  // namespace whodunit::crosstalk

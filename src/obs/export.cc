@@ -13,37 +13,6 @@ namespace {
 // The schema version ToJson writes and ParseJson accepts (docs/METRICS.md).
 constexpr uint64_t kSchemaVersion = 3;
 
-// ---- writer ---------------------------------------------------------
-
-void AppendEscaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 // ---- minimal parser for the schema ToJson emits ---------------------
 
 struct Cursor {
@@ -315,6 +284,36 @@ std::string FormatNs(double ns) {
 
 }  // namespace
 
+std::string JsonString(std::string_view s) {
+  std::string out = "\"";
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
+
 std::string ToJson(const MetricsSnapshot& snapshot) {
   std::string out;
   out += "{\n  \"schema\": \"whodunit-metrics\",\n  \"version\": " +
@@ -324,7 +323,7 @@ std::string ToJson(const MetricsSnapshot& snapshot) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    ";
-    AppendEscaped(out, name);
+    out += JsonString(name);
     out += ": " + std::to_string(value);
   }
   out += first ? "},\n" : "\n  },\n";
@@ -334,7 +333,7 @@ std::string ToJson(const MetricsSnapshot& snapshot) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    ";
-    AppendEscaped(out, name);
+    out += JsonString(name);
     out += ": " + std::to_string(value);
   }
   out += first ? "},\n" : "\n  },\n";
@@ -344,7 +343,7 @@ std::string ToJson(const MetricsSnapshot& snapshot) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    ";
-    AppendEscaped(out, name);
+    out += JsonString(name);
     out += ": {\"count\": " + std::to_string(h.count());
     out += ", \"sum\": " + std::to_string(h.sum()) + ", \"buckets\": {";
     const char* sep = "";

@@ -18,6 +18,11 @@
 
 namespace whodunit::obs {
 
+// `s` as a JSON string literal: quoted, with `"`, `\` and control
+// characters escaped. The metrics dump and every live export
+// (src/obs/live) write strings through it.
+std::string JsonString(std::string_view s);
+
 // Serializes a snapshot as schema-version-3 JSON.
 std::string ToJson(const MetricsSnapshot& snapshot);
 

@@ -62,11 +62,6 @@ void LiveAggregator::NameTag(uint64_t tag, std::string_view name) {
   }
 }
 
-void LiveAggregator::IngestWait(uint64_t waiter_tag, uint64_t holder_tag, uint64_t wait_ns) {
-  obs_waits_->Add();
-  waits_[{waiter_tag, holder_tag}].Add(static_cast<double>(wait_ns));
-}
-
 void LiveAggregator::TypeRowsInto(std::vector<TypeRow>& rows) const {
   rows.resize(by_type_.size());
   size_t i = 0;
@@ -118,8 +113,10 @@ void LiveAggregator::CrosstalkRowsInto(std::vector<PairRow>& rows) const {
   // Fold tag pairs into named-type pairs: many tags (one per context
   // snapshot) map to one transaction type.
   std::map<std::pair<std::string, std::string>, util::RunningStat> folded;
-  for (const auto& [pair, stat] : waits_) {
-    folded[{TagName(pair.first), TagName(pair.second)}].Merge(stat);
+  if (crosstalk_ != nullptr) {
+    for (const auto& [pair, stat] : crosstalk_->pair_waits()) {
+      folded[{TagName(pair.first), TagName(pair.second)}].Merge(stat);
+    }
   }
   rows.resize(folded.size());
   size_t i = 0;

@@ -7,11 +7,12 @@
 //
 //   * per-transaction-type latency: mergeable log-bucketed histograms
 //     (util::LogHistogram) giving p50/p95/p99 without storing samples;
-//   * a live crosstalk matrix keyed by (waiter-type, holder-type),
-//     fed by the lock observer's wait sink (src/crosstalk);
+//   * the crosstalk matrix keyed by (waiter-type, holder-type), read
+//     at query time from the deployment's CrosstalkRecorder
+//     (src/crosstalk) and folded by tag name;
 //   * top-N transaction contexts by cumulative CPU cost, keyed by
-//     interned ContextTree NodeIds (flushed in batches from the
-//     stage profilers' charge path);
+//     interned ContextTree NodeIds (charged by the stage profilers'
+//     ChargeCpu);
 //   * per-stage throughput / busy-time / error counters.
 //
 // All internal state is keyed by interned SymIds (symbol_table.h), so
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "src/context/context_tree.h"
+#include "src/crosstalk/crosstalk.h"
 #include "src/util/symbol_table.h"
 #include "src/obs/live/txn_event.h"
 #include "src/obs/metrics.h"
@@ -48,8 +50,9 @@ class LiveAggregator {
   // Names a crosstalk tag (profiler context id) with a transaction
   // type; unnamed tags render as "tag_<id>".
   void NameTag(uint64_t tag, std::string_view name);
-  // One observed lock wait: `waiter` blocked behind `holder`.
-  void IngestWait(uint64_t waiter_tag, uint64_t holder_tag, uint64_t wait_ns);
+  // The recorder whose pair matrix CrosstalkRowsInto reads (nullptr:
+  // no crosstalk rows). It must outlive this aggregator's queries.
+  void set_crosstalk(const crosstalk::CrosstalkRecorder* recorder) { crosstalk_ = recorder; }
 
   // ---- Queries -------------------------------------------------------
   // The *Into variants refill caller-owned rows in place (string and
@@ -91,7 +94,8 @@ class LiveAggregator {
     uint64_t count = 0;
     double mean_wait_ms = 0;
   };
-  // Live crosstalk matrix, heaviest mean wait first.
+  // The recorder's crosstalk matrix with tags folded into names,
+  // heaviest mean wait first.
   void CrosstalkRowsInto(std::vector<PairRow>& rows) const;
   std::vector<PairRow> CrosstalkRows() const {
     std::vector<PairRow> rows;
@@ -156,7 +160,7 @@ class LiveAggregator {
   std::map<util::SymId, StageState> by_stage_;
   // (type, stage, ctxt, state) -> cumulative critical-path ns.
   std::map<std::tuple<util::SymId, util::SymId, context::NodeId, uint8_t>, int64_t> attr_;
-  std::map<std::pair<uint64_t, uint64_t>, util::RunningStat> waits_;
+  const crosstalk::CrosstalkRecorder* crosstalk_ = nullptr;
   std::map<uint64_t, std::string> tag_names_;
   util::RobinHoodMap<context::NodeId, uint64_t> cost_by_ctxt_;
   uint64_t txns_ = 0;
@@ -167,7 +171,6 @@ class LiveAggregator {
   util::SymbolTable* syms_ = &util::Syms();
   Counter* obs_txns_ = &Registry().GetCounter("live.txns_ingested");
   Counter* obs_spans_ = &Registry().GetCounter("live.spans_ingested");
-  Counter* obs_waits_ = &Registry().GetCounter("live.crosstalk_waits");
   Counter* obs_attr_txns_ = &Registry().GetCounter("live.attr.txns_attributed");
   Counter* obs_attr_slices_ = &Registry().GetCounter("live.attr.slices");
 };

@@ -7,6 +7,7 @@
 #include <tuple>
 #include <utility>
 
+#include "src/obs/export.h"
 #include "src/obs/live/attribution.h"
 #include "src/obs/live/span_export.h"
 
@@ -19,22 +20,13 @@ std::string Fixed(double v, int decimals = 1) {
   return buf;
 }
 
-void JsonEscapeInto(std::ostringstream& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out << '\\';
-    }
-    out << (c == '\n' ? ' ' : c);
-  }
-}
-
 }  // namespace
 
 Whodunitd::Whodunitd(sim::Scheduler& sched, LiveOptions options)
     : sched_(sched),
       options_(options),
       ch_(sched),
-      history_(HistoryOptions{options.history_bytes, options.history_flush_interval_ns}),
+      history_(options.history_bytes),
       obs_begun_(&Registry().GetCounter("live.txns_begun")),
       obs_dropped_(&Registry().GetCounter("live.txns_dropped")),
       obs_abandoned_(&Registry().GetCounter("live.txns_abandoned")),
@@ -43,9 +35,6 @@ Whodunitd::Whodunitd(sim::Scheduler& sched, LiveOptions options)
       obs_inflight_(&Registry().GetGauge("live.inflight_txns")),
       obs_sampling_total_(&Registry().GetCounter("sampling.txns_total")),
       obs_sampling_sampled_(&Registry().GetCounter("sampling.txns_sampled")) {
-  if (options_.publish_batch == 0) {
-    options_.publish_batch = 1;
-  }
   sim::Spawn(sched_, Pump());
 }
 
@@ -103,7 +92,7 @@ sim::Process Whodunitd::Pump() {
 }
 
 uint64_t Whodunitd::BeginTxn(util::SymId origin_stage, int64_t now) {
-  if (shutdown_ || builders_.size() >= options_.max_inflight) {
+  if (shutdown_ || builders_.size() >= kMaxInflight) {
     obs_dropped_->Add();
     return 0;
   }
@@ -249,8 +238,7 @@ void Whodunitd::CompleteTxn(uint64_t txn, int64_t now) {
   batch_.push_back(std::move(b.event));
   builders_.Erase(txn);
   obs_inflight_->Set(static_cast<int64_t>(builders_.size()));
-  if (batch_.size() >= options_.publish_batch ||
-      now - batch_opened_ns_ >= options_.publish_flush_interval_ns) {
+  if (batch_.size() >= kPublishBatch || now - batch_opened_ns_ >= kPublishFlushIntervalNs) {
     FlushBatch();
   }
 }
@@ -266,9 +254,6 @@ void Whodunitd::FlushBatch() {
 }
 
 void Whodunitd::Top(TopSnapshot& snap, size_t max_types, size_t max_contexts) const {
-  if (flush_hook_) {
-    flush_hook_();
-  }
   snap.as_of_ns = sched_.now();
   snap.txns = agg_.txns();
   snap.errors = agg_.errors();
@@ -369,63 +354,53 @@ std::string Whodunitd::QueryJson(size_t max_types, size_t max_contexts) const {
       << ",\"evicted_txns\":" << snap.history_evicted << "},\"types\":[";
   for (size_t i = 0; i < snap.types.size(); ++i) {
     const auto& row = snap.types[i];
-    out << (i ? "," : "") << "\n{\"type\":\"";
-    JsonEscapeInto(out, row.type);
-    out << "\",\"count\":" << row.count << ",\"errors\":" << row.errors
-        << ",\"mean_ms\":" << Fixed(row.mean_ms, 3) << ",\"p50_ms\":" << Fixed(row.p50_ms, 3)
+    out << (i ? "," : "") << "\n{\"type\":" << JsonString(row.type) << ",\"count\":" << row.count
+        << ",\"errors\":" << row.errors << ",\"mean_ms\":" << Fixed(row.mean_ms, 3)
+        << ",\"p50_ms\":" << Fixed(row.p50_ms, 3)
         << ",\"p95_ms\":" << Fixed(row.p95_ms, 3) << ",\"p99_ms\":" << Fixed(row.p99_ms, 3)
         << ",\"p999_ms\":" << Fixed(row.p999_ms, 3) << "}";
   }
   out << "],\"stages\":[";
   for (size_t i = 0; i < snap.stages.size(); ++i) {
     const auto& row = snap.stages[i];
-    out << (i ? "," : "") << "\n{\"stage\":\"";
-    JsonEscapeInto(out, row.stage);
-    out << "\",\"spans\":" << row.spans << ",\"busy_ms\":" << Fixed(row.busy_ms, 3) << "}";
+    out << (i ? "," : "") << "\n{\"stage\":" << JsonString(row.stage) << ",\"spans\":" << row.spans
+        << ",\"busy_ms\":" << Fixed(row.busy_ms, 3) << "}";
   }
   out << "],\"crosstalk\":[";
   for (size_t i = 0; i < snap.crosstalk.size(); ++i) {
     const auto& row = snap.crosstalk[i];
-    out << (i ? "," : "") << "\n{\"waiter\":\"";
-    JsonEscapeInto(out, row.waiter);
-    out << "\",\"holder\":\"";
-    JsonEscapeInto(out, row.holder);
-    out << "\",\"count\":" << row.count << ",\"mean_wait_ms\":" << Fixed(row.mean_wait_ms, 3)
-        << "}";
+    out << (i ? "," : "") << "\n{\"waiter\":" << JsonString(row.waiter)
+        << ",\"holder\":" << JsonString(row.holder) << ",\"count\":" << row.count
+        << ",\"mean_wait_ms\":" << Fixed(row.mean_wait_ms, 3) << "}";
   }
   out << "],\"contexts\":[";
   for (size_t i = 0; i < snap.contexts.size(); ++i) {
     const auto& row = snap.contexts[i];
     out << (i ? "," : "") << "\n{\"ctxt\":" << row.ctxt << ",\"cost_ns\":" << row.cost_ns
-        << ",\"name\":\"";
-    JsonEscapeInto(out, ctxt_namer_ ? ctxt_namer_(row.ctxt) : "ctxt_" + std::to_string(row.ctxt));
-    out << "\"}";
+        << ",\"name\":"
+        << JsonString(ctxt_namer_ ? ctxt_namer_(row.ctxt) : "ctxt_" + std::to_string(row.ctxt))
+        << "}";
   }
   out << "],\"attr\":{\"schema\":\"whodunit-attr-v1\",\"rows\":[";
   const auto attr_rows = agg_.AttrRows();
   for (size_t i = 0; i < attr_rows.size(); ++i) {
     const auto& row = attr_rows[i];
-    out << (i ? "," : "") << "\n{\"type\":\"";
-    JsonEscapeInto(out, row.type);
-    out << "\",\"stage\":\"";
-    JsonEscapeInto(out, row.stage);
-    out << "\",\"ctxt\":" << row.ctxt << ",\"state\":\"" << WaitStateName(row.state)
-        << "\",\"ns\":" << row.ns << "}";
+    out << (i ? "," : "") << "\n{\"type\":" << JsonString(row.type)
+        << ",\"stage\":" << JsonString(row.stage) << ",\"ctxt\":" << row.ctxt
+        << ",\"state\":\"" << WaitStateName(row.state) << "\",\"ns\":" << row.ns << "}";
   }
   out << "]},\"why_tail\":{\"fast_q\":0.5,\"tail_q\":0.99,\"types\":[";
   const auto tail_types = WhyTail();
   for (size_t i = 0; i < tail_types.size(); ++i) {
     const auto& type = tail_types[i];
-    out << (i ? "," : "") << "\n{\"type\":\"";
-    JsonEscapeInto(out, type.type);
-    out << "\",\"fast_txns\":" << type.fast_txns << ",\"tail_txns\":" << type.tail_txns
+    out << (i ? "," : "") << "\n{\"type\":" << JsonString(type.type)
+        << ",\"fast_txns\":" << type.fast_txns << ",\"tail_txns\":" << type.tail_txns
         << ",\"fast_ms\":" << Fixed(type.fast_ms, 3)
         << ",\"tail_ms\":" << Fixed(type.tail_ms, 3) << ",\"deltas\":[";
     for (size_t j = 0; j < type.deltas.size(); ++j) {
       const auto& delta = type.deltas[j];
-      out << (j ? "," : "") << "{\"stage\":\"";
-      JsonEscapeInto(out, delta.stage);
-      out << "\",\"state\":\"" << WaitStateName(delta.state)
+      out << (j ? "," : "") << "{\"stage\":" << JsonString(delta.stage)
+          << ",\"state\":\"" << WaitStateName(delta.state)
           << "\",\"fast_ms\":" << Fixed(delta.fast_ms, 3)
           << ",\"tail_ms\":" << Fixed(delta.tail_ms, 3)
           << ",\"delta_ms\":" << Fixed(delta.delta_ms, 3) << "}";
@@ -592,7 +567,7 @@ void Whodunitd::Shutdown() {
   obs_inflight_->Set(0);
   // Ship the partial batch before closing: the channel is FIFO and
   // Close is in-band, so the pump ingests it before draining out —
-  // post-shutdown exports are therefore batch-size invariant.
+  // post-shutdown exports therefore reflect every completed event.
   FlushBatch();
   // Settle the history's pending batch so the final snapshot reflects
   // everything the daemon ingested.

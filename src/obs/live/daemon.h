@@ -23,18 +23,23 @@
 // Publication rides the same sim::Channel plumbing as application
 // messages, so ingest is ordered with the simulation and the daemon
 // observes transactions exactly when a real collector process would.
-// Completed events buffer into one daemon-wide TxnBatch flushed on a
-// size or virtual-time threshold, so the pump wakes once per batch
-// instead of once per transaction; the batch preserves completion
-// order and the channel is FIFO, so aggregation order — and therefore
-// every export — is invariant under the batch size
-// (docs/OBSERVABILITY.md "Batching and determinism").
+// Completed events buffer into one daemon-wide TxnBatch flushed at
+// kPublishBatch events or kPublishFlushIntervalNs of virtual time, so
+// the pump wakes once per batch instead of once per transaction; the
+// batch preserves completion order and the channel is FIFO, so
+// aggregation order — and therefore every end-of-run export — is the
+// order of completion (docs/OBSERVABILITY.md "Batching and
+// determinism").
+//
+// State the profiler already keeps is read, not copied: CPU costs
+// arrive straight from StageProfiler::ChargeCpu, and the crosstalk
+// table is the deployment's CrosstalkRecorder folded by name at query
+// time.
 //
 // The publish path is allocation-free in steady state: names are
-// interned SymIds (symbol_table.h), span/open/batch storage is pooled
-// (util/pooled_vec.h), and the hot hooks take SymIds — the
-// string_view overloads exist for tests and one-shot callers and pay
-// one hash lookup. The query side (Top/RenderTop/QueryJson/
+// interned SymIds (symbol_table.h) that publishers intern once at
+// wiring time, and span/open/batch storage is pooled
+// (util/pooled_vec.h). The query side (Top/RenderTop/QueryJson/
 // ExportSpansJson) is the "wire" API whodunit_top polls; the *Into
 // variants refill caller-owned buffers so a refresh loop is
 // allocation-quiet once warm.
@@ -63,28 +68,26 @@
 
 namespace whodunit::obs::live {
 
+// In-flight transaction cap; BeginTxn beyond it drops the txn (the
+// daemon must never be the memory leak it is meant to expose).
+inline constexpr size_t kMaxInflight = 4096;
+// Publish batching: completed events buffer until this many are
+// pending, then cross the channel together.
+inline constexpr size_t kPublishBatch = 64;
+// A partial batch is flushed once this much virtual time has passed
+// since it opened, so a quiet period cannot delay ingest forever.
+inline constexpr int64_t kPublishFlushIntervalNs = 100'000'000;
+
 struct LiveOptions {
-  // In-flight transaction cap; BeginTxn beyond it drops the txn (the
-  // daemon must never be the memory leak it is meant to expose).
-  size_t max_inflight = 4096;
   // Completed events retained for span export, newest last.
   size_t span_ring = 128;
   // Byte budget of the retention-bounded history store (history.h);
   // 0 disables it. The --history-bytes knob on the apps.
   size_t history_bytes = 1 << 20;
-  // Virtual-time flush interval of the history store.
-  int64_t history_flush_interval_ns = 30'000'000'000;
   // Critical-path wait-state attribution (attribution.h) of every
   // published event; feeds the attr tables, --why-tail, and the
   // whodunit-attr-v1 folded export.
   bool attribution = true;
-  // Publish batching: completed events buffer until this many are
-  // pending (1 = unbatched, every completion crosses the channel
-  // alone). The --publish-batch knob on the apps.
-  size_t publish_batch = 64;
-  // A partial batch is flushed once this much virtual time has passed
-  // since it opened, so a quiet period cannot delay ingest forever.
-  int64_t publish_flush_interval_ns = 100'000'000;
 };
 
 class Whodunitd {
@@ -103,19 +106,12 @@ class Whodunitd {
   util::SymbolTable& symbols() const { return *syms_; }
 
   // ---- Publish hooks (called by StageProfiler and apps) --------------
-  // SymId forms are the hot path: pure integer work, no hashing, no
-  // allocation in steady state. The string_view forms intern first.
+  // Pure integer work: no hashing, no allocation in steady state.
   //
   // Opens a transaction and its origin span; returns the live txn id
   // (0 = dropped: over the in-flight cap). All later hooks no-op on 0.
   uint64_t BeginTxn(util::SymId origin_stage, int64_t now);
-  uint64_t BeginTxn(std::string_view origin_stage, int64_t now) {
-    return BeginTxn(syms_->Intern(origin_stage), now);
-  }
   void SetTxnType(uint64_t txn, util::SymId type);
-  void SetTxnType(uint64_t txn, std::string_view type) {
-    SetTxnType(txn, syms_->Intern(type));
-  }
   void SetTxnCtxt(uint64_t txn, context::NodeId ctxt);
   // Opens one stage's span for `txn`; `link` is the synopsis part on
   // the message that carried the work here (0 = none). `queue_ns` is
@@ -124,27 +120,14 @@ class Whodunitd {
   // both feed the wait-state attribution (attribution.h).
   void JoinSpan(uint64_t txn, util::SymId stage, uint32_t link, int64_t now,
                 int64_t queue_ns = 0, context::NodeId ctxt = context::kEmptyContext);
-  void JoinSpan(uint64_t txn, std::string_view stage, uint32_t link, int64_t now,
-                int64_t queue_ns = 0, context::NodeId ctxt = context::kEmptyContext) {
-    JoinSpan(txn, syms_->Intern(stage), link, now, queue_ns, ctxt);
-  }
   // Accumulates a measured wait-state component (kService or
   // kLockWait) onto the most recent open span of `stage` for `txn`.
   void AddSpanWait(uint64_t txn, util::SymId stage, WaitState state, int64_t ns);
-  void AddSpanWait(uint64_t txn, std::string_view stage, WaitState state, int64_t ns) {
-    AddSpanWait(txn, syms_->Intern(stage), state, ns);
-  }
   // Records that the stage's open span sent a request carrying
   // synopsis part `link` (joins link arrows at the receiver).
   void NoteSend(uint64_t txn, util::SymId stage, uint32_t link);
-  void NoteSend(uint64_t txn, std::string_view stage, uint32_t link) {
-    NoteSend(txn, syms_->Intern(stage), link);
-  }
   // Closes the most recent open span of `stage` for `txn`.
   void EndSpan(uint64_t txn, util::SymId stage, int64_t now);
-  void EndSpan(uint64_t txn, std::string_view stage, int64_t now) {
-    EndSpan(txn, syms_->Intern(stage), now);
-  }
   void ErrorTxn(uint64_t txn);
   // Closes any still-open spans, stamps the end time, and appends the
   // finished event to the publish batch (flushed to the aggregation
@@ -153,13 +136,12 @@ class Whodunitd {
   // Direct streaming inputs that bypass the txn builder:
   void AddCost(context::NodeId ctxt, uint64_t cost_ns) { agg_.AddCost(ctxt, cost_ns); }
   void NameTag(uint64_t tag, std::string_view name) { agg_.NameTag(tag, name); }
-  void IngestWait(uint64_t waiter, uint64_t holder, uint64_t wait_ns) {
-    agg_.IngestWait(waiter, holder, wait_ns);
+  // The lock-wait recorder the crosstalk table is read from (set by
+  // the app that owns it; unset renders "none").
+  void set_crosstalk(const crosstalk::CrosstalkRecorder* recorder) {
+    agg_.set_crosstalk(recorder);
   }
 
-  // Called before every query snapshot so stages can flush their
-  // batched per-thread cost accumulators (set by Deployment).
-  void set_flush_hook(std::function<void()> hook) { flush_hook_ = std::move(hook); }
   // Renders an interned context NodeId for reports (set by the app's
   // wiring; defaults to "ctxt_<id>").
   void set_ctxt_namer(std::function<std::string(context::NodeId)> namer) {
@@ -289,7 +271,6 @@ class Whodunitd {
   util::RingQueue<TxnEvent> recent_;
   uint64_t next_txn_ = 1;
   bool shutdown_ = false;
-  std::function<void()> flush_hook_;
   std::function<std::string(context::NodeId)> ctxt_namer_;
 
   util::SymbolTable* syms_ = &util::Syms();

@@ -3,22 +3,12 @@
 #include <sstream>
 #include <utility>
 
+#include "src/obs/export.h"
+
 namespace whodunit::obs::live {
-namespace {
 
-void JsonEscapeInto(std::ostringstream& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out << '\\';
-    }
-    out << (c == '\n' ? ' ' : c);
-  }
-}
-
-}  // namespace
-
-TxnHistory::TxnHistory(HistoryOptions options)
-    : options_(options),
+TxnHistory::TxnHistory(size_t max_bytes)
+    : max_bytes_(max_bytes),
       obs_ingested_(&Registry().GetCounter("history.txns_ingested")),
       obs_flushes_(&Registry().GetCounter("history.flushes")),
       obs_evicted_txns_(&Registry().GetCounter("history.evicted_txns")),
@@ -50,13 +40,13 @@ void TxnHistory::Ingest(TxnEvent event, int64_t now) {
   pending_.push_back(Entry{std::move(event), bytes});
   pending_bytes_ += bytes;
   obs_ingested_->Add();
-  if (now - last_flush_ns_ >= options_.flush_interval_ns) {
+  if (now - last_flush_ns_ >= kHistoryFlushIntervalNs) {
     Flush(now);
   }
 }
 
 void TxnHistory::Flush(int64_t now) {
-  if (!enabled() || (pending_.empty() && retained_bytes_ <= options_.max_bytes)) {
+  if (!enabled() || (pending_.empty() && retained_bytes_ <= max_bytes_)) {
     last_flush_ns_ = now;
     return;
   }
@@ -72,7 +62,7 @@ void TxnHistory::Flush(int64_t now) {
   // larger than the whole budget still stays until a newer one
   // arrives — the store never evicts its only record to emptiness
   // unless the budget forces it.
-  while (retained_bytes_ > options_.max_bytes && !retained_.empty()) {
+  while (retained_bytes_ > max_bytes_ && !retained_.empty()) {
     retained_bytes_ -= retained_.front().bytes;
     ++evicted_txns_;
     evicted_bytes_ += retained_.front().bytes;
@@ -103,17 +93,15 @@ std::string TxnHistory::ExportJson() const {
   bool first = true;
   for (size_t e = 0; e < retained_.size(); ++e) {
     const TxnEvent& ev = retained_[e].event;
-    out << (first ? "" : ",") << "\n{\"txn_id\":" << ev.txn_id << ",\"type\":\"";
-    JsonEscapeInto(out, syms_->Name(ev.type));
-    out << "\",\"origin\":\"";
-    JsonEscapeInto(out, syms_->Name(ev.origin_stage));
-    out << "\",\"start_ns\":" << ev.start_ns << ",\"end_ns\":" << ev.end_ns
+    out << (first ? "" : ",") << "\n{\"txn_id\":" << ev.txn_id
+        << ",\"type\":" << JsonString(syms_->Name(ev.type))
+        << ",\"origin\":" << JsonString(syms_->Name(ev.origin_stage))
+        << ",\"start_ns\":" << ev.start_ns << ",\"end_ns\":" << ev.end_ns
         << ",\"error\":" << (ev.error ? "true" : "false") << ",\"spans\":[";
     for (size_t i = 0; i < ev.spans.size(); ++i) {
       const StageSpan& span = ev.spans[i];
-      out << (i ? "," : "") << "{\"stage\":\"";
-      JsonEscapeInto(out, syms_->Name(span.stage));
-      out << "\",\"start_ns\":" << span.start_ns << ",\"duration_ns\":" << span.duration_ns
+      out << (i ? "," : "") << "{\"stage\":" << JsonString(syms_->Name(span.stage))
+          << ",\"start_ns\":" << span.start_ns << ",\"duration_ns\":" << span.duration_ns
           << ",\"parent\":" << span.parent << ",\"link\":" << span.link << "}";
     }
     out << "]}";

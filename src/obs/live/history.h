@@ -8,9 +8,10 @@
 // may push the total over it temporarily; each flush settles the
 // store back under budget by deleting from the old end.
 //
-// Flushes happen on a virtual-time interval (FDB's client profiler
-// flushes every 30 seconds) driven by ingest timestamps, so the store
-// needs no timer of its own and stays deterministic.
+// Flushes happen every kHistoryFlushIntervalNs of virtual time (FDB's
+// client profiler flushes every 30 seconds) driven by ingest
+// timestamps, so the store needs no timer of its own and stays
+// deterministic.
 #ifndef SRC_OBS_LIVE_HISTORY_H_
 #define SRC_OBS_LIVE_HISTORY_H_
 
@@ -25,22 +26,20 @@
 
 namespace whodunit::obs::live {
 
-struct HistoryOptions {
-  // Soft byte budget for retained records (0 disables the store).
-  size_t max_bytes = 1 << 20;
-  // Virtual-time interval between flushes; a flush promotes pending
-  // events into the retained ring and evicts down to the budget.
-  int64_t flush_interval_ns = 30'000'000'000;
-};
+// Virtual-time interval between flushes; a flush promotes pending
+// events into the retained ring and evicts down to the budget.
+inline constexpr int64_t kHistoryFlushIntervalNs = 30'000'000'000;
 
 class TxnHistory {
  public:
-  // Counters/gauges resolve against obs::Registry() at construction
-  // (shard-registry rule, same as StageProfiler).
-  explicit TxnHistory(HistoryOptions options = {});
+  // `max_bytes` is the soft byte budget for retained records (0
+  // disables the store). Counters/gauges resolve against
+  // obs::Registry() at construction (shard-registry rule, same as
+  // StageProfiler).
+  explicit TxnHistory(size_t max_bytes);
 
-  const HistoryOptions& options() const { return options_; }
-  bool enabled() const { return options_.max_bytes > 0; }
+  size_t max_bytes() const { return max_bytes_; }
+  bool enabled() const { return max_bytes_ > 0; }
 
   // Accepts one completed transaction record; triggers a flush when
   // the flush interval has elapsed since the last one. Takes the event
@@ -81,7 +80,7 @@ class TxnHistory {
     size_t bytes;
   };
 
-  HistoryOptions options_;
+  size_t max_bytes_;
   util::RingQueue<Entry> retained_;
   util::RingQueue<Entry> pending_;
   size_t retained_bytes_ = 0;

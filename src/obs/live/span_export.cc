@@ -6,6 +6,8 @@
 #include <sstream>
 #include <utility>
 
+#include "src/obs/export.h"
+
 namespace whodunit::obs::live {
 namespace {
 
@@ -15,15 +17,6 @@ std::string Micros(int64_t ns) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.3f", static_cast<double>(ns) / 1e3);
   return buf;
-}
-
-void EscapeInto(std::ostringstream& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out << '\\';
-    }
-    out << c;
-  }
 }
 
 // Chrome trace reserved color name for a span, keyed by its dominant
@@ -87,9 +80,7 @@ std::string ExportChromeTrace(const std::vector<TxnEvent>& events, const util::S
   for (const auto& [name, tid] : named) {
     emit([&] {
       out << "\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-          << ",\"args\":{\"name\":\"";
-      EscapeInto(out, *name);
-      out << "\"}";
+          << ",\"args\":{\"name\":" << JsonString(*name) << "}";
     });
   }
 
@@ -99,15 +90,14 @@ std::string ExportChromeTrace(const std::vector<TxnEvent>& events, const util::S
       const StageSpan& span = ev.spans[i];
       const int tid = tid_of(span.stage);
       emit([&] {
-        out << "\"name\":\"";
         const std::string& type = syms.Name(ev.type);
-        EscapeInto(out, type.empty() ? std::string("txn") : type);
-        out << "\",\"cat\":\"txn\",\"ph\":\"X\",\"cname\":\"" << SpanColor(span)
+        out << "\"name\":" << JsonString(type.empty() ? "txn" : type)
+            << ",\"cat\":\"txn\",\"ph\":\"X\",\"cname\":\"" << SpanColor(span)
             << "\",\"pid\":1,\"tid\":" << tid
             << ",\"ts\":" << Micros(span.start_ns) << ",\"dur\":" << Micros(span.duration_ns)
-            << ",\"args\":{\"txn\":" << ev.txn_id << ",\"stage\":\"";
-        EscapeInto(out, syms.Name(span.stage));
-        out << "\",\"ctxt\":" << ev.root_ctxt << "}";
+            << ",\"args\":{\"txn\":" << ev.txn_id
+            << ",\"stage\":" << JsonString(syms.Name(span.stage))
+            << ",\"ctxt\":" << ev.root_ctxt << "}";
       });
       // Request edge: an arrow from the sending span's track to this
       // span's start, labeled with the synopsis part that linked them.

@@ -32,7 +32,7 @@ namespace whodunit::obs::live {
 enum class WaitState : uint8_t {
   kQueueWait = 0,    // SEDA/event-queue residency before a span ran
   kService,          // CPU the span actually consumed (ChargeCpu)
-  kLockWait,         // blocked on a lock (crosstalk wait sink)
+  kLockWait,         // blocked on a lock (StageProfiler::LiveLockWait)
   kDownstreamWait,   // waiting on a child span that had not started yet
   kSchedOther,       // remainder: disk, CPU-queueing, unmeasured time
 };

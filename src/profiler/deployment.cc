@@ -66,19 +66,12 @@ void Deployment::AttachLive(obs::live::Whodunitd* live) {
   if (live == nullptr) {
     return;
   }
-  live->set_flush_hook([this] { FlushLiveCosts(); });
   live->set_ctxt_namer([this](context::NodeId node) {
     if (node == context::kEmptyContext) {
       return std::string("(origin)");
     }
     return DescribeContext(node);
   });
-}
-
-void Deployment::FlushLiveCosts() {
-  for (const auto& stage : stages_) {
-    stage->FlushLive();
-  }
 }
 
 }  // namespace whodunit::profiler

@@ -87,13 +87,10 @@ class Deployment {
 
   // ---- Live observability (src/obs/live) ------------------------------
   // Attaches the aggregation daemon to every stage (current and
-  // future), wires the daemon's pre-query flush hook to
-  // FlushLiveCosts, and gives it a context namer backed by this
-  // deployment's dictionaries. Pass nullptr to detach.
+  // future) and gives it a context namer backed by this deployment's
+  // dictionaries. Pass nullptr to detach.
   void AttachLive(obs::live::Whodunitd* live);
   obs::live::Whodunitd* live() const { return live_; }
-  // Publishes every stage's batched per-thread CPU costs to the daemon.
-  void FlushLiveCosts();
 
  private:
   callpath::FunctionRegistry functions_;

@@ -69,12 +69,12 @@ sim::SimTime StageProfiler::ChargeCpu(ThreadProfile& tp, sim::SimTime app_cost) 
     const uint64_t fired = tp.sampler_.samples_taken() - before;
     total += static_cast<sim::SimTime>(fired) * options_.costs.per_sample;
   }
-  // Live observability: batch the app cost against the thread's current
-  // context node; UpdateCct / FlushLive publish the batch. Within a
-  // live span the same cost also accumulates as the span's kService
-  // wait-state measurement (flushed as the span closes).
-  if (live_ != nullptr && tp.sampled_) {
-    tp.live_cost_acc_ += app_cost;
+  // Live observability: charge the app cost to the thread's current
+  // context node (a zero charge adds no row to the context table).
+  // Within a live span the same cost also accumulates as the span's
+  // kService wait-state measurement (flushed as the span closes).
+  if (live_ != nullptr && tp.sampled_ && app_cost != 0) {
+    live_->AddCost(tp.live_ctxt_node_, static_cast<uint64_t>(app_cost));
     if (tp.live_txn_ != 0) {
       tp.live_span_service_ += app_cost;
     }
@@ -204,7 +204,6 @@ uint64_t StageProfiler::LiveBegin(ThreadProfile& tp, uint32_t type_sym) {
     tp.live_txn_ = 0;
     return 0;
   }
-  FlushLiveCost(tp);
   tp.live_txn_ = live_->BeginTxn(live_name_sym_, live_->now());
   tp.live_span_service_ = 0;
   tp.live_span_lock_ = 0;
@@ -214,18 +213,10 @@ uint64_t StageProfiler::LiveBegin(ThreadProfile& tp, uint32_t type_sym) {
   return tp.live_txn_;
 }
 
-uint64_t StageProfiler::LiveBegin(ThreadProfile& tp, std::string_view type) {
-  if (live_ == nullptr) {
-    return 0;
-  }
-  return LiveBegin(tp, type.empty() ? 0 : live_->symbols().Intern(type));
-}
-
 void StageProfiler::LiveJoin(ThreadProfile& tp, uint64_t txn, sim::SimTime queue_ns) {
   if (live_ == nullptr) {
     return;
   }
-  FlushLiveCost(tp);
   tp.live_txn_ = txn;
   // An unsampled thread charges no live cost, and UpdateCct already
   // recomputes the node on every context change, so only a sampled
@@ -246,7 +237,6 @@ void StageProfiler::LiveLeave(ThreadProfile& tp) {
   if (live_ == nullptr) {
     return;
   }
-  FlushLiveCost(tp);
   FlushSpanMeasurements(tp);
   if (tp.live_txn_ != 0) {
     live_->EndSpan(tp.live_txn_, live_name_sym_, live_->now());
@@ -258,7 +248,6 @@ void StageProfiler::LiveComplete(ThreadProfile& tp, bool error) {
   if (live_ == nullptr) {
     return;
   }
-  FlushLiveCost(tp);
   FlushSpanMeasurements(tp);
   if (tp.live_txn_ != 0) {
     if (error) {
@@ -276,24 +265,6 @@ void StageProfiler::LiveLockWait(ThreadProfile& tp, sim::SimTime wait_ns) {
   }
 }
 
-void StageProfiler::LiveType(ThreadProfile& tp, uint32_t type_sym) {
-  if (live_ != nullptr && tp.live_txn_ != 0) {
-    live_->SetTxnType(tp.live_txn_, util::SymId{type_sym});
-  }
-}
-
-void StageProfiler::LiveType(ThreadProfile& tp, std::string_view type) {
-  if (live_ != nullptr && tp.live_txn_ != 0) {
-    live_->SetTxnType(tp.live_txn_, type);
-  }
-}
-
-void StageProfiler::FlushLive() {
-  for (const auto& tp : threads_) {
-    FlushLiveCost(*tp);
-  }
-}
-
 context::NodeId StageProfiler::LiveCtxtNode(const ThreadProfile& tp) const {
   context::ContextTree& tree = deployment_.contexts();
   context::NodeId node = context::kEmptyContext;
@@ -304,14 +275,6 @@ context::NodeId StageProfiler::LiveCtxtNode(const ThreadProfile& tp) const {
     node = tree.Concat(node, tp.local_node_);
   }
   return node;
-}
-
-void StageProfiler::FlushLiveCost(ThreadProfile& tp) {
-  if (live_ == nullptr || tp.live_cost_acc_ == 0) {
-    return;
-  }
-  live_->AddCost(tp.live_ctxt_node_, static_cast<uint64_t>(tp.live_cost_acc_));
-  tp.live_cost_acc_ = 0;
 }
 
 void StageProfiler::FlushSpanMeasurements(ThreadProfile& tp) {
@@ -396,10 +359,6 @@ void StageProfiler::UpdateCct(ThreadProfile& tp) {
     return;
   }
   obs_switches_->Add();
-  if (live_ != nullptr) {
-    // Costs batched so far belong to the outgoing context.
-    FlushLiveCost(tp);
-  }
   tp.current_label_ = label;
   tp.label_valid_ = true;
   tp.stack_.AttachCct(&ccts_[label]);

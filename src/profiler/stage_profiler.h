@@ -82,11 +82,10 @@ class ThreadProfile {
   uint64_t uncharged_pushes_ = 0;
   uint64_t uncharged_messages_ = 0;
   // Live-observability state: the daemon transaction this thread is
-  // currently executing, the interned full-context node the thread's
-  // CPU charges accrue to, and the batched not-yet-published cost.
+  // currently executing and the interned full-context node the
+  // thread's CPU charges accrue to.
   uint64_t live_txn_ = 0;
   context::NodeId live_ctxt_node_ = context::kEmptyContext;
-  sim::SimTime live_cost_acc_ = 0;
   // Wait-state measurements of the thread's current live span
   // (docs/OBSERVABILITY.md taxonomy): CPU charged and lock wait
   // incurred since the span opened, flushed to the daemon as the span
@@ -155,7 +154,7 @@ class StageProfiler {
   // Begins a fresh top-level transaction at an origin stage. Draws the
   // deployment's per-transaction sampling decision: an unsampled
   // transaction pays only that coin flip — PrepareSend emits no
-  // synopsis, ChargeCpu skips the sampler and live batching, LiveBegin
+  // synopsis, ChargeCpu skips the sampler and the live cost, LiveBegin
   // returns 0 — until the next ResetTransaction/OnReceive.
   void ResetTransaction(ThreadProfile& tp);
 
@@ -198,8 +197,8 @@ class StageProfiler {
 
   // ---- Live observability (src/obs/live) ------------------------------
   // When a Whodunitd is attached (normally via Deployment::AttachLive),
-  // the stage publishes transaction lifecycle events and batched CPU
-  // costs to it. All hooks are no-ops when detached — a single null
+  // the stage publishes transaction lifecycle events and CPU costs to
+  // it. All hooks are no-ops when detached — a single null
   // check on the publish path. Attaching interns the stage's name into
   // the daemon's symbol table once, so every later hook passes a
   // 32-bit SymId instead of a string.
@@ -208,10 +207,9 @@ class StageProfiler {
   // Origin stage: opens a live transaction of the given type on this
   // thread (call after ResetTransaction). Returns the live txn id to
   // thread through the app's messages (0 = daemon off or overloaded).
-  // The SymId form is the steady-state path; apps intern their type
-  // names once at wiring time (live()->symbols().Intern(...)).
+  // Apps intern their type names once at wiring time
+  // (live()->symbols().Intern(...)); 0 leaves the txn untyped.
   uint64_t LiveBegin(ThreadProfile& tp, uint32_t type_sym);
-  uint64_t LiveBegin(ThreadProfile& tp, std::string_view type);
   // Non-origin stage: joins the thread to a transaction carried here
   // by a message (call after OnReceive; the innermost incoming synopsis
   // part becomes the span's link). `queue_ns` is the measured queue
@@ -222,18 +220,10 @@ class StageProfiler {
   void LiveLeave(ThreadProfile& tp);
   // Origin stage, transaction finished end-to-end: publishes it.
   void LiveComplete(ThreadProfile& tp, bool error = false);
-  // Re-labels the thread's current live transaction (e.g. once a cache
-  // stage knows hit vs. miss).
-  void LiveType(ThreadProfile& tp, uint32_t type_sym);
-  void LiveType(ThreadProfile& tp, std::string_view type);
   // Accumulates measured lock wait onto the thread's current live span
   // (fed by resource acquire paths, e.g. Database::Execute).
   void LiveLockWait(ThreadProfile& tp, sim::SimTime wait_ns);
   uint64_t live_txn(const ThreadProfile& tp) const { return tp.live_txn_; }
-  // Publishes every thread's batched CPU cost to the daemon; the
-  // daemon invokes this (via Deployment's flush hook) before answering
-  // a query so snapshots are current.
-  void FlushLive();
 
   // ---- Message byte accounting (§9.1) ---------------------------------
   void AccountMessage(size_t payload_bytes, size_t context_bytes);
@@ -261,7 +251,6 @@ class StageProfiler {
   // Interned full-context node (incoming parts ++ local elements) the
   // thread's live CPU costs are attributed to.
   context::NodeId LiveCtxtNode(const ThreadProfile& tp) const;
-  void FlushLiveCost(ThreadProfile& tp);
   // Publishes the span's accumulated service/lock-wait measurements to
   // the daemon and resets them; called as the span closes.
   void FlushSpanMeasurements(ThreadProfile& tp);

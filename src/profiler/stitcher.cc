@@ -57,8 +57,11 @@ void Stitcher::AddStage(const StageProfiler& stage) {
   }
 }
 
-std::vector<Stitcher::Edge> Stitcher::Edges() const {
-  std::vector<Edge> edges;
+const std::vector<Stitcher::Edge>& Stitcher::Edges() const {
+  if (edges_) {
+    return *edges_;
+  }
+  std::vector<Edge>& edges = edges_.emplace();
   // A label with parts [p0..pn] was created by a send whose caller ran
   // with label [p0..pn-1] (or a prefix of it, since the caller's label
   // omits a purely-local tail). Match the longest proper prefix owned

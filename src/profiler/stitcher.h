@@ -18,6 +18,7 @@
 #define SRC_PROFILER_STITCHER_H_
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,8 +47,10 @@ class Stitcher {
     std::string send_context;    // description of the send point
   };
 
-  // All request edges recoverable from the rows' labels.
-  std::vector<Edge> Edges() const;
+  // All request edges recoverable from the rows' labels. Found (and
+  // counted in stitcher.edges_stitched) on the first call; Render and
+  // RenderDot reuse them.
+  const std::vector<Edge>& Edges() const;
 
   // The full multi-stage transactional profile: every stage's labeled
   // CCTs plus the stitched request edges.
@@ -84,6 +87,7 @@ class Stitcher {
   std::vector<Row> rows_;  // grouped by stage, in stages_ order
   // Description of one synopsis part ("?" if unknown).
   std::function<std::string(uint32_t)> describe_part_;
+  mutable std::optional<std::vector<Edge>> edges_;
 };
 
 }  // namespace whodunit::profiler

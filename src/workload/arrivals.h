@@ -17,10 +17,12 @@
 // population — which is what makes per-client memory flat from 1k to
 // 1M clients (bench_scaling_clients).
 //
-// Determinism: each generator owns a util::Rng seeded as
-// seed + generator-index, and a shard's generator indices depend only
-// on the shard split (never on thread count), so open-loop runs keep
-// the shard-merge byte-identity contract. See docs/PRODUCTION.md for
+// Determinism: each generator owns a util::Rng whose seed is the
+// generator's draw, in spawn order, from one util::Rng seeded with
+// seed ^ 0x9E3779B97F4A7C15 (the apps' gen_seeder). A shard's seed and
+// generator count depend only on the shard split (never on thread
+// count), so open-loop runs keep the shard-merge byte-identity
+// contract. See docs/PRODUCTION.md for
 // the operator-facing knobs.
 #ifndef SRC_WORKLOAD_ARRIVALS_H_
 #define SRC_WORKLOAD_ARRIVALS_H_

@@ -179,15 +179,15 @@ TEST(AttributionTest, EmptyAndDegenerateEventsYieldNothing) {
 TEST(AttributionTest, DaemonAttributesPublishedTransactions) {
   sim::Scheduler sched;
   Whodunitd daemon(sched);
-  const uint64_t txn = daemon.BeginTxn("proxy", 0);
+  const uint64_t txn = daemon.BeginTxn(S("proxy"), 0);
   ASSERT_NE(txn, 0u);
-  daemon.SetTxnType(txn, "checkout");
+  daemon.SetTxnType(txn, S("checkout"));
   sched.RunUntil(1500);
-  daemon.JoinSpan(txn, "db", /*link=*/1, sched.now(), /*queue_ns=*/300);
-  daemon.AddSpanWait(txn, "db", WaitState::kService, 400);
-  daemon.AddSpanWait(txn, "db", WaitState::kLockWait, 700);
+  daemon.JoinSpan(txn, S("db"), /*link=*/1, sched.now(), /*queue_ns=*/300);
+  daemon.AddSpanWait(txn, S("db"), WaitState::kService, 400);
+  daemon.AddSpanWait(txn, S("db"), WaitState::kLockWait, 700);
   sched.RunUntil(4000);
-  daemon.EndSpan(txn, "db", sched.now());
+  daemon.EndSpan(txn, S("db"), sched.now());
   sched.RunUntil(5000);
   daemon.CompleteTxn(txn, sched.now());
   daemon.Shutdown();
@@ -217,7 +217,7 @@ TEST(AttributionTest, DaemonAttributionKnobOff) {
   LiveOptions lo;
   lo.attribution = false;
   Whodunitd daemon(sched, lo);
-  const uint64_t txn = daemon.BeginTxn("proxy", 0);
+  const uint64_t txn = daemon.BeginTxn(S("proxy"), 0);
   sched.RunUntil(100);
   daemon.CompleteTxn(txn, sched.now());
   daemon.Shutdown();

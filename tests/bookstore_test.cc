@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "src/obs/metrics.h"
+
 namespace whodunit::apps {
 namespace {
 
@@ -173,6 +178,38 @@ TEST(BookstoreTest, StitcherConnectsAllThreeStages) {
   // And the Graphviz form is present.
   EXPECT_NE(r.stitched_dot.find("digraph whodunit"), std::string::npos);
   EXPECT_NE(r.stitched_dot.find("style=dashed"), std::string::npos);
+}
+
+// A Stitcher finds and counts its edges once and Render and RenderDot
+// share them, so stitcher.edges_stitched equals the edge lines printed.
+TEST(BookstoreTest, EdgeCounterMatchesPrintedEdges) {
+  obs::MetricsRegistry reg;
+  obs::ScopedMetricsRegistry scope(reg);
+  BookstoreOptions o;
+  o.clients = 40;
+  o.duration = sim::Seconds(120);
+  o.warmup = sim::Seconds(10);
+  BookstoreResult r = RunBookstore(o);
+  const auto count_lines = [](const std::string& text, const std::string& after,
+                              const std::string& needle) {
+    std::istringstream lines(text);
+    std::string line;
+    bool counting = after.empty();
+    uint64_t n = 0;
+    while (std::getline(lines, line)) {
+      if (!counting) {
+        counting = line == after;
+      } else if (line.find(needle) != std::string::npos) {
+        ++n;
+      }
+    }
+    return n;
+  };
+  const uint64_t text_edges =
+      count_lines(r.stitched_text, "===== transaction flow edges =====", "-->");
+  EXPECT_GT(text_edges, 0u);
+  EXPECT_EQ(count_lines(r.stitched_dot, "", " -> "), text_edges);
+  EXPECT_EQ(reg.GetCounter("stitcher.edges_stitched").Value(), text_edges);
 }
 
 TEST(BookstoreTest, MysqlSharedMemoryYieldsNoFlows) {

@@ -11,11 +11,16 @@
 #include "src/apps/bookstore/bookstore.h"
 #include "src/apps/minihttpd/minihttpd.h"
 #include "src/apps/sedaserver/sedaserver.h"
+#include "src/crosstalk/crosstalk.h"
 #include "src/obs/live/aggregator.h"
+#include "src/obs/live/attribution.h"
 #include "src/obs/live/daemon.h"
+#include "src/obs/live/history.h"
 #include "src/obs/live/span_export.h"
 #include "src/obs/live/txn_event.h"
 #include "src/obs/metrics.h"
+#include "src/profiler/stage_profiler.h"
+#include "src/sim/lock.h"
 #include "src/sim/parallel_runner.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/time.h"
@@ -92,6 +97,8 @@ class JsonChecker {
     if (pos_ >= s_.size() || s_[pos_] != '"') return false;
     ++pos_;
     while (pos_ < s_.size() && s_[pos_] != '"') {
+      // JSON strings hold no raw control characters.
+      if (static_cast<unsigned char>(s_[pos_]) < 0x20) return false;
       if (s_[pos_] == '\\') ++pos_;
       ++pos_;
     }
@@ -141,6 +148,8 @@ TEST(JsonCheckerTest, AcceptsAndRejects) {
   EXPECT_FALSE(JsonChecker(R"({"a":1,)").Valid());
   EXPECT_FALSE(JsonChecker(R"([1,2,])").Valid());
   EXPECT_FALSE(JsonChecker("{} trailing").Valid());
+  EXPECT_FALSE(JsonChecker("[\"a\nb\"]").Valid());
+  EXPECT_FALSE(JsonChecker("[\"a\tb\"]").Valid());
 }
 
 // ---- Aggregator ------------------------------------------------------
@@ -209,15 +218,38 @@ TEST(LiveAggregatorTest, CostAndCrosstalk) {
   EXPECT_EQ(top[1].cost_ns, 1500u);
   EXPECT_EQ(agg.TopContexts(1).size(), 1u);
 
+  // Without a recorder there is no crosstalk table.
+  EXPECT_TRUE(agg.CrosstalkRows().empty());
+
+  // The table is the recorder's pair matrix, read at query time with
+  // tags folded by name: tags 11 and 33 are both OrderStatus.
+  sim::Scheduler sched;
+  sim::SimMutex lock(sched, "item");
+  crosstalk::CrosstalkRecorder recorder;
+  agg.set_crosstalk(&recorder);
   agg.NameTag(11, "OrderStatus");
-  agg.IngestWait(/*waiter=*/11, /*holder=*/22, sim::Millis(4));
-  agg.IngestWait(/*waiter=*/11, /*holder=*/22, sim::Millis(8));
-  const auto pairs = agg.CrosstalkRows();
+  agg.NameTag(33, "OrderStatus");
+  recorder.OnAcquired(lock, /*waiter=*/11, /*holder=*/22, sim::Millis(4));
+  recorder.OnAcquired(lock, /*waiter=*/33, /*holder=*/22, sim::Millis(8));
+  // Neither an uncontended acquire nor a wait behind an unknown holder
+  // makes a pair.
+  recorder.OnAcquired(lock, 11, 22, 0);
+  recorder.OnAcquired(lock, 11, sim::LockObserver::kNoTag, sim::Millis(100));
+  auto pairs = agg.CrosstalkRows();
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0].waiter, "OrderStatus");
   EXPECT_EQ(pairs[0].holder, "tag_22");  // unnamed tag
   EXPECT_EQ(pairs[0].count, 2u);
   EXPECT_DOUBLE_EQ(pairs[0].mean_wait_ms, 6.0);
+
+  // A later wait shows at the next query; heaviest mean first.
+  recorder.OnAcquired(lock, /*waiter=*/22, /*holder=*/11, sim::Millis(9));
+  pairs = agg.CrosstalkRows();
+  ASSERT_EQ(pairs.size(), 2u);
+  EXPECT_EQ(pairs[0].waiter, "tag_22");
+  EXPECT_EQ(pairs[0].holder, "OrderStatus");
+  EXPECT_DOUBLE_EQ(pairs[0].mean_wait_ms, 9.0);
+  EXPECT_EQ(pairs[1].waiter, "OrderStatus");
 }
 
 // ---- Daemon ----------------------------------------------------------
@@ -225,28 +257,28 @@ TEST(LiveAggregatorTest, CostAndCrosstalk) {
 TEST(WhodunitdTest, PublishPumpQuery) {
   sim::Scheduler sched;
   {
-    // publish_batch = 1: every completion crosses the channel alone,
-    // so mid-run queries see the event as soon as the pump runs.
-    LiveOptions options;
-    options.publish_batch = 1;
-    Whodunitd d(sched, options);
+    Whodunitd d(sched);
 
-    const uint64_t txn = d.BeginTxn("front", d.now());
+    const uint64_t txn = d.BeginTxn(S("front"), d.now());
     ASSERT_NE(txn, 0u);
     EXPECT_EQ(d.inflight(), 1u);
-    d.SetTxnType(txn, "checkout");
-    d.NoteSend(txn, "front", /*link=*/42);
+    d.SetTxnType(txn, S("checkout"));
+    d.NoteSend(txn, S("front"), /*link=*/42);
     sched.ScheduleAt(sim::Micros(10), [&] {
-      d.JoinSpan(txn, "back", /*link=*/42, d.now());
+      d.JoinSpan(txn, S("back"), /*link=*/42, d.now());
     });
-    sched.ScheduleAt(sim::Micros(30), [&] { d.EndSpan(txn, "back", d.now()); });
+    sched.ScheduleAt(sim::Micros(30), [&] { d.EndSpan(txn, S("back"), d.now()); });
     sched.ScheduleAt(sim::Micros(40), [&] {
       d.SetTxnCtxt(txn, 17);
       d.CompleteTxn(txn, d.now());
     });
-    sched.Run();  // pump drains the published event
-
+    sched.Run();
     EXPECT_EQ(d.inflight(), 0u);
+    // One completion is a partial publish batch: it waits in the batch
+    // until Shutdown ships it and the pump drains.
+    EXPECT_EQ(d.aggregator().txns(), 0u);
+    d.Shutdown();
+    sched.Run();
     EXPECT_EQ(d.aggregator().txns(), 1u);
 
     const auto events = d.RecentEvents();
@@ -280,34 +312,27 @@ TEST(WhodunitdTest, PublishPumpQuery) {
     EXPECT_NE(json.find("\"whodunit-live-v1\""), std::string::npos);
 
     EXPECT_TRUE(JsonChecker(d.ExportSpansJson()).Valid());
-
-    // Drain the in-band close while the daemon (and its channel) is
-    // still alive — same order the apps use.
-    d.Shutdown();
-    sched.Run();
   }
 }
 
 TEST(WhodunitdTest, InflightCapDropsAndShutdownAbandons) {
   sim::Scheduler sched;
   {
-    LiveOptions options;
-    options.max_inflight = 2;
-    Whodunitd d(sched, options);
-    const uint64_t a = d.BeginTxn("s", 0);
-    const uint64_t b = d.BeginTxn("s", 0);
-    EXPECT_NE(a, 0u);
-    EXPECT_NE(b, 0u);
-    EXPECT_EQ(d.BeginTxn("s", 0), 0u);  // over the cap: dropped
+    Whodunitd d(sched);
+    const util::SymId s = S("s");
+    for (size_t i = 0; i < kMaxInflight; ++i) {
+      ASSERT_NE(d.BeginTxn(s, 0), 0u) << i;
+    }
+    EXPECT_EQ(d.BeginTxn(s, 0), 0u);  // over the cap: dropped
     // Hooks on a dropped (0) txn are no-ops, not crashes.
-    d.SetTxnType(0, "x");
-    d.JoinSpan(0, "s", 0, 0);
-    d.EndSpan(0, "s", 0);
+    d.SetTxnType(0, S("x"));
+    d.JoinSpan(0, s, 0, 0);
+    d.EndSpan(0, s, 0);
     d.CompleteTxn(0, 0);
-    EXPECT_EQ(d.inflight(), 2u);
-    d.Shutdown();  // abandons a and b
+    EXPECT_EQ(d.inflight(), kMaxInflight);
+    d.Shutdown();  // abandons every open txn
     EXPECT_EQ(d.inflight(), 0u);
-    EXPECT_EQ(d.BeginTxn("s", 0), 0u);  // after shutdown: dropped
+    EXPECT_EQ(d.BeginTxn(s, 0), 0u);  // after shutdown: dropped
     sched.Run();
   }
 }
@@ -317,23 +342,19 @@ TEST(WhodunitdTest, SpanRingKeepsNewest) {
   {
     LiveOptions options;
     options.span_ring = 3;
-    options.publish_batch = 1;
     Whodunitd d(sched, options);
     for (int i = 0; i < 5; ++i) {
-      const uint64_t txn = d.BeginTxn("s", d.now());
-      std::string type = "t";
-      type += std::to_string(i);
-      d.SetTxnType(txn, type);
+      const uint64_t txn = d.BeginTxn(S("s"), d.now());
+      d.SetTxnType(txn, S("t" + std::to_string(i)));
       d.CompleteTxn(txn, d.now());
     }
+    d.Shutdown();
     sched.Run();
     const auto events = d.RecentEvents();
     ASSERT_EQ(events.size(), 3u);
     EXPECT_EQ(events.front().type, S("t2"));  // oldest retained
     EXPECT_EQ(events.back().type, S("t4"));   // newest last
     EXPECT_EQ(d.aggregator().txns(), 5u);  // ring does not limit aggregation
-    d.Shutdown();
-    sched.Run();
   }
 }
 
@@ -347,25 +368,24 @@ TEST(WhodunitdTest, LifecycleCountersReconcileAtShutdown) {
   ScopedMetricsRegistry scope(reg);
   sim::Scheduler sched;
   {
-    LiveOptions options;
-    options.max_inflight = 2;
-    options.publish_batch = 2;
-    Whodunitd d(sched, options);
-    const uint64_t a = d.BeginTxn("s", 0);
-    const uint64_t b = d.BeginTxn("s", 0);
+    Whodunitd d(sched);
+    const util::SymId s = S("s");
+    const uint64_t a = d.BeginTxn(s, 0);
     ASSERT_NE(a, 0u);
-    ASSERT_NE(b, 0u);
-    EXPECT_EQ(d.BeginTxn("s", 0), 0u);  // over the cap: dropped, not begun
+    for (size_t i = 1; i < kMaxInflight; ++i) {
+      ASSERT_NE(d.BeginTxn(s, 0), 0u) << i;
+    }
+    EXPECT_EQ(d.BeginTxn(s, 0), 0u);  // over the cap: dropped, not begun
     d.CompleteTxn(a, 10);
     // Mid-run: begun == published + abandoned + in-flight.
     EXPECT_EQ(reg.GetCounter("live.txns_begun").Value(),
               reg.GetCounter("live.txns_published").Value() +
                   reg.GetCounter("live.txns_abandoned").Value() + d.inflight());
-    d.Shutdown();  // abandons b, flushes the partial batch
+    d.Shutdown();  // abandons the rest, flushes the partial batch
     sched.Run();
-    EXPECT_EQ(reg.GetCounter("live.txns_begun").Value(), 2u);
+    EXPECT_EQ(reg.GetCounter("live.txns_begun").Value(), kMaxInflight);
     EXPECT_EQ(reg.GetCounter("live.txns_published").Value(), 1u);
-    EXPECT_EQ(reg.GetCounter("live.txns_abandoned").Value(), 1u);
+    EXPECT_EQ(reg.GetCounter("live.txns_abandoned").Value(), kMaxInflight - 1);
     EXPECT_EQ(reg.GetCounter("live.txns_dropped").Value(), 1u);
     EXPECT_EQ(d.inflight(), 0u);
     EXPECT_EQ(reg.GetCounter("live.txns_begun").Value(),
@@ -377,6 +397,122 @@ TEST(WhodunitdTest, LifecycleCountersReconcileAtShutdown) {
     EXPECT_EQ(reg.GetCounter("live.spans_ingested").Value(), 1u);
     EXPECT_EQ(reg.GetCounter("live.batches_published").Value(), 1u);
   }
+}
+
+// Batching determinism (docs/OBSERVABILITY.md "Batching and
+// determinism"): the publish batch keeps completion order and the
+// channel is FIFO, so once Shutdown has shipped the partial batch the
+// daemon holds exactly what a fresh aggregator and history build from
+// the same events ingested one at a time.
+TEST(WhodunitdTest, BatchedIngestEqualsOneAtATime) {
+  const util::SymId front = S("front");
+  const util::SymId back = S("back");
+  const util::SymId types[3] = {S("read"), S("write"), S("scan")};
+  // Two full batches and a partial one.
+  const size_t n = 2 * kPublishBatch + kPublishBatch / 2;
+  const auto make_event = [&](size_t i) {
+    TxnEvent ev;
+    ev.txn_id = i + 1;
+    ev.type = types[i % 3];
+    ev.origin_stage = front;
+    ev.root_ctxt = static_cast<context::NodeId>(1 + i % 4);
+    ev.start_ns = static_cast<int64_t>(i) * 1000;
+    ev.end_ns = ev.start_ns + 500 + static_cast<int64_t>(i % 7) * 50;
+    ev.error = i % 11 == 0;
+    ev.spans.push_back({front, ev.start_ns, ev.end_ns - ev.start_ns, -1, 0});
+    ev.spans.push_back({back, ev.start_ns + 10, ev.end_ns - ev.start_ns - 20, 0, 7,
+                        /*queue_ns=*/5, /*service_ns=*/100, /*lock_ns=*/0});
+    return ev;
+  };
+
+  sim::Scheduler sched;
+  Whodunitd d(sched);
+  for (size_t i = 0; i < n; ++i) {
+    sched.ScheduleAt(make_event(i).start_ns, [&d, &make_event, i] {
+      const TxnEvent ev = make_event(i);
+      const uint64_t txn = d.BeginTxn(ev.origin_stage, ev.start_ns);
+      ASSERT_EQ(txn, ev.txn_id);
+      d.SetTxnType(txn, ev.type);
+      d.NoteSend(txn, ev.origin_stage, 7);
+      d.JoinSpan(txn, ev.spans[1].stage, 7, ev.spans[1].start_ns, ev.spans[1].queue_ns);
+      d.AddSpanWait(txn, ev.spans[1].stage, WaitState::kService, ev.spans[1].service_ns);
+      d.EndSpan(txn, ev.spans[1].stage, ev.spans[1].start_ns + ev.spans[1].duration_ns);
+      if (ev.error) {
+        d.ErrorTxn(txn);
+      }
+      d.SetTxnCtxt(txn, ev.root_ctxt);
+      d.CompleteTxn(txn, ev.end_ns);
+    });
+  }
+  sched.Run();
+  // The full batches crossed the channel mid-run; the partial one
+  // waits for Shutdown.
+  EXPECT_EQ(d.aggregator().txns(), 2 * kPublishBatch);
+  d.Shutdown();
+  sched.Run();
+  EXPECT_EQ(d.aggregator().txns(), n);
+
+  LiveAggregator agg;
+  TxnHistory history(LiveOptions{}.history_bytes);
+  AttrScratch scratch;
+  for (size_t i = 0; i < n; ++i) {
+    TxnEvent ev = make_event(i);
+    AttributeTxn(ev, util::Syms(), scratch, ev.attr);
+    agg.Ingest(ev);
+    const int64_t end = ev.end_ns;
+    history.Ingest(std::move(ev), end);
+  }
+  history.Flush(sched.now());
+
+  const auto rows = [](const LiveAggregator& a) {
+    std::ostringstream out;
+    for (const auto& r : a.TypeRows()) {
+      out << r.type << ' ' << r.count << ' ' << r.errors << ' ' << r.mean_ms << ' '
+          << r.p50_ms << ' ' << r.p99_ms << '\n';
+    }
+    for (const auto& r : a.StageRows()) {
+      out << r.stage << ' ' << r.spans << ' ' << r.busy_ms << '\n';
+    }
+    for (const auto& r : a.AttrRows()) {
+      out << r.type << ' ' << r.stage << ' ' << r.ctxt << ' ' << WaitStateName(r.state) << ' '
+          << r.ns << '\n';
+    }
+    return out.str();
+  };
+  EXPECT_EQ(rows(d.aggregator()), rows(agg));
+  EXPECT_EQ(d.ExportAttrFolded(), agg.ExportAttrFolded());
+  // The daemon settles its history at Shutdown and again after the
+  // final drain, so only the flush count may differ.
+  const auto without_flushes = [](std::string json) {
+    const size_t at = json.find("\"flushes\":");
+    return at == std::string::npos ? json : json.erase(at, json.find(',', at) + 1 - at);
+  };
+  EXPECT_EQ(without_flushes(d.ExportHistoryJson()), without_flushes(history.ExportJson()));
+  EXPECT_EQ(history.retained_txns(), n);
+}
+
+// StageProfiler::ChargeCpu adds its cost straight to the daemon's
+// context table, so a query needs no flush; a zero charge adds no row.
+TEST(WhodunitdTest, ChargeCpuCostsReachTheContextTable) {
+  sim::Scheduler sched;
+  profiler::Deployment dep;
+  Whodunitd d(sched);
+  profiler::StageProfiler::Options opts;
+  opts.name = "web";
+  auto& prof = dep.AddStage(std::make_unique<profiler::StageProfiler>(dep, opts));
+  dep.AttachLive(&d);
+  auto& tp = prof.CreateThread("worker");
+  prof.ResetTransaction(tp);
+
+  prof.ChargeCpu(tp, 0);
+  EXPECT_TRUE(d.Top().contexts.empty());
+  prof.ChargeCpu(tp, 700);
+  prof.ChargeCpu(tp, 0);
+  const auto snap = d.Top();
+  ASSERT_EQ(snap.contexts.size(), 1u);
+  EXPECT_EQ(snap.contexts[0].cost_ns, 700u);
+  d.Shutdown();
+  sched.Run();
 }
 
 // ---- Span export -----------------------------------------------------
@@ -453,6 +589,28 @@ TEST(SpanExportTest, EmptyAndEscaping) {
   EXPECT_TRUE(JsonChecker(out).Valid()) << out;
 }
 
+// Every live JSON export writes names through obs::JsonString: a
+// quote, a backslash, a newline and a tab in a stage or type name come
+// out escaped, and the document stays valid JSON.
+TEST(SpanExportTest, EveryExportEscapesNames) {
+  const util::SymId stage = S("st\"a\\ge\n\t1");
+  const util::SymId type = S("ty\"p\\e\n\t2");
+  const std::string stage_json = R"("st\"a\\ge\n\t1")";
+  const std::string type_json = R"("ty\"p\\e\n\t2")";
+  sim::Scheduler sched;
+  Whodunitd d(sched);
+  const uint64_t txn = d.BeginTxn(stage, 0);
+  d.SetTxnType(txn, type);
+  d.CompleteTxn(txn, 1000);
+  d.Shutdown();
+  sched.Run();
+  for (const std::string& json : {d.QueryJson(), d.ExportSpansJson(), d.ExportHistoryJson()}) {
+    EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+    EXPECT_NE(json.find(stage_json), std::string::npos) << json;
+    EXPECT_NE(json.find(type_json), std::string::npos) << json;
+  }
+}
+
 // ---- End-to-end smokes -----------------------------------------------
 
 TEST(LiveEndToEndTest, BookstorePublishesLiveProfile) {
@@ -524,59 +682,23 @@ TEST(LiveEndToEndTest, BookstoreWhyTailBlamesDbLockWait) {
   EXPECT_TRUE(lock_wait_dominates) << result.live_why_tail_text;
 }
 
-// Batching determinism (docs/OBSERVABILITY.md "Batching and
-// determinism"): the publish batch preserves completion order and the
-// channel is FIFO, so every end-of-run export must be byte-identical
-// for any --publish-batch value. Each run executes under a fresh
-// ShardEnv so context NodeIds, metrics, and SymIds restart from the
-// same seeds.
-TEST(LiveEndToEndTest, ExportsAreInvariantUnderPublishBatchSize) {
-  auto run = [](size_t batch) {
-    sim::ShardEnv env;
-    sim::ShardEnv::Scope scope(env);
-    apps::BookstoreOptions options;
-    options.clients = 10;
-    options.duration = sim::Seconds(20);
-    options.warmup = sim::Seconds(2);
-    options.live = true;
-    options.live_span_ring = 16;
-    options.live_publish_batch = batch;
-    return apps::RunBookstore(options);
-  };
-  const auto unbatched = run(1);
-  const auto batched = run(64);
-  const auto coarse = run(1024);
-  ASSERT_FALSE(unbatched.live_query_json.empty());
-  EXPECT_EQ(unbatched.live_query_json, batched.live_query_json);
-  EXPECT_EQ(unbatched.live_query_json, coarse.live_query_json);
-  EXPECT_EQ(unbatched.live_top_text, batched.live_top_text);
-  EXPECT_EQ(unbatched.live_top_text, coarse.live_top_text);
-  EXPECT_EQ(unbatched.live_span_json, batched.live_span_json);
-  EXPECT_EQ(unbatched.live_span_json, coarse.live_span_json);
-  EXPECT_EQ(unbatched.live_attr_folded, batched.live_attr_folded);
-  EXPECT_EQ(unbatched.live_attr_folded, coarse.live_attr_folded);
-  EXPECT_EQ(unbatched.live_why_tail_text, batched.live_why_tail_text);
-  EXPECT_EQ(unbatched.live_why_tail_text, coarse.live_why_tail_text);
-}
-
-// The merged sharded exports must also be invariant across worker
-// thread counts and batch sizes together (the acceptance matrix).
-TEST(LiveEndToEndTest, ShardedExportsInvariantAcrossThreadsAndBatch) {
-  auto run = [](int threads, size_t batch) {
+// The merged sharded exports must be invariant across worker thread
+// counts (the acceptance matrix).
+TEST(LiveEndToEndTest, ShardedExportsInvariantAcrossThreads) {
+  auto run = [](int threads) {
     apps::BookstoreOptions options;
     options.clients = 12;
     options.duration = sim::Seconds(20);
     options.warmup = sim::Seconds(2);
     options.live = true;
     options.live_span_ring = 16;
-    options.live_publish_batch = batch;
     options.shards = 4;
     options.threads = threads;
     return apps::RunBookstore(options);
   };
-  const auto serial = run(1, 1);
-  const auto threaded = run(4, 64);
-  const auto wide = run(8, 1024);
+  const auto serial = run(1);
+  const auto threaded = run(4);
+  const auto wide = run(8);
   ASSERT_FALSE(serial.live_query_json.empty());
   EXPECT_EQ(serial.live_query_json, threaded.live_query_json);
   EXPECT_EQ(serial.live_query_json, wide.live_query_json);

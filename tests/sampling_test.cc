@@ -15,7 +15,7 @@ namespace {
 
 using obs::MetricsRegistry;
 using obs::ScopedMetricsRegistry;
-using obs::live::HistoryOptions;
+using obs::live::kHistoryFlushIntervalNs;
 using util::Syms;
 using obs::live::TxnEvent;
 using obs::live::TxnHistory;
@@ -120,15 +120,17 @@ TxnEvent MakeEvent(uint64_t id, int64_t end_ns) {
 TEST(TxnHistoryTest, FlushPromotesPendingOnInterval) {
   MetricsRegistry reg;
   ScopedMetricsRegistry scope(reg);
-  TxnHistory history(HistoryOptions{1 << 20, 1000});
+  TxnHistory history(1 << 20);
   history.Ingest(MakeEvent(1, 0), 0);
   // Pending until the flush interval elapses.
   EXPECT_EQ(history.retained_txns(), 0u);
   EXPECT_EQ(history.pending_txns(), 1u);
-  history.Ingest(MakeEvent(2, 500), 500);
+  const int64_t half = kHistoryFlushIntervalNs / 2;
+  history.Ingest(MakeEvent(2, half), half);
   EXPECT_EQ(history.retained_txns(), 0u);
   // This ingest crosses the interval and triggers the flush.
-  history.Ingest(MakeEvent(3, 1500), 1500);
+  const int64_t past = kHistoryFlushIntervalNs + half;
+  history.Ingest(MakeEvent(3, past), past);
   EXPECT_EQ(history.retained_txns(), 3u);
   EXPECT_EQ(history.pending_txns(), 0u);
   EXPECT_EQ(history.flushes(), 1u);
@@ -140,12 +142,14 @@ TEST(TxnHistoryTest, EvictsOldestFirstToStayUnderBudget) {
   ScopedMetricsRegistry scope(reg);
   const size_t per_event = TxnHistory::ApproxBytes(MakeEvent(0, 0));
   // Budget for roughly three records.
-  TxnHistory history(HistoryOptions{per_event * 3 + per_event / 2, 100});
+  TxnHistory history(per_event * 3 + per_event / 2);
+  // One flush interval apart: every ingest after the first flushes.
   for (int i = 0; i < 6; ++i) {
-    history.Ingest(MakeEvent(static_cast<uint64_t>(i), i * 1000), i * 1000);
+    const int64_t now = i * kHistoryFlushIntervalNs;
+    history.Ingest(MakeEvent(static_cast<uint64_t>(i), now), now);
   }
-  history.Flush(10000);
-  EXPECT_LE(history.retained_bytes(), history.options().max_bytes);
+  history.Flush(6 * kHistoryFlushIntervalNs);
+  EXPECT_LE(history.retained_bytes(), history.max_bytes());
   EXPECT_GT(history.evicted_txns(), 0u);
   // Survivors are the newest records, oldest first.
   const auto scan = history.Scan();
@@ -161,9 +165,10 @@ TEST(TxnHistoryTest, BudgetIsASoftLimitBetweenFlushes) {
   MetricsRegistry reg;
   ScopedMetricsRegistry scope(reg);
   const size_t per_event = TxnHistory::ApproxBytes(MakeEvent(0, 0));
-  // Budget for one record, long flush interval: pending accumulation
-  // may exceed the budget until the next flush settles it.
-  TxnHistory history(HistoryOptions{per_event, 1'000'000});
+  // Budget for one record, ingests well inside one flush interval:
+  // pending accumulation may exceed the budget until the next flush
+  // settles it.
+  TxnHistory history(per_event);
   for (int i = 0; i < 5; ++i) {
     history.Ingest(MakeEvent(static_cast<uint64_t>(i), i), i);
   }
@@ -178,7 +183,7 @@ TEST(TxnHistoryTest, BudgetIsASoftLimitBetweenFlushes) {
 TEST(TxnHistoryTest, ZeroBudgetDisablesTheStore) {
   MetricsRegistry reg;
   ScopedMetricsRegistry scope(reg);
-  TxnHistory history(HistoryOptions{0, 100});
+  TxnHistory history(0);
   EXPECT_FALSE(history.enabled());
   history.Ingest(MakeEvent(1, 0), 0);
   history.Flush(1000);
@@ -189,7 +194,7 @@ TEST(TxnHistoryTest, ZeroBudgetDisablesTheStore) {
 TEST(TxnHistoryTest, ExportJsonListsRetainedOldestFirst) {
   MetricsRegistry reg;
   ScopedMetricsRegistry scope(reg);
-  TxnHistory history(HistoryOptions{1 << 20, 100});
+  TxnHistory history(1 << 20);
   history.Ingest(MakeEvent(7, 0), 0);
   history.Ingest(MakeEvent(8, 50), 50);
   history.Flush(200);

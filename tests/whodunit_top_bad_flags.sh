@@ -35,6 +35,13 @@ expect 2 --duration 10 --warmup 10
 expect 2 --duration 10 --warmup 11
 expect 2 --seed -3
 expect 2 --sample-rate 0.5x
+expect 2 --sample-rate nan
+expect 2 --sample-rate 1.5
+expect 2 --sample-rate -0.1
+expect 2 --offered-load -5
+expect 2 --offered-load inf
+expect 2 --offered-load nan
+expect 2 --publish-batch 8
 expect 2 --duration
 
 # A write that cannot complete (/dev/full: every write fails with
